@@ -29,7 +29,6 @@ from .exactlinalg import (
     ExactError,
     FieldSpec,
     Matrix,
-    in_row_space,
     quotient_map,
     reduce_mod_row_space,
     row_space_basis,
@@ -197,7 +196,7 @@ class Algebra:
         return Matrix(self.field, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)], self.dim, self.dim)
 
     def in_radical(self, v: list) -> bool:
-        return in_row_space(v, self.radical_rows)
+        return not any(reduce_mod_row_space(v, self.radical_rows))
 
     def radical_power_rows(self, n: int) -> Matrix:
         """Canonical row basis of radical^n."""
@@ -288,7 +287,8 @@ class Algebra:
         for r in J.data:
             for i in range(d):
                 b = self.basis_vector(i)
-                if not in_row_space(self.multiply(b, list(r)), J) or not in_row_space(self.multiply(list(r), b), J):
+                left, right = self.multiply(b, list(r)), self.multiply(list(r), b)
+                if any(reduce_mod_row_space(left, J)) or any(reduce_mod_row_space(right, J)):
                     raise ValidationError("radical candidate is not a two-sided ideal")
         # Radical: nilpotent.
         power = J
@@ -309,9 +309,10 @@ class Algebra:
             )
         images = []
         for la, va in self.idempotents:
-            if in_row_space(va, J):
+            image = reduce_mod_row_space(va, J)
+            if not any(image):
                 raise ValidationError(f"idempotent {la!r} lies in the radical candidate")
-            images.append(reduce_mod_row_space(va, J))
+            images.append(image)
         if row_space_basis(images, f, d).nrows != len(images):
             raise ValidationError("idempotent images modulo the radical are dependent")
         for i in range(d):
@@ -323,7 +324,7 @@ class Algebra:
                     if a == c:
                         # must be a scalar multiple of the image of e_a
                         span = row_space_basis([images[a]], f, d)
-                        if not in_row_space(red, span):
+                        if any(reduce_mod_row_space(red, span)):
                             raise ValidationError(
                                 f"corner at {la!r} is not one-dimensional modulo the radical"
                             )
@@ -374,7 +375,7 @@ def _compute_generating_set(a: Algebra) -> GeneratorData:
     lift_count = 0
     for r in a.radical_rows.data:
         span_now = row_space_basis(picked_span, f, d)
-        if in_row_space(list(r), span_now):
+        if not any(reduce_mod_row_space(list(r), span_now)):
             continue
         picked_span.append(list(r))
         for lu, vu in a.idempotents:
@@ -396,7 +397,7 @@ def _compute_generating_set(a: Algebra) -> GeneratorData:
     span_rows: list[list] = []
 
     def try_add(word: tuple[int, ...], value: list) -> bool:
-        if in_row_space(value, row_space_basis(span_rows, f, d)):
+        if not any(reduce_mod_row_space(value, row_space_basis(span_rows, f, d))):
             return False
         words.append(word)
         values.append(value)
@@ -545,7 +546,7 @@ def compile_quiver_algebra(q: QuiverPresentation) -> Algebra:
         if path_len(p) == L:
             unit = [f.zero()] * n
             unit[pindex[p]] = f.one()
-            if not in_row_space(unit, ideal):
+            if any(reduce_mod_row_space(unit, ideal)):
                 raise DomainError(
                     f"dimension not certified finite within length_bound={L}: "
                     f"path {list(p)} survives the relations",

@@ -72,7 +72,6 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--out", default="json", choices=["json"])
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def _build_parser() -> _Parser:

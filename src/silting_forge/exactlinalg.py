@@ -5,12 +5,24 @@ throughout: arithmetic is always exact (prime-field residues as Python ints,
 rationals as ``fractions.Fraction``), and every elimination uses the same
 deterministic pivoting (leftmost pivot column, first nonzero row) so that all
 downstream bases and certificates are byte-reproducible.
+
+Over F_2 the kernels (``Matrix.mul``, ``rref``, ``+``, ``-``, ``scale``) are
+chosen from ``field.p`` alone.  ``mul`` and ``rref`` pack each row into one
+Python int: the row's entries as bytes, read big-endian, so column ``j`` of an
+``n``-column row is bit ``8(n - 1 - j)``.  Packing and unpacking are single
+bytes/int conversions, and XOR of two packed rows is their sum.
+``Matrix.data`` stays a list of lists of ints either way, and
+:func:`_generic_mul` and :func:`_generic_rref` keep the field-independent
+path that the F_2 kernels must agree with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -130,18 +142,23 @@ class FieldSpec:
 
 
 class Matrix:
-    """Dense row-major exact matrix over a FieldSpec."""
+    """Dense row-major exact matrix over a FieldSpec.
+
+    Entries are canonical field scalars: residues ``0 <= x < p`` over F_p,
+    ``Fraction`` over Q.  The F_2 kernels read rows as bytes, so they rely on
+    entries being exactly 0 or 1.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: FieldSpec, data: Sequence[Sequence], nrows: int | None = None, ncols: int | None = None):
         self.field = field
-        rows = [list(r) for r in data]
+        rows = list(map(list, data))
         if nrows is None:
             nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        if len(rows) != nrows or not set(map(len, rows)) <= {ncols}:
             raise ExactError(f"ragged matrix data for shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
@@ -191,12 +208,21 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
         f = self.field
+        if f.p == 2:
+            return self._xor(other)
         return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
         f = self.field
+        if f.p == 2:
+            return self._xor(other)
         return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+
+    def _xor(self, other: "Matrix") -> "Matrix":
+        """Sum (= difference) over F_2."""
+        data = [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Matrix(self.field, data, self.nrows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
@@ -215,19 +241,25 @@ class Matrix:
         self._check_shape(other)
         if self.ncols != other.nrows:
             raise ExactError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        f = self.field
-        ot = [[other.data[k][j] for k in range(other.nrows)] for j in range(other.ncols)]
-        if f.kind == "prime":
-            p = f.p
-            out = [[sum(a * b for a, b in zip(row, col)) % p for col in ot] for row in self.data]
-            return Matrix(f, out, self.nrows, other.ncols)
-        zero = f.zero()
-        out = [[sum((a * b for a, b in zip(row, col)), zero) for col in ot] for row in self.data]
-        return Matrix(f, out, self.nrows, other.ncols)
+        if self.field.p != 2:
+            return _generic_mul(self, other)
+        # Row i of the product is the XOR of the rows of ``other`` selected by
+        # the nonzero entries of row i of ``self``.
+        packed = list(map(int.from_bytes, map(bytes, other.data), repeat("big")))
+        n = other.ncols
+        out = []
+        for row in self.data:
+            acc = 0
+            for v in compress(packed, row):
+                acc ^= v
+            out.append(list(acc.to_bytes(n, "big")))
+        return Matrix(self.field, out, self.nrows, n)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
+        if f.p == 2:
+            return self.copy() if c else Matrix.zeros(f, self.nrows, self.ncols)
         return Matrix(f, [[f.mul(c, a) for a in r] for r in self.data], self.nrows, self.ncols)
 
     def transpose(self) -> "Matrix":
@@ -322,6 +354,19 @@ class Matrix:
         return m
 
 
+def _generic_mul(left: Matrix, other: Matrix) -> Matrix:
+    """Product over any field by dot products; the reference for the F_2 kernel."""
+    f = left.field
+    ot = [[other.data[k][j] for k in range(other.nrows)] for j in range(other.ncols)]
+    if f.kind == "prime":
+        p = f.p
+        out = [[sum(a * b for a, b in zip(row, col)) % p for col in ot] for row in left.data]
+        return Matrix(f, out, left.nrows, other.ncols)
+    zero = f.zero()
+    out = [[sum((a * b for a, b in zip(row, col)), zero) for col in ot] for row in left.data]
+    return Matrix(f, out, left.nrows, other.ncols)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
     """Reduced row echelon form.
 
@@ -329,6 +374,48 @@ def rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
     ``rowops`` invertible.  Pivoting is deterministic: leftmost pivot column,
     first row with a nonzero entry.
     """
+    if m.field.p == 2:
+        return _rref_f2(m)
+    return _generic_rref(m)
+
+
+def _rref_f2(m: Matrix) -> tuple[Matrix, int, Matrix]:
+    """:func:`rref` over F_2: each packed row carries its row of ``rowops`` in
+    the bytes after column ``ncols - 1``, so one XOR updates both."""
+    nrows, ncols = m.nrows, m.ncols
+    # Row i of the identity is the nrows-byte window of ``units`` that starts
+    # i bytes before its middle 1.
+    units = bytes(nrows - 1) + b"\x01" + bytes(nrows - 1) if nrows else b""
+    rows = [
+        int.from_bytes(bytes(row) + units[nrows - 1 - i : 2 * nrows - 1 - i], "big")
+        for i, row in enumerate(m.data)
+    ]
+    shift = 8 * nrows
+    r = 0
+    while r < nrows:
+        live = reduce(or_, rows[r:]) >> shift
+        if not live:
+            break
+        # The leftmost column with a nonzero entry at or below row r is the
+        # next pivot column, exactly as in the column-by-column scan.
+        bit = live.bit_length() - 1 + shift
+        i = r
+        while not rows[i] >> bit & 1:
+            i += 1
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i] >> bit & 1:
+                rows[i] ^= pivot
+        r += 1
+    packed = [v.to_bytes(ncols + nrows, "big") for v in rows]
+    reduced = Matrix(m.field, [list(b[:ncols]) for b in packed], nrows, ncols)
+    return reduced, r, Matrix(m.field, [list(b[ncols:]) for b in packed], nrows, nrows)
+
+
+def _generic_rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
+    """:func:`rref` over any field by scalar row operations; the reference for
+    the F_2 kernel."""
     f = m.field
     a = [row[:] for row in m.data]
     ops = Matrix.identity(f, m.nrows).data
@@ -363,17 +450,6 @@ def rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
 
 def rank(m: Matrix) -> int:
     return rref(m)[1]
-
-
-def pivot_columns(m: Matrix) -> list[int]:
-    reduced, r, _ = rref(m)
-    pivots = []
-    for i in range(r):
-        for j in range(m.ncols):
-            if reduced.data[i][j] != 0:
-                pivots.append(j)
-                break
-    return pivots
 
 
 def solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, list[Matrix]]:
@@ -445,20 +521,12 @@ def row_space_basis(vectors: Iterable[Sequence], field: FieldSpec, width: int) -
     return Matrix(field, reduced.data[:r], r, width)
 
 
-def in_row_space(vector: Sequence, basis: Matrix) -> bool:
-    """Membership test against a canonical (rref) row basis."""
-    f = basis.field
-    v = list(vector)
-    for row in basis.data:
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is not None and v[lead] != 0:
-            c = v[lead]
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def reduce_mod_row_space(vector: Sequence, basis: Matrix) -> list:
-    """Canonical representative of ``vector`` modulo a canonical row basis."""
+    """Canonical representative of ``vector`` modulo a canonical row basis.
+
+    The vector lies in the span exactly when the representative is zero:
+    ``not any(reduce_mod_row_space(v, basis))``.
+    """
     f = basis.field
     v = list(vector)
     for row in basis.data:

@@ -21,10 +21,10 @@ from .exactlinalg import (
     ExactError,
     FieldSpec,
     Matrix,
-    in_row_space,
     invert,
     quotient_map,
     rank,
+    reduce_mod_row_space,
     row_space_basis,
     rref,
     solve,
@@ -457,7 +457,7 @@ def top_generators(m: Module) -> list[tuple[str, Matrix]]:
             col = [proj.data[i][j] for i in range(m.dim)]
             if all(x == 0 for x in col):
                 continue
-            if in_row_space(col, row_space_basis(span_rows, f, m.dim)):
+            if not any(reduce_mod_row_space(col, row_space_basis(span_rows, f, m.dim))):
                 continue
             span_rows.append(col)
             out.append((lbl, Matrix.column(f, col)))
@@ -499,7 +499,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap, list[str]]:
     _, nullbasis = solve(pi_matrix, Matrix.zeros(f, m.dim, 1))
     radP_rows = row_space_basis([list(r) for r in P.radical_columns().transpose().data], f, P.dim)
     for v in nullbasis:
-        if not in_row_space([v.data[i][0] for i in range(P.dim)], radP_rows):
+        if any(reduce_mod_row_space([v.data[i][0] for i in range(P.dim)], radP_rows)):
             raise ValidationError("projective cover is not minimal (kernel escapes the radical)")
     return P, pi, [lbl for lbl, _ in gens]
 
@@ -797,7 +797,7 @@ def _min_poly(mat: Matrix) -> list:
     while True:
         vec = [powers[-1].data[i][j] for i in range(d) for j in range(d)]
         span = row_space_basis(flat_rows, f, d * d)
-        if in_row_space(vec, span):
+        if not any(reduce_mod_row_space(vec, span)):
             break
         flat_rows.append(vec)
         powers.append(powers[-1].mul(mat))
@@ -968,7 +968,7 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
     for n in rad_mats:
         for b in mats:
             for prod in (n.mul(b), b.mul(n)):
-                if not in_row_space(flat(prod), rad_flat):
+                if any(reduce_mod_row_space(flat(prod), rad_flat)):
                     return False
     # nilpotency of the whole subspace: power chain must hit zero
     current = list(rad_mats)

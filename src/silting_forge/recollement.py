@@ -1001,10 +1001,6 @@ def _class_membership(theta: Presentation, m: Module) -> bool:
     return d_sigma_contains(theta, m)
 
 
-def _verdict_of(cert) -> str:
-    return cert.verdict
-
-
 def _existential_silting(t: Module, sigma=None, probe=None):
     """Verdict for "is a silting module" as a property of the module alone.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, in_row_space, nullspace, rank, row_space_basis
+from .exactlinalg import Matrix, nullspace, rank, reduce_mod_row_space, row_space_basis
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra
 from .modules import (
     Module,
@@ -78,7 +78,7 @@ def _hom_restriction_surjective(smap: ModuleMap, m: Module) -> bool:
     width = m.dim * smap.source.dim
     rows = [_flat(h.matrix.mul(smap.matrix)) for h in hom_from_target]
     span = row_space_basis(rows, f, width)
-    return all(in_row_space(_flat(g.matrix), span) for g in hom_from_source)
+    return all(not any(reduce_mod_row_space(_flat(g.matrix), span)) for g in hom_from_source)
 
 
 def _presentation_map(sigma) -> ModuleMap:
@@ -516,16 +516,23 @@ def tensor_silting(
     probe_list = _resolve_probes(tensor_alg, probe, dim_bound, [])
     cert = silting_check(ts, pres, probe=probe_list)
 
+    # The sweep in silting_check already decided membership in D(total) and
+    # Gen(ts) for every probe; it is skipped only when ts lies outside its
+    # own presentation class.
+    swept = cert.probes or [
+        {"in_d_sigma": _hom_restriction_surjective(total, u), "in_gen": gen_contains(ts, u)}
+        for u in probe_list
+    ]
     membership = []
-    for idx, u in enumerate(probe_list):
+    for idx, (u, rec) in enumerate(zip(probe_list, swept)):
         membership.append(
             {
                 "index": idx,
                 "dim": u.dim,
                 "dimension_vector": u.dimension_vector(),
                 "in_d_termwise": _hom_restriction_surjective(termwise, u),
-                "in_d_totalized": _hom_restriction_surjective(total, u),
-                "in_gen": gen_contains(ts, u),
+                "in_d_totalized": rec["in_d_sigma"],
+                "in_gen": rec["in_gen"],
             }
         )
     classes = cert.support["module_classes"]

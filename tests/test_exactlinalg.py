@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from silting_forge import exactlinalg
 from silting_forge.exactlinalg import (
     ExactError,
     FieldSpec,
     Matrix,
-    in_row_space,
     invert,
     nullspace,
     quotient_map,
@@ -22,7 +23,9 @@ from silting_forge.exactlinalg import (
 )
 
 F2 = FieldSpec("prime", 2)
+F3 = FieldSpec("prime", 3)
 F5 = FieldSpec("prime", 5)
+F7 = FieldSpec("prime", 7)
 QQ = FieldSpec("rational")
 
 
@@ -212,9 +215,9 @@ def test_invert():
 def test_row_space_membership():
     basis = row_space_basis([[1, 1, 0], [0, 1, 1]], QQ, 3)
     assert basis.nrows == 2
-    assert in_row_space([1, 0, -1], basis)  # difference of the generators
-    assert not in_row_space([0, 0, 1], basis)
-    assert in_row_space([0, 0, 0], basis)
+    assert not any(reduce_mod_row_space([1, 0, -1], basis))  # difference of the generators
+    assert any(reduce_mod_row_space([0, 0, 1], basis))
+    assert not any(reduce_mod_row_space([0, 0, 0], basis))
 
 
 def test_reduce_mod_row_space_is_canonical():
@@ -297,3 +300,96 @@ def test_transpose_involution(m):
 @given(random_matrix(field=QQ), random_matrix(field=QQ))
 def test_kron_rank_multiplicative(a, b):
     assert rank(a.kron(b)) == rank(a) * rank(b)
+
+
+# --------------------------------------------------------------------------
+# The packed F_2 kernels against the generic path run at p = 2.  Shapes reach
+# 70 so packed rows cross 64-bit word boundaries; empty shapes are included.
+# --------------------------------------------------------------------------
+
+dims = st.integers(0, 70)
+# Entries come from a seeded generator: drawing 70 x 70 of them one by one
+# would exceed hypothesis's per-example data limit.
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def f2_matrix(draw, nrows=None, ncols=None):
+    nrows = draw(dims) if nrows is None else nrows
+    ncols = draw(dims) if ncols is None else ncols
+    # Sparse, dense and all-zero rows all occur in the kernels' callers.
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = random.Random(draw(seeds))
+    data = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+    return Matrix(F2, data, nrows, ncols)
+
+
+@st.composite
+def f2_product_pair(draw):
+    a = draw(f2_matrix())
+    return a, draw(f2_matrix(nrows=a.ncols))
+
+
+def _with_generic_rref(fn, *args):
+    """Run ``fn`` with every rref inside exactlinalg taking the generic path."""
+    with mock.patch.object(exactlinalg, "rref", exactlinalg._generic_rref):
+        return fn(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f2_product_pair())
+def test_f2_mul_matches_generic(pair):
+    a, b = pair
+    fast = a.mul(b)
+    assert fast == exactlinalg._generic_mul(a, b)
+    assert all(type(x) is int for row in fast.data for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f2_matrix())
+def test_f2_rref_matches_generic(m):
+    reduced, rk, ops = rref(m)
+    ref_reduced, ref_rk, ref_ops = exactlinalg._generic_rref(m)
+    assert (reduced, rk, ops) == (ref_reduced, ref_rk, ref_ops)
+    assert reduced.to_lists() == ref_reduced.to_lists() and ops.to_lists() == ref_ops.to_lists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(f2_matrix(), st.integers(0, 3), seeds)
+def test_f2_solve_and_invert_match_generic(a, nrhs, seed):
+    rng = random.Random(seed)
+    b = Matrix(F2, [[rng.randrange(2) for _ in range(nrhs)] for _ in range(a.nrows)], a.nrows, nrhs)
+    assert solve(a, b) == _with_generic_rref(solve, a, b)
+    n = min(a.nrows, a.ncols)
+    square = a.submatrix(range(n), range(n))
+    # Identity plus a strictly upper part: invertible, so the rowops are compared.
+    upper = [[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(square.data)]
+    unit = Matrix.identity(F2, n) + Matrix(F2, upper, n, n)
+    for sq in (square, unit):
+        assert invert(sq) == _with_generic_rref(invert, sq)
+    assert invert(unit) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(f2_matrix(), seeds, st.integers(-3, 3))
+def test_f2_add_sub_scale_match_generic(a, seed, c):
+    rng = random.Random(seed)
+    b = Matrix(F2, [[rng.randrange(2) for _ in range(a.ncols)] for _ in range(a.nrows)], a.nrows, a.ncols)
+    f = F2
+    assert (a + b).data == [[f.add(x, y) for x, y in zip(r, s)] for r, s in zip(a.data, b.data)]
+    assert (a - b).data == [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.data, b.data)]
+    scaled = a.scale(c)
+    assert scaled.data == [[f.mul(f.coerce(c), x) for x in r] for r in a.data]
+    assert (scaled.nrows, scaled.ncols) == (a.nrows, a.ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F3, F7, QQ]).flatmap(random_matrix), st.integers(0, 5), seeds)
+def test_odd_and_rational_fields_keep_generic_kernels(a, ncols, seed):
+    f, rng = a.field, random.Random(seed)
+    b = Matrix(f, [[f.random(rng) for _ in range(ncols)] for _ in range(a.ncols)], a.ncols, ncols)
+    assert rref(a) == exactlinalg._generic_rref(a)
+    assert a.mul(b) == exactlinalg._generic_mul(a, b)
+    assert (a + a).data == [[f.add(x, x) for x in r] for r in a.data]
+    assert (a - a).data == [[f.sub(x, x) for x in r] for r in a.data]
+    assert a.scale(2).data == [[f.mul(f.coerce(2), x) for x in r] for r in a.data]

@@ -20,6 +20,7 @@ from silting_forge.modules import (
 )
 from silting_forge.silting import (
     SiltingCertificate,
+    _hom_restriction_surjective,
     d_sigma_contains,
     direct_sum_presentation,
     enumerate_silting,
@@ -287,11 +288,17 @@ def test_tensor_degenerate_presentation_is_flagged(tensor_setup):
 
 def test_tensor_probe_membership_recorded(tensor_setup):
     alg, tensor_alg, probes = tensor_setup
-    reg = regular_module(alg)
-    _, _, _, report = tensor_silting(reg, "AUTO", reg, "AUTO", probe=probes, tensor_alg=tensor_alg)
-    assert len(report["probe_membership"]) == len(probes)
-    for rec in report["probe_membership"]:
-        assert set(rec) >= {"in_d_termwise", "in_d_totalized", "in_gen"}
+    # T = P2 (+) S1 is not tau-rigid, so T (x) T lies outside its totalized
+    # class and silting_check skips the probe sweep; the regular module does not.
+    not_tau_rigid, _, _ = direct_sum([projectives_by_label(alg)["e2"], simple_module(alg, "e1")], algebra=alg)
+    for t, swept in [(regular_module(alg), True), (not_tau_rigid, False)]:
+        ts, pres, cert, report = tensor_silting(t, "AUTO", t, "AUTO", probe=probes, tensor_alg=tensor_alg)
+        assert bool(cert.probes) == swept
+        assert len(report["probe_membership"]) == len(probes)
+        for rec, u in zip(report["probe_membership"], probes):
+            assert set(rec) >= {"in_d_termwise", "in_d_totalized", "in_gen"}
+            assert rec["in_d_totalized"] == _hom_restriction_surjective(pres.map, u)
+            assert rec["in_gen"] == gen_contains(ts, u)
 
 
 # ---------------------------------------------------------------------------
