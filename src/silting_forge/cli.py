@@ -508,22 +508,20 @@ _GROUPS = {
 }
 
 
-def _apply_budget(args):
-    if getattr(args, "budget", None):
-        gmod.APPROXIMATION_SEARCH_BUDGET = args.budget
-        rmod.SEQUENCE_SEARCH_BUDGET = args.budget
-
-
 def run(argv=None) -> int:
-    """Parse, dispatch, print one JSON document, and return the exit code."""
+    """Parse, dispatch, print one JSON document, and return the exit code.
+
+    ``--budget N`` caps the left-approximation search for this call only."""
     parser = _build_parser()
+    budget = gmod.APPROXIMATION_SEARCH_BUDGET
     try:
         args = parser.parse_args(argv)
         if args.group is None:
             raise UsageError("a subcommand is required")
         if getattr(args, "command", None) is None:
             raise UsageError(f"{args.group} needs a subcommand")
-        _apply_budget(args)
+        if getattr(args, "budget", None):
+            gmod.APPROXIMATION_SEARCH_BUDGET = args.budget
         payload, code = _GROUPS[args.group](args)
     except UsageError as exc:
         sys.stdout.write(dump_json({"error": {"type": "usage", "message": str(exc)}}))
@@ -543,6 +541,8 @@ def run(argv=None) -> int:
             )
         )
         return 2
+    finally:
+        gmod.APPROXIMATION_SEARCH_BUDGET = budget
     sys.stdout.write(dump_json(payload))
     return code
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, rank, row_space_basis, solve
+from .exactlinalg import Matrix, rank, solve
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra
 from .modules import (
     Module,
     ModuleMap,
     Presentation,
+    UndecidedError,
     decompose,
     direct_sum,
     enumerate_indecomposables,
@@ -36,6 +37,8 @@ from .modules import (
     hom_space,
     is_isomorphic,
     map_spaces,
+    postcompose_rank,
+    precompose_rank,
     projective_dimension,
     regular_module,
     right_add_approximation,
@@ -44,7 +47,6 @@ from .modules import (
 )
 from .silting import (
     COPRODUCT_NOTE,
-    _flat,
     _hom_restriction_surjective,
     _same_algebra,
     direct_sum_presentation,
@@ -292,18 +294,13 @@ def _triangular_gp_classification(ctx, dim_bound: int, report: GorensteinReport 
 # ---------------------------------------------------------------------------
 
 
-def _g_epic(smap: ModuleMap, gp: GpClassification) -> tuple[bool, int | None]:
-    """Whether Hom(G, smap) is surjective for every listed G; index of failure."""
-    f = smap.source.algebra.field
-    for j, g in enumerate(gp.modules):
-        target_dim = hom_dim(g, smap.target)
-        if target_dim == 0:
-            continue
-        rows = [_flat(smap.matrix.mul(h.matrix)) for h in hom_space(g, smap.source)]
-        span = row_space_basis(rows, f, g.dim * smap.target.dim)
-        if span.nrows != target_dim:
-            return False, j
-    return True, None
+def _g_epic(smap: ModuleMap, gp: GpClassification) -> bool:
+    """Whether Hom(G, smap) is surjective for every listed G."""
+    for g in gp.modules:
+        need = hom_dim(g, smap.target)
+        if need and postcompose_rank(g, smap) != need:
+            return False
+    return True
 
 
 def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
@@ -335,10 +332,7 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
 
     def acceptable(parts):
         cand = assemble(parts)
-        if not cand.is_surjective():
-            return False
-        ok, _ = _g_epic(cand, gp)
-        return ok
+        return cand.is_surjective() and _g_epic(cand, gp)
 
     if not acceptable(components):
         raise ValidationError("evaluation map fails to approximate; classification incomplete?")
@@ -393,15 +387,6 @@ class GExactness:
         return self.holds
 
 
-def _hom_image_rank(g: Module, mmap: ModuleMap) -> int:
-    """Rank of Hom(g, source) -> Hom(g, target) induced by postcomposition."""
-    f = g.algebra.field
-    rows = [_flat(mmap.matrix.mul(h.matrix)) for h in hom_space(g, mmap.source)]
-    if not rows:
-        return 0
-    return row_space_basis(rows, f, g.dim * mmap.target.dim).nrows
-
-
 def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExactness:
     """Relative exactness of ``X -> Y -> Z -> 0`` (or its short variant).
 
@@ -421,8 +406,8 @@ def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExact
     if rank(fmap.matrix) != mid_kernel:
         raise ValidationError("sequence is not exact in the ordinary sense (homology at the middle)")
     for j, g in enumerate(gp.modules):
-        rank_f = _hom_image_rank(g, fmap)
-        rank_g = _hom_image_rank(g, gmap)
+        rank_f = postcompose_rank(g, fmap)
+        rank_g = postcompose_rank(g, gmap)
         hom_mid = hom_dim(g, gmap.source)
         hom_end = hom_dim(g, gmap.target)
         if rank_g != hom_end:
@@ -480,15 +465,8 @@ def gext_dim(m: Module, n: Module, i: int, gp: GpClassification) -> int:
         carrier = phi.source
         inclusion = kinc.matrix
     # Cochain ranks: delta_j : Hom(G_{j-1}, n) -> Hom(G_j, n), precompose d_j.
-    def delta_rank(j):
-        d = diffs[j - 1]
-        rows = [_flat(h.matrix.mul(d.matrix)) for h in hom_space(d.target, n)]
-        if not rows:
-            return 0
-        return row_space_basis(rows, f, n.dim * d.source.dim).nrows
-
     c_i = hom_dim(terms[i], n)
-    return (c_i - delta_rank(i + 1)) - delta_rank(i)
+    return (c_i - precompose_rank(diffs[i], n)) - precompose_rank(diffs[i - 1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +483,7 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     if not gp.complete:
         raise ValidationError("relative generation needs a complete classification")
     ev = right_add_approximation(t, m)
-    if not ev.is_surjective():
-        return False
-    ok, _ = _g_epic(ev, gp)
-    return ok
+    return ev.is_surjective() and _g_epic(ev, gp)
 
 
 def d_theta_contains(theta: Presentation, m: Module) -> bool:
@@ -576,6 +551,7 @@ def left_approximation_sequence(
     theta: Presentation,
     gp: GpClassification,
     probe: list | None = None,
+    transport=None,
 ) -> LeftApproximationSequence:
     """Search for p -> T_0 -> T_{-1} -> 0, relatively exact, T_i in Add(t),
     whose first map restricts surjectively on Hom(-, U) for every probe U in
@@ -583,29 +559,23 @@ def left_approximation_sequence(
 
     Candidates are assembled from subsets of the canonical Hom-basis columns
     p -> t_i (plus the zero map), in increasing middle dimension, so the
-    search is deterministic; a miss returns ``found=False`` with the bound.
+    search is deterministic.  ``transport`` (default: identity) carries maps
+    over p's algebra to the algebra of theta and gp; candidates are built
+    before it and tested after it, and ``detail`` records their dimensions
+    before it.  A miss returns ``found=False`` with the bound; a miss after
+    candidates were dropped at :data:`APPROXIMATION_SEARCH_BUDGET` raises
+    :class:`UndecidedError`.
     """
     alg = p.algebra
     f = alg.field
     if probe is None:
-        probe = enumerate_indecomposables(alg, gp.dim_bound) if alg.field.kind == "prime" else []
+        probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
     class_probes = [u for u in probe if d_theta_contains(theta, u)]
     parts = _add_parts(t)
     columns: list[tuple[Module, Matrix]] = []
     for part in parts:
         for h in hom_space(p, part):
             columns.append((part, h.matrix))
-
-    def approximation_ok(phi: ModuleMap) -> bool:
-        # Hom(T_0, U) -> Hom(p, U), precomposition with phi, onto for U in class.
-        for u in class_probes:
-            need = hom_dim(p, u)
-            if need == 0:
-                continue
-            rows = [_flat(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
-            if row_space_basis(rows, f, u.dim * p.dim).nrows != need:
-                return False
-        return True
 
     candidates: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     for size in range(1, len(columns) + 1):
@@ -625,12 +595,15 @@ def left_approximation_sequence(
         coker, cmap = map_spaces(phi)["cokernel"]
         if not _in_add(coker, parts):
             continue
+        if transport is not None:
+            phi, cmap = transport(phi), transport(cmap)
         # A left approximation must land inside the class it approximates to.
-        if not d_theta_contains(theta, t0):
+        if not d_theta_contains(theta, phi.target):
             continue
         if not is_g_exact((phi, cmap), gp):
             continue
-        if not approximation_ok(phi):
+        # Hom(T_0, U) -> Hom(p, U), precomposition with phi, onto for U in class.
+        if not all(_hom_restriction_surjective(phi, u) for u in class_probes):
             continue
         return LeftApproximationSequence(
             found=True,
@@ -644,6 +617,11 @@ def left_approximation_sequence(
                 "end_dim": coker.dim,
                 "columns_used": list(combo),
             },
+        )
+    if budget < len(candidates):
+        raise UndecidedError(
+            f"left approximation search stopped at its budget of {budget} "
+            f"of {len(candidates)} candidates without a sequence"
         )
     return LeftApproximationSequence(
         found=False,

@@ -418,6 +418,28 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
+def _flat(mat: Matrix) -> list:
+    return [x for row in mat.data for x in row]
+
+
+def precompose_rank(phi: ModuleMap, u: Module) -> int:
+    """Rank of Hom(phi, u): Hom(target, u) -> Hom(source, u), h |-> h∘phi.
+
+    The composites lie in Hom(source, u), so the map is onto exactly when the
+    rank equals ``hom_dim(phi.source, u)``."""
+    rows = [_flat(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
+    return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
+
+
+def postcompose_rank(g: Module, phi: ModuleMap) -> int:
+    """Rank of Hom(g, phi): Hom(g, source) -> Hom(g, target), h |-> phi∘h.
+
+    The composites lie in Hom(g, target), so the map is onto exactly when the
+    rank equals ``hom_dim(g, phi.target)``."""
+    rows = [_flat(phi.matrix.mul(h.matrix)) for h in hom_space(g, phi.source)]
+    return row_space_basis(rows, g.algebra.field, g.dim * phi.target.dim).nrows
+
+
 # ---------------------------------------------------------------------------
 # Projectives, covers, presentations
 # ---------------------------------------------------------------------------
@@ -960,15 +982,12 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
                 mat = mat + mats[t].scale(v.data[t][0])
         rad_mats.append(mat)
 
-    def flat(mat: Matrix) -> list:
-        return [mat.data[i][j] for i in range(d) for j in range(d)]
-
-    rad_flat = row_space_basis([flat(mm) for mm in rad_mats], f, d * d)
+    rad_flat = row_space_basis([_flat(mm) for mm in rad_mats], f, d * d)
     # two-sided ideal inside End
     for n in rad_mats:
         for b in mats:
             for prod in (n.mul(b), b.mul(n)):
-                if any(reduce_mod_row_space(flat(prod), rad_flat)):
+                if any(reduce_mod_row_space(_flat(prod), rad_flat)):
                     return False
     # nilpotency of the whole subspace: power chain must hit zero
     current = list(rad_mats)
@@ -980,7 +999,7 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
             for n in rad_mats:
                 prod = x.mul(n)
                 if not prod.is_zero():
-                    nxt_rows.append(flat(prod))
+                    nxt_rows.append(_flat(prod))
         basis = row_space_basis(nxt_rows, f, d * d)
         current = []
         for row in basis.data:

@@ -20,7 +20,6 @@ context with explicit, certificate-checked functors:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -32,7 +31,7 @@ from .algebra import (
     ValidationError,
     derive_algebra,
 )
-from .exactlinalg import Matrix, rank, row_space_basis, solve
+from .exactlinalg import Matrix, row_space_basis, solve
 from .gorenstein import (
     GpClassification,
     d_theta_contains,
@@ -50,7 +49,6 @@ from .modules import (
     ModuleMap,
     Presentation,
     UndecidedError,
-    decompose,
     direct_sum,
     enumerate_indecomposables,
     global_dimension,
@@ -59,8 +57,6 @@ from .modules import (
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
-    map_spaces,
-    minimal_projective_presentation,
     quotient_module,
     simple_module,
     submodule,
@@ -72,9 +68,6 @@ from .silting import (
     presentation_with_complement,
     silting_check,
 )
-
-SEQUENCE_SEARCH_BUDGET = 4096
-
 
 # ---------------------------------------------------------------------------
 # Probe sets
@@ -1239,99 +1232,6 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationRe
     )
 
 
-def _block_sequence_search(
-    tctx: TriangularContext,
-    gp_part: Module,
-    side: str,
-    t_side: Module,
-    theta: Presentation,
-    gpg: GpClassification,
-    class_probes: list[Module],
-) -> dict:
-    """Search for a block-shaped relatively exact approximation sequence for
-    one classified relative projective of the triangular algebra.
-
-    ``side`` selects the transport: 'a' lifts a top-algebra candidate by the
-    section functor, 'b' lifts a bottom-algebra candidate by induction."""
-    alg = tctx.a if side == "a" else tctx.b
-    f = alg.field
-    transport = (lambda m: _z_a(tctx, m)) if side == "a" else (lambda m: _t_b(tctx, m))
-    parts = [] if t_side.dim == 0 else [part for part, _, _ in decompose(t_side)]
-    columns: list[tuple[Module, Matrix]] = []
-    for part in parts:
-        for h in hom_space(gp_part, part):
-            columns.append((part, h.matrix))
-    candidates = [()] + [
-        combo
-        for size in range(1, len(columns) + 1)
-        for combo in itertools.combinations(range(len(columns)), size)
-    ]
-    candidates = candidates[:SEQUENCE_SEARCH_BUDGET]
-
-    def middle_dim(combo):
-        return sum(columns[i][0].dim for i in combo)
-
-    candidates.sort(key=lambda combo: (middle_dim(combo), combo))
-    for combo in candidates:
-        if combo:
-            chosen = [columns[i] for i in combo]
-            mid, _, _ = direct_sum([c[0] for c in chosen], algebra=alg)
-            mat = Matrix.vstack([c[1] for c in chosen])
-            phi = ModuleMap(gp_part, mid, mat)
-        else:
-            mid = zero_module(alg)
-            phi = ModuleMap(gp_part, mid, Matrix.zeros(f, 0, gp_part.dim))
-        spaces = map_spaces(phi)
-        cok, pi = spaces["cokernel"]
-        if cok.dim and not _in_add_parts(cok, parts):
-            continue
-        phi_g = transport(phi)
-        pi_g = transport(pi)
-        # A left approximation must land inside the class it approximates to.
-        if not d_theta_contains(theta, phi_g.target):
-            continue
-        gex = is_g_exact((phi_g, pi_g), gpg)
-        if not gex:
-            continue
-        if all(_hom_onto(phi_g, u) for u in class_probes):
-            return {
-                "found": True,
-                "middle_dim": mid.dim,
-                "end_dim": cok.dim,
-                "side": side,
-            }
-    return {"found": False, "side": side, "candidates": len(candidates)}
-
-
-def _in_add_parts(q: Module, parts: list[Module]) -> bool:
-    if q.dim == 0:
-        return True
-    try:
-        pieces = decompose(q)
-    except UndecidedError:
-        return False
-    for piece, _, _ in pieces:
-        if not any(is_isomorphic(piece, p) is not None for p in parts):
-            return False
-    return True
-
-
-def _hom_onto(phi: ModuleMap, u: Module) -> bool:
-    """Hom(target, u) -> Hom(source, u) by precomposition is onto."""
-    f = u.algebra.field
-    src_basis = hom_space(phi.source, u)
-    if not src_basis:
-        return True
-    tgt_basis = hom_space(phi.target, u)
-    flat = lambda mat: [x for row in mat.data for x in row]
-    span = [flat(h.matrix.mul(phi.matrix)) for h in tgt_basis]
-    target_rows = [flat(h.matrix) for h in src_basis]
-    width = u.dim * phi.source.dim
-    have = row_space_basis(span, f, width)
-    want = row_space_basis(span + target_rows, f, width)
-    return have.nrows == want.nrows
-
-
 def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
@@ -1379,15 +1279,24 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
         atom_a = found_t is not None
         realised_a = "search" if found_t else None
 
-    # (b): block-shaped sequences for every classified relative projective
-    class_probes = [u for u in probes_g if d_theta_contains(theta, u)]
+    # (b): block-shaped sequences for every classified relative projective:
+    # a top-algebra candidate lifts by the section functor, a bottom-algebra
+    # candidate by induction
     b_rows = []
     for g in gpg.modules:
         triple = _module_to_triple(tctx, g)
         if triple.y.dim == 0:
-            row = _block_sequence_search(tctx, triple.x, "a", x, theta, gpg, class_probes)
+            side, part, t_side, transport = "a", triple.x, x, lambda m: _z_a(tctx, m)
         else:
-            row = _block_sequence_search(tctx, triple.y, "b", y, theta, gpg, class_probes)
+            side, part, t_side, transport = "b", triple.y, y, lambda m: _t_b(tctx, m)
+        seq = left_approximation_sequence(
+            part, t_side, theta, gpg, probe=probes_g, transport=transport
+        )
+        if seq.found:
+            row = {"found": True, "middle_dim": seq.detail["middle_dim"],
+                   "end_dim": seq.detail["end_dim"], "side": side}
+        else:
+            row = {"found": False, "side": side, "candidates": seq.search_bound}
         row["gp_dimension_vector"] = g.dimension_vector()
         b_rows.append(row)
     atom_b = all(r["found"] for r in b_rows)

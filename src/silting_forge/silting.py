@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, nullspace, rank, reduce_mod_row_space, row_space_basis
+from .exactlinalg import Matrix, nullspace, rank
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra
 from .modules import (
     Module,
@@ -31,12 +31,12 @@ from .modules import (
     direct_sum,
     enumerate_indecomposables,
     hom_dim,
-    hom_space,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
     map_spaces,
     minimal_projective_presentation,
+    precompose_rank,
     quotient_module,
     right_add_approximation,
     tensor_over_field,
@@ -64,21 +64,10 @@ def _same_algebra(a: Algebra, b: Algebra) -> bool:
     return a is b or a.content_hash() == b.content_hash()
 
 
-def _flat(mat: Matrix) -> list:
-    return [x for row in mat.data for x in row]
-
-
 def _hom_restriction_surjective(smap: ModuleMap, m: Module) -> bool:
     """Whether composing with ``smap`` maps Hom(target, m) onto Hom(source, m)."""
-    hom_from_source = hom_space(smap.source, m)
-    if not hom_from_source:
-        return True
-    hom_from_target = hom_space(smap.target, m)
-    f = m.algebra.field
-    width = m.dim * smap.source.dim
-    rows = [_flat(h.matrix.mul(smap.matrix)) for h in hom_from_target]
-    span = row_space_basis(rows, f, width)
-    return all(not any(reduce_mod_row_space(_flat(g.matrix), span)) for g in hom_from_source)
+    need = hom_dim(smap.source, m)
+    return need == 0 or precompose_rank(smap, m) == need
 
 
 def _presentation_map(sigma) -> ModuleMap:
@@ -133,19 +122,6 @@ def presentation_from_map(smap: ModuleMap) -> Presentation:
     )
 
 
-def _block_diag(f, blocks: list[Matrix], nrows: list[int], ncols: list[int]) -> Matrix:
-    total_r, total_c = sum(nrows), sum(ncols)
-    data = [[f.zero()] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b, nr, nc in zip(blocks, nrows, ncols):
-        for i in range(nr):
-            for j in range(nc):
-                data[r0 + i][c0 + j] = b.data[i][j]
-        r0 += nr
-        c0 += nc
-    return Matrix(f, data, total_r, total_c)
-
-
 def direct_sum_presentation(parts: list[Presentation], algebra: Algebra | None = None) -> Presentation:
     """Block-diagonal direct sum of presentations of the same kind."""
     if not parts:
@@ -158,18 +134,8 @@ def direct_sum_presentation(parts: list[Presentation], algebra: Algebra | None =
     src, _, _ = direct_sum([p.map.source for p in parts], algebra=algebra or alg)
     tgt, _, _ = direct_sum([p.map.target for p in parts], algebra=algebra or alg)
     cok, _, _ = direct_sum([p.cokernel for p in parts], algebra=algebra or alg)
-    mat = _block_diag(
-        f,
-        [p.map.matrix for p in parts],
-        [p.map.target.dim for p in parts],
-        [p.map.source.dim for p in parts],
-    )
-    cmat = _block_diag(
-        f,
-        [p.coker_map.matrix for p in parts],
-        [p.cokernel.dim for p in parts],
-        [p.map.target.dim for p in parts],
-    )
+    mat = Matrix.block_diag(f, [p.map.matrix for p in parts])
+    cmat = Matrix.block_diag(f, [p.coker_map.matrix for p in parts])
     return Presentation(
         kind=kind,
         map=ModuleMap(src, tgt, mat),

@@ -13,6 +13,7 @@ import json
 import random
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,7 @@ from silting_forge.silting import (
 from silting_forge.suites import run_suite
 
 SEED = 11
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(capsys, label: str, ok: bool, detail: str) -> None:
@@ -393,13 +395,16 @@ def test_criterion_9_deterministic_reports(
         second = run_suite(name, seed=SEED)
         if dump_json(first) != dump_json(second):
             mismatches.append(name)
+        golden = (GOLDEN / f"suite_{name}_seed{SEED}.json").read_text(encoding="utf-8")
+        if dump_json(first) != golden:
+            mismatches.append(f"{name} vs golden file")
     elapsed = time.perf_counter() - start
     ok = not mismatches
     _report(
         capsys,
         "criterion 9 (deterministic reports)",
         ok,
-        f"suites re-run with fixed seed byte-identical: "
-        f"{'all' if ok else 'mismatches: ' + ', '.join(mismatches)}; "
+        f"suites re-run with fixed seed byte-identical to each other and to "
+        f"tests/golden: {'all' if ok else 'mismatches: ' + ', '.join(mismatches)}; "
         f"{elapsed:.1f}s",
     )

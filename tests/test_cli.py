@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import silting_forge.gorenstein as gmod
 from silting_forge.cli import run
 from silting_forge.io import corpus_load, dump_json, module_to_json
 from silting_forge.modules import regular_module, simple_module
@@ -372,9 +373,13 @@ def test_cli_output_is_byte_deterministic(regular_file):
 
 
 def test_budget_flag_is_accepted(regular_file):
-    code, out = cli(
-        "gorenstein", "check", "--algebra", "a2", "--module", regular_file,
-        "--presentation", "auto", "--budget", "5000",
-    )
-    assert code == 0
-    assert out["verdict"] == "gorenstein_silting"
+    # Budget 1 cuts the left-approximation search short: undecided, not
+    # "partial"; the budget holds for that call only.
+    for budget, code, verdict in [("5000", 0, "gorenstein_silting"), ("1", 2, "undecided")]:
+        got, out = cli(
+            "gorenstein", "check", "--algebra", "a2", "--module", regular_file,
+            "--presentation", "auto", "--budget", budget,
+        )
+        assert got == code
+        assert out["verdict"] == verdict
+    assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096

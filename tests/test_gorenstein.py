@@ -15,6 +15,7 @@ from silting_forge.exactlinalg import Matrix
 from silting_forge.modules import (
     ModuleMap,
     Presentation,
+    UndecidedError,
     direct_sum,
     enumerate_indecomposables,
     ext_dim,
@@ -29,6 +30,7 @@ from silting_forge.modules import (
     submodule,
     zero_module,
 )
+import silting_forge.gorenstein as gmod
 from silting_forge.gorenstein import (
     GpClassification,
     d_theta_contains,
@@ -422,7 +424,7 @@ def test_sequence_for_module_already_in_add(gp_dual):
         assert seq.found
 
 
-def test_sequence_canonical_example(gp_a2):
+def test_sequence_canonical_example(gp_a2, monkeypatch):
     alg, gp = gp_a2
     projs = {lbl: p for p, lbl in indecomposable_projectives(alg)}
     t = direct_sum([simple_module(alg, "e1"), projs["e1"]], algebra=alg)[0]
@@ -432,6 +434,13 @@ def test_sequence_canonical_example(gp_a2):
     assert seq.detail["middle_dim"] == 2
     assert seq.detail["end_dim"] == 1
     assert bool(is_g_exact((seq.phi, seq.psi), gp))
+    # Within budget 1 only the zero map is tried and it fails: a search cut
+    # off there must not answer "not found".
+    monkeypatch.setattr(gmod, "APPROXIMATION_SEARCH_BUDGET", 1)
+    with pytest.raises(UndecidedError, match="budget"):
+        left_approximation_sequence(projs["e2"], t, theta, gp)
+    with pytest.raises(UndecidedError):
+        gorenstein_silting_check(t, theta, gp)
 
 
 def test_sequence_none_is_a_value(gp_dual):

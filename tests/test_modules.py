@@ -7,6 +7,8 @@ length-two projective; over the dual numbers they are the simple and the
 regular module.  Hom dimensions follow from counting paths between vertices.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from silting_forge.algebra import (
     compile_quiver_algebra,
     derive_algebra,
 )
-from silting_forge.exactlinalg import Matrix, rank
+from silting_forge.exactlinalg import Matrix, rank, reduce_mod_row_space, row_space_basis
 from silting_forge.modules import (
     Module,
     ModuleMap,
@@ -43,6 +45,8 @@ from silting_forge.modules import (
     is_projective,
     map_spaces,
     minimal_projective_presentation,
+    postcompose_rank,
+    precompose_rank,
     quotient_module,
     regular_module,
     right_add_approximation,
@@ -657,3 +661,47 @@ def test_projective_dimension_values(a2, dual):
     assert projective_dimension(simple_module(dual, "ev"), bound=6) is None
     assert global_dimension(dual, 6) is None
     assert projective_dimension(zero_module(a2)) == 0
+
+
+def _all_maps(m, n):
+    """Every element of Hom(m, n) over a prime field, zero map included."""
+    f = m.algebra.field
+    basis = hom_space(m, n)
+    out = []
+    for coeffs in itertools.product(list(f.elements()), repeat=len(basis)):
+        mat = Matrix.zeros(f, n.dim, m.dim)
+        for c, h in zip(coeffs, basis):
+            mat = mat + h.matrix.scale(c)
+        out.append(ModuleMap(m, n, mat))
+    return out
+
+
+def _onto_by_span(composites, basis, f, width):
+    """Reference criterion: every basis map reduces to zero modulo the span
+    of the composites."""
+    flat = lambda mat: [x for row in mat.data for x in row]
+    span = row_space_basis([flat(c) for c in composites], f, width)
+    return all(not any(reduce_mod_row_space(flat(b.matrix), span)) for b in basis)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_induced_hom_ranks_match_span_criterion(field):
+    alg = compile_quiver_algebra(quiver_a3_rel(field))
+    pool = enumerate_indecomposables(alg, 2)
+    maps = [phi for m in pool for n in pool for phi in _all_maps(m, n)]
+    seen = set()
+    for phi in maps:
+        for u in pool:
+            onto = _onto_by_span(
+                [h.matrix.mul(phi.matrix) for h in hom_space(phi.target, u)],
+                hom_space(phi.source, u), field, u.dim * phi.source.dim,
+            )
+            assert (precompose_rank(phi, u) == hom_dim(phi.source, u)) == onto
+            seen.add(("pre", onto))
+            onto = _onto_by_span(
+                [phi.matrix.mul(h.matrix) for h in hom_space(u, phi.source)],
+                hom_space(u, phi.target), field, u.dim * phi.target.dim,
+            )
+            assert (postcompose_rank(u, phi) == hom_dim(u, phi.target)) == onto
+            seen.add(("post", onto))
+    assert seen == {("pre", True), ("pre", False), ("post", True), ("post", False)}
