@@ -334,6 +334,11 @@ class Algebra:
                         )
 
 
+def same_algebra(a: Algebra, b: Algebra) -> bool:
+    """Whether two algebras are one object or have the same content."""
+    return a is b or a.content_hash() == b.content_hash()
+
+
 # ---------------------------------------------------------------------------
 # Generating sets
 # ---------------------------------------------------------------------------
@@ -940,9 +945,9 @@ def build_triangular(a: Algebra, b: Algebra, n: Bimodule) -> TriangularContext:
     """Assemble the triangular algebra with A on top, B on the bottom, and the
     bimodule in the corner; records whether the bimodule is projective on
     each side."""
-    if n.left_alg is not a and n.left_alg.content_hash() != a.content_hash():
+    if not same_algebra(n.left_alg, a):
         raise ValidationError("bimodule's left algebra is not the given top algebra")
-    if n.right_alg is not b and n.right_alg.content_hash() != b.content_hash():
+    if not same_algebra(n.right_alg, b):
         raise ValidationError("bimodule's right algebra is not the given bottom algebra")
     f = a.field
     if b.field != f:

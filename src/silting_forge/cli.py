@@ -49,9 +49,9 @@ from .modules import (
     decompose,
     enumerate_indecomposables,
     hom_space,
-    map_spaces,
+    is_isomorphic,
 )
-from .silting import enumerate_silting, silting_check, tensor_silting
+from .silting import enumerate_silting, presentation_from_map, silting_check, tensor_silting
 
 
 class UsageError(Exception):
@@ -71,7 +71,6 @@ def _common_flags(parser):
     parser.add_argument("--length-bound", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--out", default="json", choices=["json"])
 
 
 def _build_parser() -> _Parser:
@@ -201,12 +200,11 @@ def _load_module(args_algebra: str, module_path: str, *, length_bound=None):
 def _load_presentation(flag: str, t: Module):
     """'auto' or a two-term map file over the same algebra.
 
-    A map file supplies source and target modules and the matrix; the
-    cokernel must be isomorphic to the module being checked."""
+    A map file supplies source and target modules, which must be projective,
+    and the matrix; the cokernel must be isomorphic to the module being
+    checked."""
     if flag.lower() == "auto":
         return "AUTO"
-    from .modules import is_isomorphic
-
     alg = t.algebra
     data = read_json_file(flag)
     for key in ("source", "target", "matrix"):
@@ -216,11 +214,11 @@ def _load_presentation(flag: str, t: Module):
     tgt = module_from_json(data["target"], alg)
     mat = matrix_from_json(alg.field, data["matrix"], tgt.dim, src.dim)
     fmap = ModuleMap(src, tgt, mat)
-    coker, cmap = map_spaces(fmap)["cokernel"]
-    iso = is_isomorphic(coker, t)
+    pres = presentation_from_map(fmap)
+    iso = is_isomorphic(pres.cokernel, t)
     if iso is None:
         raise ValidationError("supplied presentation does not present the module")
-    composed = ModuleMap(tgt, t, iso.matrix.mul(cmap.matrix))
+    composed = ModuleMap(tgt, t, iso.matrix.mul(pres.coker_map.matrix))
     return Presentation(
         kind="projective",
         map=fmap,

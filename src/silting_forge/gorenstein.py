@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import Matrix, rank, solve
-from .algebra import Algebra, DomainError, ValidationError, derive_algebra
+from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
@@ -48,7 +48,6 @@ from .modules import (
 from .silting import (
     COPRODUCT_NOTE,
     _hom_restriction_surjective,
-    _same_algebra,
     direct_sum_presentation,
 )
 
@@ -313,7 +312,7 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
     """
     if not gp.complete:
         raise ValidationError("right GP approximation needs a complete classification")
-    if not _same_algebra(m.algebra, gp.algebra):
+    if not same_algebra(m.algebra, gp.algebra):
         raise ValidationError("module and classification live over different algebras")
     alg = m.algebra
     f = alg.field
@@ -490,7 +489,7 @@ def d_theta_contains(theta: Presentation, m: Module) -> bool:
     """Membership in the class of a relative (GP-kind) two-term presentation."""
     if not isinstance(theta, Presentation) or theta.kind != "gorenstein_projective":
         raise ValidationError("membership test needs a gorenstein_projective-kind presentation")
-    if not _same_algebra(theta.map.source.algebra, m.algebra):
+    if not same_algebra(theta.map.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
     return _hom_restriction_surjective(theta.map, m)
 
@@ -550,12 +549,17 @@ def left_approximation_sequence(
     t: Module,
     theta: Presentation,
     gp: GpClassification,
-    probe: list | None = None,
+    class_probes: list | None = None,
     transport=None,
 ) -> LeftApproximationSequence:
     """Search for p -> T_0 -> T_{-1} -> 0, relatively exact, T_i in Add(t),
     whose first map restricts surjectively on Hom(-, U) for every probe U in
     the class of theta.
+
+    ``class_probes`` are the probes already known to lie in theta's class, so
+    callers that search for several modules against one theta filter once;
+    by default they are the indecomposables of dimension at most
+    ``gp.dim_bound`` that lie in it (none over the rationals).
 
     Candidates are assembled from subsets of the canonical Hom-basis columns
     p -> t_i (plus the zero map), in increasing middle dimension, so the
@@ -568,9 +572,9 @@ def left_approximation_sequence(
     """
     alg = p.algebra
     f = alg.field
-    if probe is None:
+    if class_probes is None:
         probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
-    class_probes = [u for u in probe if d_theta_contains(theta, u)]
+        class_probes = [u for u in probe if d_theta_contains(theta, u)]
     parts = _add_parts(t)
     columns: list[tuple[Module, Matrix]] = []
     for part in parts:
@@ -715,11 +719,11 @@ def gorenstein_silting_check(
         notes.append("probe sweep: supplied probe list")
 
     in_d = d_theta_contains(theta_pres, t)
+    in_class = [d_theta_contains(theta_pres, u) for u in probe_list]
     probes: list = []
     mismatch: dict | None = None
     if in_d:
-        for idx, u in enumerate(probe_list):
-            du = d_theta_contains(theta_pres, u)
+        for idx, (u, du) in enumerate(zip(probe_list, in_class)):
             gu = gen_g_contains(t, u, gp)
             rec = {
                 "index": idx,
@@ -736,8 +740,9 @@ def gorenstein_silting_check(
         notes.append("probe sweep skipped: module outside its own presentation class")
         mismatch = {"witness": "presented module", "in_d_theta": False, "in_gen_g": True}
 
+    class_probes = [u for u, du in zip(probe_list, in_class) if du]
     approximations = [
-        left_approximation_sequence(g, t, theta_pres, gp, probe_list) for g in gp.modules
+        left_approximation_sequence(g, t, theta_pres, gp, class_probes) for g in gp.modules
     ]
     sufficiency = all(approximations)
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra
+from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, same_algebra
 from .exactlinalg import (
     ExactError,
     FieldSpec,
@@ -174,7 +174,7 @@ class ModuleMap:
             raise ValidationError(
                 f"map matrix is {matrix.nrows}x{matrix.ncols}, expected {target.dim}x{source.dim}"
             )
-        if source.algebra is not target.algebra and source.algebra.content_hash() != target.algebra.content_hash():
+        if not same_algebra(source.algebra, target.algebra):
             raise ValidationError("source and target live over different algebras")
         self.source = source
         self.target = target
@@ -326,7 +326,7 @@ def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Mod
         return zero_module(algebra), [], []
     alg = parts[0].algebra
     for p in parts[1:]:
-        if p.algebra is not alg and p.algebra.content_hash() != alg.content_hash():
+        if not same_algebra(p.algebra, alg):
             raise ValidationError("direct sum of modules over different algebras")
     f = alg.field
     total = sum(p.dim for p in parts)
@@ -361,7 +361,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     only the radical generators contribute genuine linear equations (they
     generate the algebra together with the idempotents — certified).
     """
-    if m.algebra is not n.algebra and m.algebra.content_hash() != n.algebra.content_hash():
+    if not same_algebra(m.algebra, n.algebra):
         raise ValidationError("hom_space needs modules over the same algebra")
     alg = m.algebra
     f = alg.field
@@ -438,6 +438,37 @@ def postcompose_rank(g: Module, phi: ModuleMap) -> int:
     rank equals ``hom_dim(g, phi.target)``."""
     rows = [_flat(phi.matrix.mul(h.matrix)) for h in hom_space(g, phi.source)]
     return row_space_basis(rows, g.algebra.field, g.dim * phi.target.dim).nrows
+
+
+def hom_coordinates(basis: list[ModuleMap], mats: list[Matrix]) -> Matrix:
+    """Coordinates of each matrix in a Hom basis, one column per matrix.
+
+    ``basis`` or ``mats`` must be nonempty.  Coordinates in a basis are
+    unique; a matrix outside the span raises :class:`ValidationError`."""
+    shape = basis[0].matrix if basis else mats[0]
+    f, width = shape.field, shape.nrows * shape.ncols
+    span = Matrix(f, [_flat(b.matrix) for b in basis], len(basis), width).transpose()
+    rhs = Matrix(f, [_flat(m) for m in mats], len(mats), width).transpose()
+    coords, _ = solve(span, rhs)
+    if coords is None:
+        raise ValidationError("a matrix falls outside the span of the Hom basis")
+    return coords
+
+
+def hom_module(basis: list[ModuleMap], alg: Algebra, moves: dict[str, Matrix], on_values: bool = False) -> Module:
+    """The span of a Hom basis as a module over ``alg``.
+
+    Label ``l`` sends h to h·moves[l] (acting on the arguments) or, with
+    ``on_values``, to moves[l]·h; the action matrix holds the coordinates of
+    the moved basis."""
+    if not basis:
+        return zero_module(alg)
+    action = {}
+    for lbl in alg.labels:
+        move = moves[lbl]
+        moved = [move.mul(b.matrix) if on_values else b.matrix.mul(move) for b in basis]
+        action[lbl] = hom_coordinates(basis, moved)
+    return Module(alg, len(basis), action)
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +655,7 @@ def ext_dim(m: Module, n: Module, i: int, bound: int = 10) -> int:
         tgt_basis = hom_basis(t + 1)
         if not src_basis or not tgt_basis:
             return 0
-        f = alg.field
-        # express each composite in the target basis
-        tgt_mat = Matrix(
-            f,
-            [[b.matrix.data[r][c] for b in tgt_basis] for r in range(n.dim) for c in range(terms[t + 1].dim)],
-            n.dim * terms[t + 1].dim,
-            len(tgt_basis),
-        )
-        cols = []
-        for b in src_basis:
-            comp = b.matrix.mul(maps[t].matrix)
-            cols.append([comp.data[r][c] for r in range(n.dim) for c in range(terms[t + 1].dim)])
-        rhs = Matrix(f, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))], len(cols[0]), len(cols))
-        x, _ = solve(tgt_mat, rhs)
-        if x is None:
-            raise ValidationError("Hom complex composite escaped the Hom basis")
-        return rank(x)
+        return rank(hom_coordinates(tgt_basis, [b.matrix.mul(maps[t].matrix) for b in src_basis]))
 
     dim_hom_i = len(hom_basis(i))
     if dim_hom_i == 0:
@@ -653,72 +668,30 @@ def ext_dim(m: Module, n: Module, i: int, bound: int = 10) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hom_to_regular_as_op_module(p: Module) -> tuple[Module, list[ModuleMap], Algebra]:
+def _hom_to_regular_as_op_module(p: Module) -> tuple[Module, list[ModuleMap]]:
     """Hom_A(p, A) as a left module over A^op, with its Hom basis."""
     alg = p.algebra
-    reg = regular_module(alg)
-    basis = hom_space(p, reg)
+    basis = hom_space(p, regular_module(alg))
     aop, _ = derive_algebra(alg, "opposite")
-    f = alg.field
-    h = len(basis)
-    action: dict[str, Matrix] = {}
-    if h == 0:
-        z = Matrix.zeros(f, 0, 0)
-        return Module(aop, 0, {lbl: z for lbl in aop.labels}), [], aop
-    flat = Matrix(
-        f,
-        [[b.matrix.data[r][c] for b in basis] for r in range(alg.dim) for c in range(p.dim)],
-        alg.dim * p.dim,
-        h,
-    )
-    action_mats = []
-    for i, lbl in enumerate(alg.labels):
-        # (a · f)(x) = f(x) · a  — right multiplication on values
-        ra = alg.right_mult_matrix(alg.basis_vector(i))
-        cols = []
-        for b in basis:
-            comp = ra.mul(b.matrix)
-            cols.append([comp.data[r][c] for r in range(alg.dim) for c in range(p.dim)])
-        rhs = Matrix(f, [[cols[j][t] for j in range(h)] for t in range(alg.dim * p.dim)], alg.dim * p.dim, h)
-        x, _ = solve(flat, rhs)
-        if x is None:
-            raise ValidationError("right action escaped the Hom basis")
-        action_mats.append(x)
-    for i, lbl in enumerate(aop.labels):
-        action[lbl] = action_mats[i]
-    return Module(aop, h, action), basis, aop
+    # (a · f)(x) = f(x) · a — right multiplication on values; A^op has A's labels
+    moves = {lbl: alg.right_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)}
+    return hom_module(basis, aop, moves, on_values=True), basis
 
 
 def ar_translate(m: Module) -> Module:
     """tau(m) = D Tr(m) via the minimal projective presentation."""
     alg = m.algebra
-    f = alg.field
     pres = minimal_projective_presentation(m)
-    p1, p0 = pres.map.source, pres.map.target
-    hom0, basis0, aop = _hom_to_regular_as_op_module(p0)
-    hom1, basis1, _ = _hom_to_regular_as_op_module(p1)
+    hom0, basis0 = _hom_to_regular_as_op_module(pres.map.target)
+    hom1, basis1 = _hom_to_regular_as_op_module(pres.map.source)
     if hom1.dim == 0:
         return zero_module(alg)
     # Hom(sigma, A): Hom(P_0, A) -> Hom(P_1, A), f -> f ∘ sigma
     if hom0.dim == 0:
         tr = hom1
     else:
-        flat1 = Matrix(
-            f,
-            [[b.matrix.data[r][c] for b in basis1] for r in range(alg.dim) for c in range(p1.dim)],
-            alg.dim * p1.dim,
-            hom1.dim,
-        )
-        cols = []
-        for b in basis0:
-            comp = b.matrix.mul(pres.map.matrix)
-            cols.append([comp.data[r][c] for r in range(alg.dim) for c in range(p1.dim)])
-        rhs = Matrix(f, [[cols[j][t] for j in range(hom0.dim)] for t in range(alg.dim * p1.dim)], alg.dim * p1.dim, hom0.dim)
-        x, _ = solve(flat1, rhs)
-        if x is None:
-            raise ValidationError("Hom(sigma, A) escaped the Hom basis")
-        hom_sigma = ModuleMap(hom0, hom1, x)
-        tr, _proj = map_spaces(hom_sigma)["cokernel"]
+        x = hom_coordinates(basis1, [b.matrix.mul(pres.map.matrix) for b in basis0])
+        tr, _proj = map_spaces(ModuleMap(hom0, hom1, x))["cokernel"]
     # dual over the opposite: left A-module with rho(b) = rho_Tr(b)^T
     action = {lbl: tr.action[lbl].transpose() for lbl in tr.algebra.labels}
     # tr.algebra is A^op with the same labels as A
@@ -733,7 +706,7 @@ def ar_translate(m: Module) -> Module:
 def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
     """N ⊗_B Y with the induced left action of N's left algebra."""
     B = n.right_alg
-    if y.algebra is not B and y.algebra.content_hash() != B.content_hash():
+    if not same_algebra(y.algebra, B):
         raise ValidationError("module is not over the bimodule's right algebra")
     A = n.left_alg
     f = A.field
@@ -741,7 +714,7 @@ def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
     big = dn * dy
     if big == 0:
         z = zero_module(A)
-        return z, {"projection": Matrix.zeros(f, 0, big)}
+        return z, {"projection": Matrix.zeros(f, 0, big), "section": Matrix.zeros(f, big, 0)}
     rel_rows = []
     for b_idx, b_lbl in enumerate(B.labels):
         rn = n.right_action[b_lbl]
@@ -769,7 +742,16 @@ def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
         big_mat = la.kron(Matrix.identity(f, dy))
         action[a_lbl] = proj.mul(big_mat).mul(section)
     mod = Module(A, q, action)
-    return mod, {"projection": proj}
+    return mod, {"projection": proj, "section": section}
+
+
+def tensor_map(n: Bimodule, phi: ModuleMap) -> ModuleMap:
+    """N ⊗_B phi, as projection · (I ⊗ phi) · section between the tensor
+    modules of phi's source and target."""
+    src, sdata = tensor_over_algebra(n, phi.source)
+    tgt, tdata = tensor_over_algebra(n, phi.target)
+    big = Matrix.identity(n.left_alg.field, n.dim).kron(phi.matrix)
+    return ModuleMap(src, tgt, tdata["projection"].mul(big).mul(sdata["section"]))
 
 
 def tensor_over_field(m: Module, s: Module, tensor_alg: Algebra | None = None) -> Module:
@@ -1131,7 +1113,7 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
     Raises :class:`UndecidedError` only when the search space exceeds the
     budget and no decision was reached.
     """
-    if m.algebra is not n.algebra and m.algebra.content_hash() != n.algebra.content_hash():
+    if not same_algebra(m.algebra, n.algebra):
         raise ValidationError("isomorphism test needs modules over the same algebra")
     if m.dim != n.dim:
         return None

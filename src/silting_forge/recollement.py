@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .algebra import (
     Algebra,
@@ -30,8 +31,9 @@ from .algebra import (
     TriangularContext,
     ValidationError,
     derive_algebra,
+    same_algebra,
 )
-from .exactlinalg import Matrix, row_space_basis, solve
+from .exactlinalg import Matrix, nullspace, row_space_basis, solve
 from .gorenstein import (
     GpClassification,
     d_theta_contains,
@@ -52,7 +54,9 @@ from .modules import (
     direct_sum,
     enumerate_indecomposables,
     global_dimension,
+    hom_coordinates,
     hom_dim,
+    hom_module,
     hom_space,
     indecomposable_projectives,
     is_isomorphic,
@@ -60,6 +64,8 @@ from .modules import (
     quotient_module,
     simple_module,
     submodule,
+    tensor_map,
+    tensor_over_algebra,
     zero_module,
 )
 from .silting import (
@@ -170,15 +176,19 @@ def _col_basis(mat: Matrix) -> Matrix:
     return row_space_basis(rows, mat.field, mat.nrows).transpose()
 
 
-def _restrict(basis: Matrix, mat: Matrix) -> Matrix:
-    """Coordinates of mat·basis in the given column basis."""
-    f = basis.field
-    if basis.ncols == 0:
-        return Matrix.zeros(f, 0, 0)
-    sol, _ = solve(basis, mat.mul(basis))
+def _restrict_into(basis: Matrix, cols: Matrix) -> Matrix:
+    """Coordinates of the columns in the given column basis."""
+    sol, _ = solve(basis, cols)
     if sol is None:
-        raise ValidationError("operator does not preserve the chosen subspace")
+        raise ValidationError("columns fall outside the subspace")
     return sol
+
+
+def _layer_module(basis: Matrix, alg: Algebra, mats: list[Matrix]) -> Module:
+    """The subspace spanned by ``basis`` as a module over ``alg``, whose i-th
+    label acts by ``mats[i]`` restricted to it."""
+    action = {lbl: _restrict_into(basis, mat.mul(basis)) for lbl, mat in zip(alg.labels, mats)}
+    return Module(alg, basis.ncols, action)
 
 
 def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
@@ -228,11 +238,11 @@ def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
     F = lf_rows.transpose()
     left_action = {}
     for i, lbl in enumerate(alg.labels):
-        left_action[lbl] = _restrict(F, alg.left_mult_matrix(alg.basis_vector(i)))
+        left_action[lbl] = _restrict_into(F, alg.left_mult_matrix(alg.basis_vector(i)).mul(F))
     right_action = {}
     for i, clbl in enumerate(corner.labels):
         w = list(data["corner_rows"].data[i])
-        right_action[clbl] = _restrict(F, alg.right_mult_matrix(w))
+        right_action[clbl] = _restrict_into(F, alg.right_mult_matrix(w).mul(F))
     data["l_bimodule"] = Bimodule(alg, corner, F.ncols, left_action, right_action)
 
     # right-layer space: the right ideal generated by the idempotent, as a
@@ -243,10 +253,10 @@ def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
     corner_action = {}
     for i, clbl in enumerate(corner.labels):
         w = list(data["corner_rows"].data[i])
-        corner_action[clbl] = _restrict(H, alg.left_mult_matrix(w))
+        corner_action[clbl] = _restrict_into(H, alg.left_mult_matrix(w).mul(H))
     data["r_space"] = Module(corner, H.ncols, corner_action)
     data["r_right_action"] = {
-        lbl: _restrict(H, alg.right_mult_matrix(alg.basis_vector(i)))
+        lbl: _restrict_into(H, alg.right_mult_matrix(alg.basis_vector(i)).mul(H))
         for i, lbl in enumerate(alg.labels)
     }
 
@@ -277,52 +287,20 @@ def _functor_module(ctx: RecollementContext, which: str, m: Module):
             action[lbl] = pi.matrix.mul(m.rho(ctx.middle.labels[mid_idx])).mul(section)
         return Module(ctx.quotient, quo_mid.dim, action), pi.matrix
     if which == "p":
-        ideal = ctx.data["ideal"]
-        blocks = [m.act(list(r)) for r in ideal.data]
-        stacked = Matrix.vstack(blocks) if blocks else Matrix.zeros(f, 0, m.dim)
-        from .exactlinalg import nullspace as _ns
-
-        null = _ns(stacked)
+        blocks = [m.act(list(r)) for r in ctx.data["ideal"].data]
+        null = nullspace(Matrix.vstack(blocks) if blocks else Matrix.zeros(f, 0, m.dim))
         K = Matrix.hstack(null) if null else Matrix.zeros(f, m.dim, 0)
-        action = {}
-        for j, lbl in enumerate(ctx.quotient.labels):
-            mid_idx = ctx.data["keep"][j]
-            action[lbl] = _restrict(K, m.rho(ctx.middle.labels[mid_idx]))
-        return Module(ctx.quotient, K.ncols, action), K
+        mats = [m.rho(ctx.middle.labels[mid_idx]) for mid_idx in ctx.data["keep"]]
+        return _layer_module(K, ctx.quotient, mats), K
     if which == "e":
         E = _col_basis(m.act(ctx.data["evec"]))
-        rows = ctx.data["corner_rows"]
-        action = {}
-        for i, clbl in enumerate(ctx.corner.labels):
-            action[clbl] = _restrict(E, m.act(list(rows.data[i])))
-        return Module(ctx.corner, E.ncols, action), E
+        mats = [m.act(list(r)) for r in ctx.data["corner_rows"].data]
+        return _layer_module(E, ctx.corner, mats), E
     if which == "l":
-        from .modules import tensor_over_algebra
-
-        mod, tdata = tensor_over_algebra(ctx.data["l_bimodule"], m)
-        return mod, tdata["projection"]
+        return tensor_over_algebra(ctx.data["l_bimodule"], m)[0], None
     if which == "r":
-        space = ctx.data["r_space"]
-        homs = hom_space(space, m)
-        t = len(homs)
-        flat_cols = [
-            [h.matrix.data[i][j] for i in range(m.dim) for j in range(space.dim)]
-            for h in homs
-        ]
-        ZB = Matrix(f, [[flat_cols[k][idx] for k in range(t)] for idx in range(m.dim * space.dim)], m.dim * space.dim, t) if t else Matrix.zeros(f, m.dim * space.dim, 0)
-        action = {}
-        for lbl in ctx.middle.labels:
-            ra = ctx.data["r_right_action"][lbl]
-            cols = []
-            for h in homs:
-                moved = h.matrix.mul(ra)
-                flat = [moved.data[i][j] for i in range(m.dim) for j in range(space.dim)]
-                sol, _ = solve(ZB, Matrix.column(f, flat))
-                if sol is None:
-                    raise ValidationError("right action does not preserve the hom space")
-                cols.append([sol.data[k][0] for k in range(t)])
-            action[lbl] = Matrix(f, [[cols[j][i] for j in range(t)] for i in range(t)], t, t) if t else Matrix.zeros(f, 0, 0)
-        return Module(ctx.middle, t, action), (homs, ZB)
+        homs = hom_space(ctx.data["r_space"], m)
+        return hom_module(homs, ctx.middle, ctx.data["r_right_action"]), homs
     raise ValidationError(f"unknown functor {which!r}; expected one of i,q,p,e,l,r")
 
 
@@ -345,17 +323,18 @@ def apply_functor(ctx: RecollementContext, which: str, x):
     """Apply one of the six functors to a module or a map."""
     expected = _expected_algebra(ctx, which)
     if isinstance(x, Module):
-        if x.algebra is not expected and x.algebra.content_hash() != expected.content_hash():
+        if not same_algebra(x.algebra, expected):
             raise ValidationError(
                 f"functor {which!r} expects input over the {_FUNCTOR_SOURCE[which]} algebra"
             )
         return _functor_module(ctx, which, x)[0]
     if isinstance(x, ModuleMap):
-        src_alg = x.source.algebra
-        if src_alg is not expected and src_alg.content_hash() != expected.content_hash():
+        if not same_algebra(x.source.algebra, expected):
             raise ValidationError(
                 f"functor {which!r} expects a map over the {_FUNCTOR_SOURCE[which]} algebra"
             )
+        if which == "l":
+            return tensor_map(ctx.data["l_bimodule"], x)
         fsrc, dsrc = _functor_module(ctx, which, x.source)
         ftgt, dtgt = _functor_module(ctx, which, x.target)
         f = ctx.middle.field
@@ -364,36 +343,11 @@ def apply_functor(ctx: RecollementContext, which: str, x):
         elif which == "q":
             section, _ = solve(dsrc, Matrix.identity(f, fsrc.dim))
             mat = dtgt.mul(x.matrix).mul(section)
-        elif which == "p":
-            sol, _ = solve(dtgt, x.matrix.mul(dsrc))
-            if sol is None:
-                raise ValidationError("map does not preserve the annihilator layer")
-            mat = sol if dsrc.ncols else Matrix.zeros(f, ftgt.dim, 0)
-        elif which == "e":
-            sol, _ = solve(dtgt, x.matrix.mul(dsrc))
-            if sol is None:
-                raise ValidationError("map does not preserve the idempotent layer")
-            mat = sol if dsrc.ncols else Matrix.zeros(f, ftgt.dim, 0)
-        elif which == "l":
-            r = ctx.data["l_bimodule"].dim
-            sect, _ = solve(dsrc, Matrix.identity(f, fsrc.dim))
-            if sect is None:
-                sect = Matrix.zeros(f, r * x.source.dim, 0)
-            big = Matrix.identity(f, r).kron(x.matrix) if r and x.matrix.ncols and x.matrix.nrows else Matrix.zeros(f, r * x.target.dim, r * x.source.dim)
-            mat = dtgt.mul(big).mul(sect) if fsrc.dim else Matrix.zeros(f, ftgt.dim, 0)
-        else:  # r
-            homs_s, _ = dsrc
-            _, ZB_t = dtgt
-            cols = []
-            space = ctx.data["r_space"]
-            for h in homs_s:
-                moved = x.matrix.mul(h.matrix)
-                flat = [moved.data[i][j] for i in range(x.target.dim) for j in range(space.dim)]
-                sol, _ = solve(ZB_t, Matrix.column(f, flat))
-                if sol is None:
-                    raise ValidationError("map does not act on the hom layer")
-                cols.append([sol.data[k][0] for k in range(ftgt.dim)])
-            mat = Matrix(f, [[cols[j][i] for j in range(fsrc.dim)] for i in range(ftgt.dim)], ftgt.dim, fsrc.dim) if fsrc.dim else Matrix.zeros(f, ftgt.dim, 0)
+        elif which in ("p", "e"):
+            mat = _restrict_into(dtgt, x.matrix.mul(dsrc))
+        else:  # r: Hom(space, x) sends h to x∘h
+            composites = [x.matrix.mul(h.matrix) for h in dsrc]
+            mat = hom_coordinates(dtgt, composites) if dsrc else Matrix.zeros(f, ftgt.dim, 0)
         return ModuleMap(fsrc, ftgt, mat)
     raise ValidationError("apply_functor takes a Module or a ModuleMap")
 
@@ -540,24 +494,8 @@ class Triple:
 def triangular_tensor(tctx: TriangularContext, y: Module):
     """The induced module of the connecting bimodule against ``y``, with the
     coordinate projection and a section."""
-    from .modules import tensor_over_algebra
-
-    f = tctx.gamma.field
     t_mod, tdata = tensor_over_algebra(tctx.n, y)
-    proj = tdata["projection"]
-    if t_mod.dim:
-        section, _ = solve(proj, Matrix.identity(f, t_mod.dim))
-    else:
-        section = Matrix.zeros(f, proj.ncols, 0)
-    return t_mod, proj, section
-
-
-def _offsets(tctx: TriangularContext):
-    return (
-        (tctx.a_offset, tctx.a.dim),
-        (tctx.n_offset, tctx.n.dim),
-        (tctx.b_offset, tctx.b.dim),
-    )
+    return t_mod, tdata["projection"], tdata["section"]
 
 
 def _assemble_triple(tctx: TriangularContext, x: Module, y: Module, fmat: Matrix | None) -> Module:
@@ -565,34 +503,21 @@ def _assemble_triple(tctx: TriangularContext, x: Module, y: Module, fmat: Matrix
     form of the linking map against tensor coordinates)."""
     f = tctx.gamma.field
     dx, dy = x.dim, y.dim
-    dim = dx + dy
-    (ao, na), (no, nn), (bo, nb) = _offsets(tctx)
+    labels = tctx.gamma.labels
     action: dict[str, Matrix] = {}
-    for i in range(na):
-        lbl = tctx.gamma.labels[ao + i]
-        blk = Matrix.zeros(f, dim, dim)
-        top = x.rho(tctx.a.labels[i])
-        for r in range(dx):
-            for c in range(dx):
-                blk.data[r][c] = top.data[r][c]
-        action[lbl] = blk
-    for i in range(nb):
-        lbl = tctx.gamma.labels[bo + i]
-        blk = Matrix.zeros(f, dim, dim)
-        bot = y.rho(tctx.b.labels[i])
-        for r in range(dy):
-            for c in range(dy):
-                blk.data[dx + r][dx + c] = bot.data[r][c]
-        action[lbl] = blk
-    for t in range(nn):
-        lbl = tctx.gamma.labels[no + t]
-        blk = Matrix.zeros(f, dim, dim)
-        if fmat is not None and dx and dy:
-            for r in range(dx):
-                for c in range(dy):
-                    blk.data[r][dx + c] = fmat.data[r][t * dy + c]
-        action[lbl] = blk
-    return Module(tctx.gamma, dim, action)
+    for i, lbl in enumerate(tctx.a.labels):
+        action[labels[tctx.a_offset + i]] = Matrix.block_diag(f, [x.rho(lbl), Matrix.zeros(f, dy, dy)])
+    for i, lbl in enumerate(tctx.b.labels):
+        action[labels[tctx.b_offset + i]] = Matrix.block_diag(f, [Matrix.zeros(f, dx, dx), y.rho(lbl)])
+    for t in range(tctx.n.dim):
+        if fmat is None:
+            link = Matrix.zeros(f, dx, dy)
+        else:
+            link = Matrix(f, [row[t * dy : (t + 1) * dy] for row in fmat.data], dx, dy)
+        # the empty outer blocks put the link in the upper-right corner
+        corner = [Matrix.zeros(f, 0, dx), link, Matrix.zeros(f, dy, 0)]
+        action[labels[tctx.n_offset + t]] = Matrix.block_diag(f, corner)
+    return Module(tctx.gamma, dx + dy, action)
 
 
 def _triple_to_module(tctx: TriangularContext, triple: Triple) -> Module:
@@ -613,7 +538,7 @@ def _triple_to_module(tctx: TriangularContext, triple: Triple) -> Module:
 
 def _check_algebra(m, alg: Algebra, name: str):
     actual = m.algebra if isinstance(m, Module) else m.source.algebra
-    if actual is not alg and actual.content_hash() != alg.content_hash():
+    if not same_algebra(actual, alg):
         raise ValidationError(f"input is not over {name}")
 
 
@@ -623,10 +548,8 @@ def _corner_restriction(tctx: TriangularContext, m: Module, side: str):
     alg = tctx.a if side == "a" else tctx.b
     offset = tctx.a_offset if side == "a" else tctx.b_offset
     E = _col_basis(m.act(evec))
-    action = {}
-    for i, lbl in enumerate(alg.labels):
-        action[lbl] = _restrict(E, m.rho(tctx.gamma.labels[offset + i]))
-    return Module(alg, E.ncols, action), E
+    mats = [m.rho(tctx.gamma.labels[offset + i]) for i in range(alg.dim)]
+    return _layer_module(E, alg, mats), E
 
 
 def _module_to_triple(tctx: TriangularContext, m: Module) -> Triple:
@@ -637,30 +560,15 @@ def _module_to_triple(tctx: TriangularContext, m: Module) -> Triple:
     if x.dim + y.dim != m.dim:
         raise ValidationError("idempotent blocks do not fill the module")
     t_mod, proj, section = triangular_tensor(tctx, y)
-    nn, dy, dx = tctx.n.dim, y.dim, x.dim
-    full = Matrix.zeros(f, dx, nn * dy)
-    for t in range(nn):
-        blk = m.rho(tctx.gamma.labels[tctx.n_offset + t]).mul(Eb)
-        coords = _restrict_into(Ea, blk)
-        for r in range(dx):
-            for c in range(dy):
-                full.data[r][t * dy + c] = coords.data[r][c]
+    # the leading empty block keeps hstack defined for a zero bimodule
+    full = Matrix.hstack([Matrix.zeros(f, x.dim, 0)] + [
+        _restrict_into(Ea, m.rho(tctx.gamma.labels[tctx.n_offset + t]).mul(Eb))
+        for t in range(tctx.n.dim)
+    ])
     fmat = full.mul(section)
     if fmat.mul(proj) != full:
         raise ValidationError("linking data does not descend to the induced tensor module")
     return Triple(x, y, ModuleMap(t_mod, x, fmat))
-
-
-def _restrict_into(basis: Matrix, cols: Matrix) -> Matrix:
-    f = basis.field
-    if basis.ncols == 0:
-        if not cols.is_zero():
-            raise ValidationError("columns fall outside the zero subspace")
-        return Matrix.zeros(f, 0, cols.ncols)
-    sol, _ = solve(basis, cols)
-    if sol is None:
-        raise ValidationError("columns fall outside the subspace")
-    return sol
 
 
 def _z_a(tctx: TriangularContext, x):
@@ -674,31 +582,14 @@ def _z_a(tctx: TriangularContext, x):
 
 
 def _t_b(tctx: TriangularContext, y):
-    f = tctx.gamma.field
     if isinstance(y, ModuleMap):
         _check_algebra(y, tctx.b, "the bottom algebra")
-        src = _t_b(tctx, y.source)
-        tgt = _t_b(tctx, y.target)
-        ts, ps, ss = triangular_tensor(tctx, y.source)
-        tt, pt, _ = triangular_tensor(tctx, y.target)
-        nn = tctx.n.dim
-        if ts.dim and tt.dim:
-            big = Matrix.identity(f, nn).kron(y.matrix)
-            top = pt.mul(big).mul(ss)
-        else:
-            top = Matrix.zeros(f, tt.dim, ts.dim)
-        mat = Matrix.zeros(f, tgt.dim, src.dim)
-        for r in range(tt.dim):
-            for c in range(ts.dim):
-                mat.data[r][c] = top.data[r][c]
-        for r in range(y.target.dim):
-            for c in range(y.source.dim):
-                mat.data[tt.dim + r][ts.dim + c] = y.matrix.data[r][c]
-        return ModuleMap(src, tgt, mat)
+        top = tensor_map(tctx.n, y).matrix
+        mat = Matrix.block_diag(tctx.gamma.field, [top, y.matrix])
+        return ModuleMap(_t_b(tctx, y.source), _t_b(tctx, y.target), mat)
     _check_algebra(y, tctx.b, "the bottom algebra")
     t_mod, proj, _ = triangular_tensor(tctx, y)
-    ident = ModuleMap(t_mod, t_mod, Matrix.identity(f, t_mod.dim))
-    return _assemble_triple(tctx, t_mod, y, ident.matrix.mul(proj))
+    return _assemble_triple(tctx, t_mod, y, proj)
 
 
 def _u_side(tctx: TriangularContext, x, side: str):
@@ -712,44 +603,20 @@ def _u_side(tctx: TriangularContext, x, side: str):
 
 
 def _h_a(tctx: TriangularContext, x):
-    f = tctx.gamma.field
     if isinstance(x, ModuleMap):
         raise ValidationError("the hom-layer functor supports modules only")
     _check_algebra(x, tctx.a, "the top algebra")
     n_left = Module(tctx.a, tctx.n.dim, dict(tctx.n.left_action))
     homs = hom_space(n_left, x)
-    t = len(homs)
-    dn = tctx.n.dim
-    flat_len = x.dim * dn
-    ZB = (
-        Matrix(
-            f,
-            [[homs[k].matrix.data[idx // dn][idx % dn] for k in range(t)] for idx in range(flat_len)],
-            flat_len,
-            t,
-        )
-        if t
-        else Matrix.zeros(f, flat_len, 0)
+    yprime = hom_module(homs, tctx.b, tctx.n.right_action)
+    _, proj, section = triangular_tensor(tctx, yprime)
+    # evaluation n_i ⊗ h_k |-> h_k(n_i), in tensor coordinate i * len(homs) + k
+    full = Matrix(
+        tctx.gamma.field,
+        [[h.matrix.data[r][i] for i in range(tctx.n.dim) for h in homs] for r in range(x.dim)],
+        x.dim,
+        tctx.n.dim * len(homs),
     )
-    action = {}
-    for lbl in tctx.b.labels:
-        rb = tctx.n.right_action[lbl]
-        cols = []
-        for k in range(t):
-            moved = homs[k].matrix.mul(rb)
-            flat = [moved.data[idx // dn][idx % dn] for idx in range(flat_len)]
-            sol, _ = solve(ZB, Matrix.column(f, flat))
-            if sol is None:
-                raise ValidationError("hom layer is not stable under the bottom action")
-            cols.append([sol.data[i][0] for i in range(t)])
-        action[lbl] = Matrix(f, [[cols[c][r] for c in range(t)] for r in range(t)], t, t) if t else Matrix.zeros(f, 0, 0)
-    yprime = Module(tctx.b, t, action)
-    t_mod, proj, section = triangular_tensor(tctx, yprime)
-    full = Matrix.zeros(f, x.dim, dn * t)
-    for i in range(dn):
-        for k in range(t):
-            for r in range(x.dim):
-                full.data[r][i * t + k] = homs[k].matrix.data[r][i]
     fmat = full.mul(section)
     return _assemble_triple(tctx, x, yprime, fmat.mul(proj))
 
@@ -799,31 +666,13 @@ def triple_map_to_module_map(
     component composed with the source linking map must equal the target
     linking map composed with the induced tensor of the bottom component.
     """
-    f = tctx.gamma.field
     _check_algebra(phi_x, tctx.a, "the top algebra")
     _check_algebra(phi_y, tctx.b, "the bottom algebra")
-    ts, ps, ss = triangular_tensor(tctx, src.y)
-    tt, pt, _ = triangular_tensor(tctx, tgt.y)
-    nn = tctx.n.dim
-    if ts.dim and tt.dim:
-        big = Matrix.identity(f, nn).kron(phi_y.matrix)
-        tensored = pt.mul(big).mul(ss)
-    else:
-        tensored = Matrix.zeros(f, tt.dim, ts.dim)
-    lhs = phi_x.matrix.mul(src.f.matrix)
-    rhs = tgt.f.matrix.mul(tensored)
-    if lhs != rhs:
+    tensored = tensor_map(tctx.n, phi_y).matrix
+    if phi_x.matrix.mul(src.f.matrix) != tgt.f.matrix.mul(tensored):
         raise ValidationError("triple map data does not commute with the linking maps")
-    m_src = _triple_to_module(tctx, src)
-    m_tgt = _triple_to_module(tctx, tgt)
-    mat = Matrix.zeros(f, m_tgt.dim, m_src.dim)
-    for r in range(phi_x.matrix.nrows):
-        for c in range(phi_x.matrix.ncols):
-            mat.data[r][c] = phi_x.matrix.data[r][c]
-    for r in range(phi_y.matrix.nrows):
-        for c in range(phi_y.matrix.ncols):
-            mat.data[tgt.x.dim + r][src.x.dim + c] = phi_y.matrix.data[r][c]
-    return ModuleMap(m_src, m_tgt, mat)
+    mat = Matrix.block_diag(tctx.gamma.field, [phi_x.matrix, phi_y.matrix])
+    return ModuleMap(_triple_to_module(tctx, src), _triple_to_module(tctx, tgt), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +871,13 @@ def _existential_silting(t: Module, sigma=None, probe=None):
     return certs[-1]
 
 
-def _transfer_i(ctx: RecollementContext, inputs: dict, probe) -> VerificationReport:
+def _transfer_i(
+    ctx: RecollementContext,
+    inputs: dict,
+    probe,
+    statement: str = "lemma_i_transfer",
+    note: str = "inflation along the canonical projection",
+) -> VerificationReport:
     t = inputs["t"]
     sigma = inputs.get("sigma", "AUTO")
     _require_quotient(ctx)
@@ -1044,12 +899,12 @@ def _transfer_i(ctx: RecollementContext, inputs: dict, probe) -> VerificationRep
             {"quotient": cert_q.to_json(), "middle": cert_m.to_json()}
         ]
     return VerificationReport(
-        statement="lemma_i_transfer",
+        statement=statement,
         inputs={"t": _describe(t)},
         atoms=atoms,
         verdict=verdict,
         witnesses=witnesses,
-        notes=("inflation along the canonical projection",),
+        notes=(note,),
     )
 
 
@@ -1088,18 +943,6 @@ def _transfer_q(ctx: RecollementContext, inputs: dict, probe) -> VerificationRep
 def _require_quotient(ctx: RecollementContext):
     if ctx.quotient is None:
         raise ValidationError("statement needs the quotient layer, which is degenerate")
-
-
-def _transfer_idempotent(ctx: RecollementContext, inputs: dict, probe) -> VerificationReport:
-    report = _transfer_i(ctx, inputs, probe)
-    return VerificationReport(
-        statement="thm_idempotent_ideal",
-        inputs=report.inputs,
-        atoms=report.atoms,
-        verdict=report.verdict,
-        witnesses=report.witnesses,
-        notes=("verdict equality across the idempotent-ideal quotient",),
-    )
 
 
 def _resolve_pair_presentations(tctx: TriangularContext, inputs: dict, gpa, gpb):
@@ -1282,6 +1125,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
     # (b): block-shaped sequences for every classified relative projective:
     # a top-algebra candidate lifts by the section functor, a bottom-algebra
     # candidate by induction
+    class_g = [u for u in probes_g if d_theta_contains(theta, u)]
     b_rows = []
     for g in gpg.modules:
         triple = _module_to_triple(tctx, g)
@@ -1290,7 +1134,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
         else:
             side, part, t_side, transport = "b", triple.y, y, lambda m: _t_b(tctx, m)
         seq = left_approximation_sequence(
-            part, t_side, theta, gpg, probe=probes_g, transport=transport
+            part, t_side, theta, gpg, class_probes=class_g, transport=transport
         )
         if seq.found:
             row = {"found": True, "middle_dim": seq.detail["middle_dim"],
@@ -1302,16 +1146,18 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
     atom_b = all(r["found"] for r in b_rows)
 
     # (e): approximation sequences for the top projectives
+    class_x = [u for u in probes_a if d_theta_contains(theta_x, u)]
     e_rows = []
     for p, lbl in indecomposable_projectives(tctx.a):
-        seq = left_approximation_sequence(p, x, theta_x, gpa, probe=probes_a)
+        seq = left_approximation_sequence(p, x, theta_x, gpa, class_probes=class_x)
         e_rows.append({"projective": lbl, "found": seq.found})
     atom_e = all(r["found"] for r in e_rows)
 
     # (f): approximation sequences for the bottom relative projectives
+    class_y = [u for u in probes_b if d_theta_contains(theta_y, u)]
     f_rows = []
     for gmod in gpb.modules:
-        seq = left_approximation_sequence(gmod, y, theta_y, gpb, probe=probes_b)
+        seq = left_approximation_sequence(gmod, y, theta_y, gpb, class_probes=class_y)
         f_rows.append({"gp_dimension_vector": gmod.dimension_vector(), "found": seq.found})
     atom_f = all(r["found"] for r in f_rows)
 
@@ -1350,7 +1196,11 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
 _STATEMENTS = {
     "lemma_i_transfer": ("idempotent", _transfer_i),
     "lemma_q_transfer": ("idempotent", _transfer_q),
-    "thm_idempotent_ideal": ("idempotent", _transfer_idempotent),
+    "thm_idempotent_ideal": ("idempotent", partial(
+        _transfer_i,
+        statement="thm_idempotent_ideal",
+        note="verdict equality across the idempotent-ideal quotient",
+    )),
     "lemma_dtheta_decomposition": ("triangular", _dtheta_decomposition),
     "prop_partial_gluing": ("triangular", _prop_partial),
     "cor_triangular_partial": ("triangular", _cor_partial),

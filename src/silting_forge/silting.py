@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import Matrix, nullspace, rank
-from .algebra import Algebra, DomainError, ValidationError, derive_algebra
+from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
@@ -60,10 +60,6 @@ VERDICTS = ("silting", "partial_silting_only", "not_silting", "undecided")
 # ---------------------------------------------------------------------------
 
 
-def _same_algebra(a: Algebra, b: Algebra) -> bool:
-    return a is b or a.content_hash() == b.content_hash()
-
-
 def _hom_restriction_surjective(smap: ModuleMap, m: Module) -> bool:
     """Whether composing with ``smap`` maps Hom(target, m) onto Hom(source, m)."""
     need = hom_dim(smap.source, m)
@@ -91,14 +87,14 @@ def d_sigma_contains(sigma, m: Module) -> bool:
     :class:`ModuleMap` between projective modules.
     """
     smap = _presentation_map(sigma)
-    if not _same_algebra(smap.source.algebra, m.algebra):
+    if not same_algebra(smap.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
     return _hom_restriction_surjective(smap, m)
 
 
 def gen_contains(t: Module, m: Module) -> bool:
     """Whether ``m`` is a quotient of a finite direct sum of copies of ``t``."""
-    if not _same_algebra(t.algebra, m.algebra):
+    if not same_algebra(t.algebra, m.algebra):
         raise ValidationError("generation test needs modules over the same algebra")
     return right_add_approximation(t, m).is_surjective()
 

@@ -16,8 +16,14 @@ import pytest
 
 import silting_forge.gorenstein as gmod
 from silting_forge.cli import run
-from silting_forge.io import corpus_load, dump_json, module_to_json
-from silting_forge.modules import regular_module, simple_module
+from silting_forge.exactlinalg import Matrix
+from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
+from silting_forge.modules import (
+    minimal_projective_presentation,
+    regular_module,
+    simple_module,
+    zero_module,
+)
 from silting_forge.recollement import idempotent_recollement
 
 
@@ -115,6 +121,40 @@ def test_negative_verdict_exits_one(simple1_file):
     )
     assert code == 1
     assert out["verdict"] == "not_silting"
+
+
+def _presentation_file(path, source, target, matrix):
+    path.write_text(dump_json({
+        "source": module_to_json(source, "a2"),
+        "target": module_to_json(target, "a2"),
+        "matrix": matrix_to_json(matrix),
+    }))
+    return str(path)
+
+
+def test_presentation_file_terms_must_be_projective(a2, simple1_file, tmp_path):
+    s1 = simple_module(a2, "e1")
+    minimal = minimal_projective_presentation(s1).map
+    good = _presentation_file(tmp_path / "good.json", minimal.source, minimal.target, minimal.matrix)
+    code, out = cli(
+        "silting", "check", "--algebra", "a2",
+        "--module", simple1_file, "--presentation", good,
+    )
+    assert (code, out["presentation"]["kind"]) == (1, "projective")
+    # 0 -> S1 presents S1, but its P0 is the non-projective simple S1
+    bad = _presentation_file(tmp_path / "bad.json", zero_module(a2), s1, Matrix.zeros(a2.field, 1, 0))
+    code, out = cli(
+        "silting", "check", "--algebra", "a2",
+        "--module", simple1_file, "--presentation", bad,
+    )
+    assert code == 3
+    assert out["error"]["type"] == "ValidationError"
+    code, out = cli(
+        "silting", "tensor", "--left", "a2", "--left-module", simple1_file,
+        "--right", "a2", "--right-module", simple1_file, "--left-presentation", bad,
+    )
+    assert code == 3
+    assert out["error"]["type"] == "ValidationError"
 
 
 def test_out_of_bound_report_exits_two():

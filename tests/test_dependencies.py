@@ -1,0 +1,33 @@
+"""The third-party imports of the package match its declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "silting_forge"
+
+
+def _third_party_imports() -> set[str]:
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"silting_forge", "__future__"}
+
+
+def _declared_dependencies() -> set[str]:
+    # read without tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.MULTILINE | re.DOTALL)
+    specs = re.findall(r'"([^"]+)"', listed.group(1))
+    return {re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0] for spec in specs}
+
+
+def test_declared_dependencies_match_imports():
+    assert _declared_dependencies() == {"sympy"}
+    assert _third_party_imports() == _declared_dependencies()

@@ -38,6 +38,7 @@ from silting_forge.modules import (
     direct_sum,
     enumerate_indecomposables,
     ext_dim,
+    hom_coordinates,
     hom_dim,
     hom_space,
     indecomposable_projectives,
@@ -705,3 +706,26 @@ def test_induced_hom_ranks_match_span_criterion(field):
             assert (postcompose_rank(u, phi) == hom_dim(u, phi.target)) == onto
             seen.add(("post", onto))
     assert seen == {("pre", True), ("pre", False), ("post", True), ("post", False)}
+
+
+def test_hom_coordinates_recover_combinations_and_reject_outsiders():
+    alg = compile_quiver_algebra(quiver_a3_rel(F3))
+    reg = regular_module(alg)
+    basis = hom_space(reg, reg)
+    coeffs = [[F3.coerce(i + 2 * j) for j in range(3)] for i in range(len(basis))]
+    mats = []
+    for j in range(3):
+        mat = Matrix.zeros(F3, reg.dim, reg.dim)
+        for i, h in enumerate(basis):
+            mat = mat + h.matrix.scale(coeffs[i][j])
+        mats.append(mat)
+    assert hom_coordinates(basis, mats) == Matrix(F3, coeffs, len(basis), 3)
+    # a matrix unit does not commute with the action, so it is no endomorphism
+    unit = Matrix.zeros(F3, reg.dim, reg.dim)
+    unit.data[0][reg.dim - 1] = F3.one()
+    with pytest.raises(ValidationError):
+        hom_coordinates(basis, mats + [unit])
+    # an empty basis, such as that of Hom(S1, S3), spans only zero
+    assert hom_coordinates([], [Matrix.zeros(F3, 1, 1)]) == Matrix.zeros(F3, 0, 1)
+    with pytest.raises(ValidationError):
+        hom_coordinates([], [Matrix.identity(F3, 1)])

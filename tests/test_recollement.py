@@ -1,6 +1,7 @@
 """Idempotent recollements, triangular functor dictionary, statement drivers."""
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +9,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import F2, quiver_a2, triangular_gamma0
 
 from silting_forge.algebra import ValidationError, compile_quiver_algebra
-from silting_forge.exactlinalg import Matrix, rank
+from silting_forge.exactlinalg import Matrix
 from silting_forge.gorenstein import gp_classification, proper_gp_presentation
+from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
 from silting_forge.modules import (
     ModuleMap,
+    ar_translate,
     direct_sum,
+    enumerate_indecomposables,
+    ext_dim,
     hom_dim,
     hom_space,
     indecomposable_projectives,
     is_isomorphic,
     minimal_projective_presentation,
+    projective_cover,
     regular_module,
     simple_module,
     zero_module,
@@ -52,6 +58,69 @@ def _gamma0():
 @pytest.fixture(scope="module")
 def a2_ctx():
     return _a2_recollement()
+
+
+GOLDEN_FUNCTORS = Path(__file__).parent / "golden" / "functors_seed11.json"
+_FUNCTOR_LAYERS = (("i", "quotient"), ("q", "middle"), ("p", "middle"),
+                   ("e", "middle"), ("l", "corner"), ("r", "corner"))
+
+
+def _map_json(fmap, tag):
+    return {
+        "source": module_to_json(fmap.source, tag),
+        "target": module_to_json(fmap.target, tag),
+        "matrix": matrix_to_json(fmap.matrix),
+    }
+
+
+def functor_report() -> dict:
+    """Every functor image the golden file pins: the six recollement functors
+    on structured probes and their projective covers, the triangular functors
+    of ``gamma0``, the identity triple maps, τ and Ext over ``a3rel``.
+
+    Regenerate with ``PYTHONPATH=src:tests python -c "import test_recollement
+    as t; t.GOLDEN_FUNCTORS.write_text(t.dump_json(t.functor_report()))"``."""
+    out = {"recollement": {}, "triangular": {}}
+    for alg_id in ("a2", "a3rel"):
+        ctx = idempotent_recollement(corpus_load(alg_id), ("e2",))
+        per_functor = {}
+        for which, layer in _FUNCTOR_LAYERS:
+            images, covers = [], []
+            for m in structured_probe_modules(getattr(ctx, layer)):
+                images.append(module_to_json(apply_functor(ctx, which, m), which))
+                _, pi, _ = projective_cover(m)
+                covers.append(_map_json(apply_functor(ctx, which, pi), which))
+            per_functor[which] = {"modules": images, "covers": covers}
+        out["recollement"][f"{alg_id}/e2"] = per_functor
+    tctx = corpus_load("gamma0")
+    for which, alg in (("Z_A", tctx.a), ("T_B", tctx.b), ("U_A", tctx.gamma),
+                       ("U_B", tctx.gamma), ("H_A", tctx.a)):
+        images, covers = [], []
+        for m in structured_probe_modules(alg):
+            images.append(module_to_json(triangular_functors(tctx, which, m), which))
+            if which != "H_A":
+                _, pi, _ = projective_cover(m)
+                covers.append(_map_json(triangular_functors(tctx, which, pi), which))
+        out["triangular"][which] = {"modules": images, "covers": covers}
+    identities = []
+    for m in structured_probe_modules(tctx.gamma):
+        triple = triangular_functors(tctx, "module_to_triple", m)
+        ident_x = ModuleMap(triple.x, triple.x, Matrix.identity(F2, triple.x.dim))
+        ident_y = ModuleMap(triple.y, triple.y, Matrix.identity(F2, triple.y.dim))
+        identities.append(
+            _map_json(triple_map_to_module_map(tctx, triple, triple, ident_x, ident_y), "gamma")
+        )
+    out["triangular"]["identity_triple_maps"] = identities
+    indecs = enumerate_indecomposables(corpus_load("a3rel"), 3)
+    out["a3rel"] = {
+        "tau": [module_to_json(ar_translate(m), "a3rel") for m in indecs],
+        "ext": [[[ext_dim(m, n, i) for i in (1, 2)] for n in indecs] for m in indecs],
+    }
+    return out
+
+
+def test_functor_images_match_golden():
+    assert dump_json(functor_report()) == GOLDEN_FUNCTORS.read_text(encoding="utf-8")
 
 
 def _point_module(tctx, copies):
@@ -105,18 +174,32 @@ def test_composite_identities_on_quotient_modules(a2_ctx):
     assert is_isomorphic(fixed, s_quot) is not None
 
 
-def test_functors_act_on_maps(a2_ctx):
-    alg = a2_ctx.middle
-    s1 = simple_module(alg, "e1")
-    projs = dict((lbl, p) for p, lbl in indecomposable_projectives(alg))
-    cover = hom_space(projs["e1"], s1)[0]
-    q_cover = apply_functor(a2_ctx, "q", cover)
-    assert rank(q_cover.matrix) == q_cover.target.dim == 1
-    ident = ModuleMap(s1, s1, Matrix.identity(F2, 1))
-    composed = ModuleMap(cover.source, s1, ident.matrix.mul(cover.matrix))
-    lhs = apply_functor(a2_ctx, "q", composed)
-    rhs = apply_functor(a2_ctx, "q", ident).matrix.mul(q_cover.matrix)
-    assert lhs.matrix == rhs
+@lru_cache(maxsize=None)
+def _corpus_recollement(alg_id):
+    return idempotent_recollement(corpus_load(alg_id), ("e2",))
+
+
+def test_functors_act_on_maps():
+    """F(g∘f) = F(g)∘F(f) for each probe's projective cover f followed by
+    every Hom basis map g out of the probe, and F(id) = id, for all six
+    functors around e2 over a2 and a3rel."""
+    for alg_id in ("a2", "a3rel"):
+        ctx = _corpus_recollement(alg_id)
+        for which, layer in _FUNCTOR_LAYERS:
+            probes = structured_probe_modules(getattr(ctx, layer))
+            pairs = 0
+            for m in probes:
+                ident = apply_functor(ctx, which, ModuleMap(m, m, Matrix.identity(F2, m.dim)))
+                assert ident.matrix == Matrix.identity(F2, ident.source.dim)
+                _, cover, _ = projective_cover(m)
+                f_cover = apply_functor(ctx, which, cover)
+                for n in probes:
+                    for g in hom_space(m, n):
+                        lhs = apply_functor(ctx, which, g.compose(cover))
+                        rhs = apply_functor(ctx, which, g).matrix.mul(f_cover.matrix)
+                        assert lhs.matrix == rhs, (alg_id, which)
+                        pairs += 1
+            assert pairs > 0, (alg_id, which)
 
 
 def test_wrong_algebra_input_rejected(a2_ctx):
