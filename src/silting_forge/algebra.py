@@ -32,7 +32,6 @@ from .exactlinalg import (
     quotient_map,
     reduce_mod_row_space,
     row_space_basis,
-    rref,
     solve,
 )
 

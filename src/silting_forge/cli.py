@@ -65,12 +65,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _common_flags(parser):
     parser.add_argument("--field", default=None, help="ground field: a prime or Q")
-    parser.add_argument("--dim-bound", type=int, default=None)
-    parser.add_argument("--length-bound", type=int, default=None)
+    parser.add_argument("--dim-bound", type=_at_least(0), default=None)
+    parser.add_argument("--length-bound", type=_at_least(0), default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=_at_least(1), default=None)
 
 
 def _build_parser() -> _Parser:
@@ -161,7 +173,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--module", default=None, help="input module file (idempotent statements)")
     p.add_argument("--x", default=None, help="top module file (triangular statements)")
     p.add_argument("--y", default=None, help="bottom module file (triangular statements)")
-    p.add_argument("--probe", type=int, default=None)
+    p.add_argument("--probe", type=_at_least(0), default=None)
 
     theorems = sub.add_parser("theorems").add_subparsers(dest="command")
     p = leaf(theorems, "run")
@@ -518,7 +530,7 @@ def run(argv=None) -> int:
             raise UsageError("a subcommand is required")
         if getattr(args, "command", None) is None:
             raise UsageError(f"{args.group} needs a subcommand")
-        if getattr(args, "budget", None):
+        if getattr(args, "budget", None) is not None:
             gmod.APPROXIMATION_SEARCH_BUDGET = args.budget
         payload, code = _GROUPS[args.group](args)
     except UsageError as exc:

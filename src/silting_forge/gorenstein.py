@@ -21,28 +21,28 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, rank, solve
+from .exactlinalg import Matrix, rank
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
     Presentation,
     UndecidedError,
+    cokernel,
     decompose,
     direct_sum,
     enumerate_indecomposables,
     ext_dim,
     global_dimension,
+    hom_cohomology_dim,
     hom_dim,
     hom_space,
     is_isomorphic,
-    map_spaces,
     postcompose_rank,
-    precompose_rank,
     projective_dimension,
     regular_module,
+    resolution,
     right_add_approximation,
-    submodule,
     zero_module,
 )
 from .silting import (
@@ -348,13 +348,7 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
 def proper_gp_presentation(m: Module, gp: GpClassification) -> Presentation:
     """Two-term relative presentation G_1 -> G_0 -> m -> 0 from iterated
     right approximations, certified relatively exact."""
-    phi0 = right_gp_approximation(m, gp)
-    f = m.algebra.field
-    _, nullbasis = solve(phi0.matrix, Matrix.zeros(f, m.dim, 1))
-    kcols = Matrix.hstack(nullbasis) if nullbasis else Matrix.zeros(f, phi0.source.dim, 0)
-    kernel, kinc = submodule(phi0.source, kcols)
-    phi1 = right_gp_approximation(kernel, gp)
-    d1 = ModuleMap(phi1.source, phi0.source, kinc.matrix.mul(phi1.matrix))
+    (phi0, _), (_, d1) = itertools.islice(resolution(m, lambda x: right_gp_approximation(x, gp)), 2)
     pres = Presentation(
         kind="gorenstein_projective",
         map=d1,
@@ -439,33 +433,14 @@ def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExact
 def gext_dim(m: Module, n: Module, i: int, gp: GpClassification) -> int:
     """Dimension of the degree-``i`` relative derived functor of Hom(-, n).
 
-    Computed from the proper relative resolution of ``m`` to length i+1.
+    Computed from the proper relative resolution of ``m`` to length i+1, by
+    the same cochain count as :func:`~silting_forge.modules.ext_dim`.
     """
     if i < 0:
         raise ValidationError("degree must be non-negative")
     if i == 0:
         return hom_dim(m, n)
-    # Build G_0, ..., G_{i+1} with differentials d_j : G_j -> G_{j-1}.
-    terms: list[Module] = []
-    diffs: list[ModuleMap] = []
-    f = m.algebra.field
-    current = m
-    carrier: Module | None = None  # module whose submodule "current" sits in
-    inclusion: Matrix | None = None
-    for j in range(i + 2):
-        phi = right_gp_approximation(current, gp)
-        terms.append(phi.source)
-        if j > 0:
-            diffs.append(ModuleMap(phi.source, carrier, inclusion.mul(phi.matrix)))
-        _, nullbasis = solve(phi.matrix, Matrix.zeros(f, current.dim, 1))
-        kcols = Matrix.hstack(nullbasis) if nullbasis else Matrix.zeros(f, phi.source.dim, 0)
-        kernel, kinc = submodule(phi.source, kcols)
-        current = kernel
-        carrier = phi.source
-        inclusion = kinc.matrix
-    # Cochain ranks: delta_j : Hom(G_{j-1}, n) -> Hom(G_j, n), precompose d_j.
-    c_i = hom_dim(terms[i], n)
-    return (c_i - precompose_rank(diffs[i], n)) - precompose_rank(diffs[i - 1], n)
+    return hom_cohomology_dim(resolution(m, lambda x: right_gp_approximation(x, gp)), n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +571,7 @@ def left_approximation_sequence(
         else:
             t0 = zero_module(alg)
             phi = ModuleMap(p, t0, Matrix.zeros(f, 0, p.dim))
-        coker, cmap = map_spaces(phi)["cokernel"]
+        coker, cmap = cokernel(phi)
         if not _in_add(coker, parts):
             continue
         if transport is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .exactlinalg import (
     FieldSpec,
     Matrix,
     invert,
+    nullspace,
     quotient_map,
     rank,
     reduce_mod_row_space,
@@ -297,25 +297,16 @@ def quotient_module(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
     return quo, ModuleMap(m, quo, proj)
 
 
-def map_spaces(fmap: ModuleMap) -> dict:
-    """Kernel, image, and cokernel of a map, each with its witness map."""
-    f = fmap.source.algebra.field
-    _, nullbasis = solve(fmap.matrix, Matrix.zeros(f, fmap.matrix.nrows, 1))
-    if nullbasis:
-        kcols = Matrix.hstack(nullbasis)
-    else:
-        kcols = Matrix.zeros(f, fmap.source.dim, 0)
-    kernel, kinc = submodule(fmap.source, kcols)
-    img_rows = row_space_basis(fmap.matrix.transpose().data, f, fmap.target.dim)
-    icols = img_rows.transpose()
-    image, iinc = submodule(fmap.target, icols)
-    coker, cproj = quotient_module(fmap.target, icols)
-    assert kernel.dim + image.dim == fmap.source.dim
-    return {
-        "kernel": (kernel, kinc),
-        "image": (image, iinc),
-        "cokernel": (coker, cproj),
-    }
+def kernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
+    """Kernel of a map as a submodule of its source, with the inclusion."""
+    null = nullspace(fmap.matrix)
+    cols = Matrix.hstack(null) if null else Matrix.zeros(fmap.source.algebra.field, fmap.source.dim, 0)
+    return submodule(fmap.source, cols)
+
+
+def cokernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
+    """Cokernel of a map as a quotient of its target, with the projection."""
+    return quotient_module(fmap.target, fmap.matrix)
 
 
 def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
@@ -401,7 +392,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
                     rows.append(row)
     if rows:
         system = Matrix(f, rows, len(rows), len(positions))
-        _, nullbasis = solve(system, Matrix.zeros(f, len(rows), 1))
+        nullbasis = nullspace(system)
     else:
         nullbasis = [Matrix.column(f, [f.one() if i == t else f.zero() for i in range(len(positions))]) for t in range(len(positions))]
     maps = []
@@ -549,7 +540,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap, list[str]]:
     if not pi.is_surjective():
         raise ValidationError("projective cover construction failed surjectivity")
     # minimality: ker(pi) ⊆ rad·P
-    _, nullbasis = solve(pi_matrix, Matrix.zeros(f, m.dim, 1))
+    nullbasis = nullspace(pi_matrix)
     radP_rows = row_space_basis([list(r) for r in P.radical_columns().transpose().data], f, P.dim)
     for v in nullbasis:
         if any(reduce_mod_row_space([v.data[i][0] for i in range(P.dim)], radP_rows)):
@@ -564,6 +555,28 @@ def is_projective(m: Module) -> bool:
     return P.dim == m.dim
 
 
+def _cover_map(m: Module) -> ModuleMap:
+    return projective_cover(m)[1]
+
+
+def resolution(m: Module, approximate):
+    """The resolution ... -> X_1 -> X_0 -> m -> 0 built by ``approximate``.
+
+    ``approximate`` maps a module onto it: the map of :func:`projective_cover`,
+    or a right approximation from a class.  Step t yields the approximation
+    X_t -> Ω_t of the t-th syzygy (Ω_0 = m, Ω_{t+1} = its kernel) and the
+    differential d_t: X_t -> X_{t-1}, the approximation followed by the
+    inclusion of Ω_t (d_0 is the approximation itself).  Ω_{t+1} is computed
+    only when step t+1 is requested.
+    """
+    approx = approximate(m)
+    yield approx, approx
+    while True:
+        syzygy, inclusion = kernel(approx)
+        approx = approximate(syzygy)
+        yield approx, inclusion.compose(approx)
+
+
 def projective_dimension(m: Module, bound: int = 10) -> int | None:
     """Length of the minimal projective resolution, or None beyond ``bound``.
 
@@ -571,15 +584,9 @@ def projective_dimension(m: Module, bound: int = 10) -> int | None:
     projective, and minimality of each cover makes the syzygy sequence
     canonical, so the first projective syzygy gives the dimension.
     """
-    f = m.algebra.field
-    current = m
-    for d in range(bound + 1):
-        cover, pi, _ = projective_cover(current)
-        if cover.dim == current.dim:
+    for d, (cover, _) in zip(range(bound + 1), resolution(m, _cover_map)):
+        if cover.source.dim == cover.target.dim:
             return d
-        _, nullbasis = solve(pi.matrix, Matrix.zeros(f, current.dim, 1))
-        kcols = Matrix.hstack(nullbasis) if nullbasis else Matrix.zeros(f, cover.dim, 0)
-        current, _ = submodule(cover, kcols)
     return None
 
 
@@ -596,71 +603,69 @@ def global_dimension(alg: Algebra, bound: int = 10) -> int | None:
 
 def minimal_projective_presentation(m: Module) -> Presentation:
     """P_1 --sigma--> P_0 --pi--> m -> 0 with both terms minimal."""
-    P0, pi, labels0 = projective_cover(m)
-    f = m.algebra.field
-    _, nullbasis = solve(pi.matrix, Matrix.zeros(f, m.dim, 1))
-    kcols = Matrix.hstack(nullbasis) if nullbasis else Matrix.zeros(f, P0.dim, 0)
-    K, kinc = submodule(P0, kcols)
-    P1, psi, labels1 = projective_cover(K)
-    sigma = kinc.compose(psi)
+    vertices: list[list[str]] = []
+
+    def cover(x: Module) -> ModuleMap:
+        _, pi, labels = projective_cover(x)
+        vertices.append(labels)
+        return pi
+
+    (pi, _), (_, sigma) = itertools.islice(resolution(m, cover), 2)
     return Presentation(
         kind="projective",
-        map=ModuleMap(P1, P0, sigma.matrix),
+        map=sigma,
         cokernel=m,
         coker_map=pi,
         certificates={
-            "cover_vertices": labels0,
-            "syzygy_vertices": labels1,
+            "cover_vertices": vertices[0],
+            "syzygy_vertices": vertices[1],
             "minimal_at_p0": True,
             "minimal_at_p1": True,
         },
     )
 
 
+def hom_cohomology_dim(steps, n: Module, i: int, bound: int | None = None) -> int:
+    """dim H^i of Hom(X_•, n) for the ``steps`` of a :func:`resolution`, i >= 1.
+
+    H^i = dim Hom(X_i, n) - rank δ_{i+1} - rank δ_i, where δ_t: Hom(X_{t-1}, n)
+    -> Hom(X_t, n) precomposes d_t.  Its rank is read from coordinates in the
+    Hom basis of X_t, so a composite outside that span raises
+    :class:`ValidationError`.  Steps are drawn up to X_{i+1} and stop at the
+    first zero term; needing X_t for t > max(bound, 1) raises
+    :class:`DomainError`.
+    """
+    terms: list[Module] = []
+    diffs: list[ModuleMap] = []
+    for t, (approx, d) in enumerate(steps):
+        terms.append(approx.source)
+        diffs.append(d)
+        if t == i + 1 or approx.source.dim == 0:
+            break
+        if bound is not None and t + 1 > max(bound, 1):
+            raise DomainError(f"projective resolution exceeded length bound {bound}")
+    if i >= len(terms):
+        return 0
+    bases = {i: hom_space(terms[i], n)}
+    if not bases[i]:
+        return 0
+    bases[i - 1] = hom_space(terms[i - 1], n)
+    bases[i + 1] = hom_space(terms[i + 1], n) if i + 1 < len(terms) else []
+
+    def delta_rank(t: int) -> int:
+        src, tgt = bases[t - 1], bases[t]
+        if not src or not tgt:
+            return 0
+        return rank(hom_coordinates(tgt, [h.matrix.mul(diffs[t].matrix) for h in src]))
+
+    return len(bases[i]) - delta_rank(i + 1) - delta_rank(i)
+
+
 def ext_dim(m: Module, n: Module, i: int, bound: int = 10) -> int:
     """dim Ext^i(m, n) from a minimal projective resolution of m."""
     if i < 1:
         raise ValidationError("ext_dim needs i >= 1")
-    alg = m.algebra
-    # build resolution ... -> P_2 -> P_1 -> P_0 -> m
-    terms: list[Module] = []
-    maps: list[ModuleMap] = []  # maps[t]: P_{t+1} -> P_t
-    pres = minimal_projective_presentation(m)
-    terms = [pres.map.target, pres.map.source]
-    maps = [pres.map]
-    current_map = pres.map
-    while len(terms) <= i + 1:
-        if terms[-1].dim == 0:
-            break
-        if len(terms) > bound:
-            raise DomainError(f"projective resolution exceeded length bound {bound}")
-        f = alg.field
-        _, nullbasis = solve(current_map.matrix, Matrix.zeros(f, current_map.target.dim, 1))
-        kcols = Matrix.hstack(nullbasis) if nullbasis else Matrix.zeros(f, current_map.source.dim, 0)
-        K, kinc = submodule(current_map.source, kcols)
-        P_next, psi, _ = projective_cover(K)
-        nxt = ModuleMap(P_next, current_map.source, kinc.compose(psi).matrix)
-        terms.append(P_next)
-        maps.append(nxt)
-        current_map = nxt
-    # Hom complex dimensions; zero beyond the resolution's end
-    def hom_basis(t: int) -> list[ModuleMap]:
-        return hom_space(terms[t], n) if t < len(terms) and terms[t].dim > 0 else []
-
-    def delta_rank(t: int) -> int:
-        """rank of Hom(P_t, n) -> Hom(P_{t+1}, n), f |-> f ∘ maps[t]."""
-        if t + 1 >= len(terms) or terms[t + 1].dim == 0 or terms[t].dim == 0:
-            return 0
-        src_basis = hom_basis(t)
-        tgt_basis = hom_basis(t + 1)
-        if not src_basis or not tgt_basis:
-            return 0
-        return rank(hom_coordinates(tgt_basis, [b.matrix.mul(maps[t].matrix) for b in src_basis]))
-
-    dim_hom_i = len(hom_basis(i))
-    if dim_hom_i == 0:
-        return 0
-    return dim_hom_i - delta_rank(i) - delta_rank(i - 1)
+    return hom_cohomology_dim(resolution(m, _cover_map), n, i, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +696,7 @@ def ar_translate(m: Module) -> Module:
         tr = hom1
     else:
         x = hom_coordinates(basis1, [b.matrix.mul(pres.map.matrix) for b in basis0])
-        tr, _proj = map_spaces(ModuleMap(hom0, hom1, x))["cokernel"]
+        tr, _proj = cokernel(ModuleMap(hom0, hom1, x))
     # dual over the opposite: left A-module with rho(b) = rho_Tr(b)^T
     action = {lbl: tr.action[lbl].transpose() for lbl in tr.algebra.labels}
     # tr.algebra is A^op with the same labels as A
@@ -887,8 +892,7 @@ def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] |
                     nxt[i + j] = f.add(nxt[i + j], f.mul(a, b))
         h = nxt
     gmat, hmat = _eval_poly(g, emat), _eval_poly(h, emat)
-    _, kg = solve(gmat, Matrix.zeros(f, m.dim, 1))
-    _, kh = solve(hmat, Matrix.zeros(f, m.dim, 1))
+    kg, kh = nullspace(gmat), nullspace(hmat)
     if not kg or not kh:
         return None
     cols_g = Matrix.hstack(kg)
@@ -922,7 +926,7 @@ def _fitting_split(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
     invertible."""
     f = m.algebra.field
     stable = emat.power(m.dim)
-    _, kb = solve(stable, Matrix.zeros(f, m.dim, 1))
+    kb = nullspace(stable)
     img_rows = row_space_basis(stable.transpose().data, f, m.dim)
     if not kb or img_rows.nrows == 0:
         return None
@@ -953,7 +957,7 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
         return t
 
     gram = Matrix(f, [[tr(mats[i].mul(mats[j])) for j in range(h)] for i in range(h)], h, h)
-    _, nullb = solve(gram, Matrix.zeros(f, h, 1))
+    nullb = nullspace(gram)
     if h - len(nullb) != 1:
         return False
     rad_mats = []
@@ -1276,10 +1280,6 @@ def enumerate_indecomposables(alg: Algebra, dim_bound: int = 3) -> list[Module]:
     key = (alg.content_hash(), dim_bound)
     if key in _INDEC_CACHE:
         return list(_INDEC_CACHE[key])
-    cached = _load_disk_cache(alg, dim_bound)
-    if cached is not None:
-        _INDEC_CACHE[key] = cached
-        return list(cached)
     f = alg.field
     gen = alg.generating_set()
     idem_labels = [lbl for lbl, _ in alg.idempotents]
@@ -1343,7 +1343,6 @@ def enumerate_indecomposables(alg: Algebra, dim_bound: int = 3) -> list[Module]:
                     found.append(mod)
     found.sort(key=lambda mm: (mm.dim, mm.encode()))
     _INDEC_CACHE[key] = found
-    _store_disk_cache(alg, dim_bound, found)
     return list(found)
 
 
@@ -1380,42 +1379,3 @@ def _module_from_generator_blocks(
     except ValidationError:
         return None
 
-
-def _cache_dir() -> str | None:
-    return os.environ.get("SILTING_FORGE_CACHE")
-
-
-def _load_disk_cache(alg: Algebra, bound: int) -> list[Module] | None:
-    root = _cache_dir()
-    if not root:
-        return None
-    path = os.path.join(root, f"indec_{alg.content_hash()}_{bound}.json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        out = []
-        for entry in payload:
-            action = {
-                lbl: Matrix.from_lists(alg.field, rows, entry["dim"], entry["dim"]) if entry["dim"] else Matrix.zeros(alg.field, 0, 0)
-                for lbl, rows in entry["action"].items()
-            }
-            out.append(Module(alg, entry["dim"], action))
-        return out
-    except (OSError, ValueError, KeyError, ExactError):
-        return None
-
-
-def _store_disk_cache(alg: Algebra, bound: int, mods: list[Module]):
-    root = _cache_dir()
-    if not root:
-        return
-    os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, f"indec_{alg.content_hash()}_{bound}.json")
-    payload = [
-        {"dim": m.dim, "action": {lbl: m.action[lbl].to_lists() for lbl in alg.labels}}
-        for m in mods
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)

@@ -27,6 +27,7 @@ from .modules import (
     Presentation,
     UndecidedError,
     ar_translate,
+    cokernel,
     decompose,
     direct_sum,
     enumerate_indecomposables,
@@ -34,7 +35,6 @@ from .modules import (
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
-    map_spaces,
     minimal_projective_presentation,
     precompose_rank,
     quotient_module,
@@ -108,7 +108,7 @@ def presentation_from_map(smap: ModuleMap) -> Presentation:
     """Wrap a map between projectives as a presentation of its cokernel."""
     if not (is_projective(smap.source) and is_projective(smap.target)):
         raise ValidationError("presentation terms must be projective")
-    coker, cmap = map_spaces(smap)["cokernel"]
+    coker, cmap = cokernel(smap)
     return Presentation(
         kind="projective",
         map=smap,
@@ -457,7 +457,7 @@ def tensor_silting(
     p1q1 = tensor_over_field(spres.map.source, epres.map.source, tensor_alg)
     p0q0 = tensor_over_field(spres.map.target, epres.map.target, tensor_alg)
     termwise = ModuleMap(p1q1, p0q0, spres.map.matrix.kron(epres.map.matrix))
-    termwise_coker, _ = map_spaces(termwise)["cokernel"]
+    termwise_coker, _ = cokernel(termwise)
     termwise_ok = termwise_coker.dim == ts.dim and is_isomorphic(termwise_coker, ts) is not None
 
     p1q0 = tensor_over_field(spres.map.source, epres.map.target, tensor_alg)

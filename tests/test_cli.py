@@ -423,3 +423,24 @@ def test_budget_flag_is_accepted(regular_file):
         assert got == code
         assert out["verdict"] == verdict
     assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
+
+
+def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
+    check = ("gorenstein", "check", "--algebra", "a2", "--module", regular_file, "--presentation", "auto")
+    rejected = [
+        (*check, "--budget", "0"),
+        (*check, "--budget", "-1"),
+        ("gorenstein", "gp", "--algebra", "a2", "--dim-bound", "-1"),
+        ("module", "enumerate", "--algebra", "a2", "--dim-bound", "-1"),
+        ("module", "enumerate", "--algebra", "a2", "--length-bound", "-1"),
+        ("recollement", "verify", "--statement", "thm_idempotent_ideal", "--algebra", "a2",
+         "--e", "e1", "--probe", "-1"),
+    ]
+    for argv in rejected:
+        code, out = cli(*argv)
+        assert code == 3, argv
+        assert out["error"]["type"] == "usage"
+        assert "must be at least" in out["error"]["message"]
+    assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
+    code, out = cli("module", "enumerate", "--algebra", "a2", "--dim-bound", "0")
+    assert code == 0 and out["count"] == 0

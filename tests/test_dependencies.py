@@ -1,4 +1,5 @@
-"""The third-party imports of the package match its declared dependencies."""
+"""The package's imports: the third-party ones match its declared
+dependencies, and every name imported at module level is used there."""
 
 import ast
 import re
@@ -31,3 +32,29 @@ def _declared_dependencies() -> set[str]:
 def test_declared_dependencies_match_imports():
     assert _declared_dependencies() == {"sympy"}
     assert _third_party_imports() == _declared_dependencies()
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_import_check_sees_reads_only():
+    source = "import os.path\nfrom json import dumps, loads as l\nx = os.sep\ndef f():\n    return l\n"
+    assert _unused_imports(source) == {"dumps"}
+
+
+def test_no_unused_module_level_imports():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

@@ -34,6 +34,7 @@ from silting_forge.modules import (
     ModuleMap,
     UndecidedError,
     ar_translate,
+    cokernel,
     decompose,
     direct_sum,
     enumerate_indecomposables,
@@ -44,12 +45,14 @@ from silting_forge.modules import (
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
-    map_spaces,
+    kernel,
     minimal_projective_presentation,
     postcompose_rank,
     precompose_rank,
+    projective_cover,
     quotient_module,
     regular_module,
+    resolution,
     right_add_approximation,
     simple_module,
     submodule,
@@ -183,13 +186,17 @@ class TestHom:
 # ---------------------------------------------------------------------------
 
 
+def image(fmap):
+    """The image of a map, as the kernel of its cokernel projection."""
+    return kernel(cokernel(fmap)[1])
+
+
 class TestMapSpaces:
     def test_cokernel_of_projective_inclusion_is_simple(self, a2):
         P = projectives_of(a2)
         (inc,) = hom_space(P["e2"], P["e1"])
         assert inc.is_injective()
-        spaces = map_spaces(inc)
-        coker, proj = spaces["cokernel"]
+        coker, proj = cokernel(inc)
         assert coker.dim == 1
         S1 = simple_module(a2, "e1")
         assert is_isomorphic(coker, S1) is not None
@@ -201,23 +208,26 @@ class TestMapSpaces:
             for src in pool:
                 for tgt in pool:
                     for h in hom_space(src, tgt):
-                        spaces = map_spaces(h)
-                        kernel, _ = spaces["kernel"]
-                        image, _ = spaces["image"]
-                        coker, _ = spaces["cokernel"]
-                        assert kernel.dim + image.dim == src.dim
-                        assert image.dim + coker.dim == tgt.dim
+                        ker, kinc = kernel(h)
+                        img, iinc = image(h)
+                        coker, cproj = cokernel(h)
+                        assert ker.dim + img.dim == src.dim
+                        assert img.dim + coker.dim == tgt.dim
+                        assert img.dim == rank(h.matrix)
+                        assert h.compose(kinc).is_zero() and cproj.compose(h).is_zero()
+                        assert kinc.is_injective() and iinc.is_injective() and cproj.is_surjective()
 
     def test_kernel_and_image_carry_inclusions(self, dual):
         reg = regular_module(dual)
         # right multiplication by the loop is a self-map with kernel = image
         (x_map,) = [h for h in hom_space(reg, reg) if not h.is_isomorphism() and not h.is_zero()]
-        spaces = map_spaces(x_map)
-        kernel, kinc = spaces["kernel"]
-        image, iinc = spaces["image"]
-        assert kernel.dim == 1 and image.dim == 1
+        ker, kinc = kernel(x_map)
+        img, iinc = image(x_map)
+        assert ker.dim == 1 and img.dim == 1
         assert kinc.is_injective() and iinc.is_injective()
-        assert is_isomorphic(kernel, image) is not None
+        assert is_isomorphic(ker, img) is not None
+        # the two inclusions have the same column span inside the regular module
+        assert rank(Matrix.hstack([kinc.matrix, iinc.matrix])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +428,52 @@ class TestExt:
         with pytest.raises(ValidationError):
             ext_dim(S1, S1, 0)
 
+    def test_ext_into_projectives_needs_both_differentials(self, a2, a3rel):
+        """Hand values from S1's minimal resolutions 0 -> P2 -> P1 and
+        0 -> P3 -> P2 -> P1.  Into a projective the Hom differentials are
+        nonzero: Ext^1(S1, P1) over a2 is 0 only because id_P1 ∘ d1 != 0
+        (incoming), and Ext^1(S1, P2) over a3rel is 0 only because
+        id_P2 ∘ d2 != 0 (outgoing)."""
+        for alg, expected in (
+            (a2, {("e1", 1): 0, ("e2", 1): 1, ("e1", 2): 0, ("e2", 2): 0}),
+            (a3rel, {("e2", 1): 0, ("e3", 1): 0, ("e2", 2): 0, ("e3", 2): 1}),
+        ):
+            P = projectives_of(alg)
+            S1 = simple_module(alg, "e1")
+            assert {(v, i): ext_dim(S1, P[v], i) for v, i in expected} == expected
+
+    def test_ext_beyond_the_length_bound_is_a_domain_error(self, dual):
+        k = simple_module(dual, "ev")
+        assert ext_dim(k, k, 3, bound=4) == 1
+        with pytest.raises(DomainError, match="length bound 3"):
+            ext_dim(k, k, 3, bound=3)
+
+
+class TestResolution:
+    def test_differentials_form_an_exact_complex(self, a3rel, dual):
+        for m, length in ((simple_module(a3rel, "e1"), 4), (simple_module(dual, "ev"), 5)):
+            steps = list(itertools.islice(resolution(m, lambda x: projective_cover(x)[1]), length))
+            approx0, d0 = steps[0]
+            assert d0 is approx0 and approx0.target is m and approx0.is_surjective()
+            for (_, d), (_, d_next) in zip(steps, steps[1:]):
+                assert d_next.target is d.source
+                assert d.matrix.mul(d_next.matrix).is_zero()
+                assert rank(d.matrix) + rank(d_next.matrix) == d.source.dim
+            assert all(is_projective(approx.source) for approx, _ in steps)
+
+    def test_next_syzygy_waits_for_the_next_step(self, a2):
+        calls = []
+
+        def cover(x):
+            calls.append(x.dim)
+            return projective_cover(x)[1]
+
+        steps = resolution(simple_module(a2, "e1"), cover)
+        next(steps)
+        assert calls == [1]
+        next(steps)
+        assert calls == [1, 1]
+
 
 # ---------------------------------------------------------------------------
 # The translate
@@ -568,18 +624,6 @@ class TestEnumeration:
         assert len(found) == 2
         assert all(m.dim == 1 for m in found)
 
-    def test_disk_cache_round_trip(self, tmp_path, monkeypatch, a2):
-        monkeypatch.setenv("SILTING_FORGE_CACHE", str(tmp_path))
-        from silting_forge import modules as mod
-
-        mod._INDEC_CACHE.clear()
-        first = [m.encode() for m in enumerate_indecomposables(a2, 2)]
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        mod._INDEC_CACHE.clear()
-        second = [m.encode() for m in enumerate_indecomposables(a2, 2)]
-        assert first == second
-
     def test_larger_bound_over_odd_characteristic(self):
         alg = compile_quiver_algebra(quiver_a2(F3))
         found = enumerate_indecomposables(alg, 2)
@@ -619,9 +663,9 @@ def test_random_hom_combinations_satisfy_rank_nullity(data):
         if c:
             mat = mat + b.matrix
     combined = ModuleMap(src, tgt, mat)
-    spaces = map_spaces(combined)
-    assert spaces["kernel"][0].dim + spaces["image"][0].dim == src.dim
-    assert spaces["image"][0].dim + spaces["cokernel"][0].dim == tgt.dim
+    img = image(combined)[0]
+    assert kernel(combined)[0].dim + img.dim == src.dim
+    assert img.dim + cokernel(combined)[0].dim == tgt.dim
 
 
 @settings(max_examples=15, deadline=None)
