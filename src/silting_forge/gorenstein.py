@@ -37,6 +37,7 @@ from .modules import (
     hom_cohomology_dim,
     hom_dim,
     hom_space,
+    indecomposable_iso,
     is_isomorphic,
     postcompose_rank,
     projective_dimension,
@@ -514,7 +515,7 @@ def _in_add(q: Module, parts: list[Module]) -> bool:
     if not parts:
         return False
     for piece, _, _ in decompose(q):
-        if all(is_isomorphic(piece, p) is None for p in parts):
+        if all(indecomposable_iso(piece, p) is None for p in parts):
             return False
     return True
 

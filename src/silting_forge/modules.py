@@ -4,8 +4,10 @@ Modules are explicit matrix representations over a certified
 :class:`~silting_forge.algebra.Algebra`.  Every operation returns
 certificate-carrying data: maps are validated against all basis actions at
 construction, decompositions come with mutually inverse splitting maps, and
-anything that cannot be decided within its budget raises
-:class:`UndecidedError` rather than guessing.
+isomorphisms come with an invertible witness.  The one search that can run
+out of budget is :func:`decompose` on an endomorphism ring too large to scan;
+it raises :class:`UndecidedError` rather than guessing, and
+:func:`is_isomorphic` raises it only through :func:`decompose`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class UndecidedError(ExactError):
 
 
 DECOMPOSE_BUDGET = 4096       # max field-element combinations scanned exhaustively
-ISO_BUDGET = 65536            # max combinations tried in isomorphism search
 ENUMERATION_BUDGET = 1 << 21  # max action fillings per algebra enumeration
 
 
@@ -470,11 +471,11 @@ def hom_module(basis: list[ModuleMap], alg: Algebra, moves: dict[str, Matrix], o
 def indecomposable_projectives(alg: Algebra) -> list[tuple[Module, str]]:
     """P(v) = A·e_v with left multiplication, in idempotent order."""
     f = alg.field
+    reg = regular_module(alg)
     out = []
     for lbl, evec in alg.idempotents:
         gens = [alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)]
         cols = row_space_basis(gens, f, alg.dim).transpose()
-        reg = regular_module(alg)
         sub, _ = submodule(reg, cols)
         out.append((sub, lbl))
     return out
@@ -516,8 +517,6 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap, list[str]]:
         z = zero_module(alg)
         return z, ModuleMap(z, m, Matrix.zeros(f, 0, 0), check=False), []
     projs = {lbl: mod for mod, lbl in indecomposable_projectives(alg)}
-    proj_basis_cols: dict[str, Matrix] = {}
-    reg = regular_module(alg)
     incl: dict[str, Matrix] = {}
     for lbl, evec in alg.idempotents:
         gens = [alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)]
@@ -1000,10 +999,14 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
     Returns ``[(part, multiplicity, [(injection, projection), ...])]`` where
     the maps run part -> m and m -> part for each copy, and
     sum(inj ∘ proj) = id_m (verified).  Indecomposability of each part is
-    certified over a finite field whenever the full endomorphism scan fits the
-    budget (every endomorphism nilpotent or invertible, i.e. End is local);
-    otherwise an exhausted search raises :class:`UndecidedError` rather than
-    returning an unverified split.
+    certified by a one-dimensional End, over a finite field by scanning all
+    of End whenever it has at most ``DECOMPOSE_BUDGET`` elements (every
+    endomorphism nilpotent or invertible, i.e. End is local), and over Q by
+    the trace form.  Larger End rings over F_p, and End rings over Q, are
+    first split by factoring minimal polynomials of structured candidates
+    (sympy).  This is the one search here that can fail: when it finds no
+    split and no certificate applies, :class:`UndecidedError` is raised
+    rather than an unverified split returned.
     """
     alg = m.algebra
     f = alg.field
@@ -1018,40 +1021,35 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
                 emat = emat + e.matrix.scale(f.coerce(c))
         return emat
 
+    def split(cols: Matrix, sub: Module, pair: tuple[Matrix, Matrix]):
+        for part_cols in pair:
+            part, _ = submodule(sub, part_cols)
+            work(cols.mul(part_cols), part)
+
     def work(cols: Matrix, sub: Module):
         endos = hom_space(sub, sub)
         h = len(endos)
         if h == 1:
             leaves.append((cols, sub))
             return
-        # cheap pass: coprime-factor splits from structured candidates
-        for coeff in _structured_candidates(f, h):
-            split = _split_from_endomorphism(sub, combination(coeff, endos))
-            if split is not None:
-                cols_g, cols_h = split
-                sub_g, _ = submodule(sub, cols_g)
-                sub_h, _ = submodule(sub, cols_h)
-                work(cols.mul(cols_g), sub_g)
-                work(cols.mul(cols_h), sub_h)
-                return
-        # certification pass: End is local iff every element is nilpotent or
+        # exact pass: End is local iff every element is nilpotent or
         # invertible; a violator yields a nontrivial Fitting decomposition
         if f.kind == "prime" and f.p**h <= DECOMPOSE_BUDGET:
             for coeff in itertools.product(range(f.p), repeat=h):
                 emat = combination(coeff, endos)
-                if invert(emat) is not None:
-                    continue
-                split = _fitting_split(sub, emat)
-                if split is None:
-                    continue  # nilpotent
-                cols_g, cols_h = split
-                sub_g, _ = submodule(sub, cols_g)
-                sub_h, _ = submodule(sub, cols_h)
-                work(cols.mul(cols_g), sub_g)
-                work(cols.mul(cols_h), sub_h)
-                return
+                pair = None if invert(emat) is not None else _fitting_split(sub, emat)
+                if pair is not None:
+                    split(cols, sub, pair)
+                    return
             leaves.append((cols, sub))
             return
+        # End too large to scan, or Q: coprime-factor splits from structured
+        # candidates
+        for coeff in _structured_candidates(f, h):
+            pair = _split_from_endomorphism(sub, combination(coeff, endos))
+            if pair is not None:
+                split(cols, sub, pair)
+                return
         if f.kind == "rational" and _trace_form_certifies_local(endos):
             leaves.append((cols, sub))
             return
@@ -1061,48 +1059,36 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
 
     work(Matrix.identity(f, m.dim), m)
     leaves.sort(key=lambda t: (t[1].dim, t[1].encode()))
-    # group by isomorphism
-    groups: list[dict] = []
+    # group by isomorphism; each copy keeps its columns and its witness from
+    # the group's representative (None for the representative itself)
+    groups: list[tuple[Module, list[tuple[Matrix, Matrix | None]]]] = []
     for cols, sub in leaves:
-        placed = False
-        for g in groups:
-            witness = is_isomorphic(g["rep"], sub)
+        for rep, copies in groups:
+            witness = indecomposable_iso(rep, sub)
             if witness is not None:
-                g["copies"].append((cols, sub, witness))
-                placed = True
+                copies.append((cols, witness.matrix))
                 break
-        if not placed:
-            groups.append({"rep": sub, "copies": [(cols, sub, None)]})
+        else:
+            groups.append((sub, [(cols, None)]))
     # assemble splitting maps: S = [cols_1 | ... | cols_k] is invertible
-    all_cols = Matrix.hstack([cols for g in groups for cols, _, _ in g["copies"]])
-    S_inv = invert(all_cols)
+    S_inv = invert(Matrix.hstack([cols for _, copies in groups for cols, _ in copies]))
     if S_inv is None:
         raise ValidationError("decomposition columns failed to assemble an isomorphism")
     out = []
     offset = 0
-    flat = [(gi, cols, sub, wit) for gi, g in enumerate(groups) for cols, sub, wit in g["copies"]]
-    per_group: dict[int, list[tuple[ModuleMap, ModuleMap]]] = {}
-    for gi, cols, sub, wit in flat:
-        g = groups[gi]
-        rows = [S_inv.data[offset + i] for i in range(sub.dim)]
-        proj_to_copy = Matrix(f, rows, sub.dim, m.dim)
-        if wit is None:
-            inj = ModuleMap(g["rep"], m, cols)
-            proj = ModuleMap(m, g["rep"], proj_to_copy)
-        else:
-            winv = invert(wit.matrix)
-            inj = ModuleMap(g["rep"], m, cols.mul(wit.matrix))
-            proj = ModuleMap(m, g["rep"], winv.mul(proj_to_copy))
-        per_group.setdefault(gi, []).append((inj, proj))
-        offset += sub.dim
     total = Matrix.zeros(f, m.dim, m.dim)
-    for gi, pairs in per_group.items():
-        for inj, proj in pairs:
-            total = total + inj.matrix.mul(proj.matrix)
+    for rep, copies in groups:
+        pairs = []
+        for cols, w in copies:
+            proj = Matrix(f, S_inv.data[offset : offset + rep.dim], rep.dim, m.dim)
+            offset += rep.dim
+            if w is not None:
+                cols, proj = cols.mul(w), invert(w).mul(proj)
+            pairs.append((ModuleMap(rep, m, cols), ModuleMap(m, rep, proj)))
+            total = total + cols.mul(proj)
+        out.append((rep, len(pairs), pairs))
     if total != Matrix.identity(f, m.dim):
         raise ValidationError("splitting maps do not sum to the identity")
-    for gi, g in enumerate(groups):
-        out.append((g["rep"], len(g["copies"]), per_group[gi]))
     return out
 
 
@@ -1111,65 +1097,60 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
 # ---------------------------------------------------------------------------
 
 
-def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
-    """Invertible element search in Hom(m, n); None when not isomorphic.
+def indecomposable_iso(x: Module, y: Module) -> ModuleMap | None:
+    """An isomorphism x -> y of indecomposable modules, or None.
 
-    Raises :class:`UndecidedError` only when the search space exceeds the
-    budget and no decision was reached.
+    For indecomposable X and Y the maps X -> Y that are not isomorphisms form
+    the subspace rad(X, Y) of Hom(X, Y) (Auslander–Reiten–Smalø,
+    *Representation Theory of Artin Algebras*).  When X ≅ Y that subspace is
+    proper, so some basis map lies outside it: X ≅ Y exactly when a basis map
+    of Hom(X, Y) is invertible, and the first one is returned.  Both modules
+    must be certified indecomposable, as the parts of :func:`decompose` are.
+    """
+    if x.dim != y.dim:
+        return None
+    return next((h for h in hom_space(x, y) if h.is_isomorphism()), None)
+
+
+def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
+    """An isomorphism m -> n, or None when the modules are not isomorphic.
+
+    An invertible basis map of Hom(m, n) is returned at once.  Otherwise both
+    modules are split by :func:`decompose`; by Krull–Schmidt m ≅ n exactly
+    when each summand class of m matches a class of n of the same
+    multiplicity, decided by :func:`indecomposable_iso`.  The witness
+    Σ inj_n ∘ w ∘ proj_m is confirmed invertible.  Raises
+    :class:`UndecidedError` only when :func:`decompose` does.
     """
     if not same_algebra(m.algebra, n.algebra):
         raise ValidationError("isomorphism test needs modules over the same algebra")
     if m.dim != n.dim:
         return None
+    f = m.algebra.field
     if m.dim == 0:
-        return ModuleMap(m, n, Matrix.zeros(m.algebra.field, 0, 0), check=False)
+        return ModuleMap(m, n, Matrix.zeros(f, 0, 0), check=False)
     if m.dimension_vector() != n.dimension_vector():
         return None
     basis = hom_space(m, n)
-    if not basis:
-        return None
-    f = m.algebra.field
-    h = len(basis)
-    if f.kind == "prime":
-        if f.p**h <= ISO_BUDGET:
-            for coeff in itertools.product(range(f.p), repeat=h):
-                mat = Matrix.zeros(f, n.dim, m.dim)
-                for c, b in zip(coeff, basis):
-                    if c != 0:
-                        mat = mat + b.matrix.scale(f.coerce(c))
-                if invert(mat) is not None:
-                    return ModuleMap(m, n, mat, check=False)
+    witness = next((h for h in basis if h.is_isomorphism()), None)
+    if witness is not None or not basis:
+        return witness
+    # the classes of n are pairwise non-isomorphic, so each class of m
+    # matches at most one of them
+    classes_n = decompose(n)
+    total = Matrix.zeros(f, n.dim, m.dim)
+    for part, mult, maps_m in decompose(m):
+        for rep, mult_n, maps_n in classes_n:
+            w = indecomposable_iso(part, rep) if mult_n == mult else None
+            if w is not None:
+                break
+        else:
             return None
-        for coeff in _structured_candidates(f, h):
-            mat = Matrix.zeros(f, n.dim, m.dim)
-            for c, b in zip(coeff, basis):
-                if c != 0:
-                    mat = mat + b.matrix.scale(f.coerce(c))
-            if invert(mat) is not None:
-                return ModuleMap(m, n, mat, check=False)
-        raise UndecidedError(f"isomorphism search budget exceeded (Hom dim {h} over F_{f.p})")
-    # rationals: determinant of sum x_t f_t is a polynomial with per-variable
-    # degree <= dim; evaluating on the grid {0..dim}^h decides identically-zero
-    d = m.dim
-    if (d + 1) ** h <= ISO_BUDGET:
-        for coeff in itertools.product(range(d + 1), repeat=h):
-            mat = Matrix.zeros(f, n.dim, m.dim)
-            for c, b in zip(coeff, basis):
-                if c != 0:
-                    mat = mat + b.matrix.scale(f.coerce(c))
-            if invert(mat) is not None:
-                return ModuleMap(m, n, mat, check=False)
-        return None
-    import random as _random
-
-    rng = _random.Random(20260814)
-    for _ in range(512):
-        mat = Matrix.zeros(f, n.dim, m.dim)
-        for b in basis:
-            mat = mat + b.matrix.scale(f.coerce(rng.randrange(-d - 1, d + 2)))
-        if invert(mat) is not None:
-            return ModuleMap(m, n, mat, check=False)
-    raise UndecidedError(f"isomorphism search budget exceeded (Hom dim {h} over Q)")
+        for (_, proj), (inj, _) in zip(maps_m, maps_n):
+            total = total + inj.matrix.mul(w.matrix).mul(proj.matrix)
+    if invert(total) is None:
+        raise ValidationError("matched summands failed to assemble an isomorphism")
+    return ModuleMap(m, n, total, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1334,11 +1315,7 @@ def enumerate_indecomposables(alg: Algebra, dim_bound: int = 3) -> list[Module]:
                     parts = decompose(mod)
                     if len(parts) != 1 or parts[0][1] != 1:
                         continue
-                    if any(
-                        is_isomorphic(kept, mod) is not None
-                        for kept in found
-                        if kept.dim == total
-                    ):
+                    if any(indecomposable_iso(kept, mod) is not None for kept in found):
                         continue
                     found.append(mod)
     found.sort(key=lambda mm: (mm.dim, mm.encode()))

@@ -1,7 +1,9 @@
 """The package's imports: the third-party ones match its declared
-dependencies, and every name imported at module level is used there."""
+dependencies, every name imported at module level is used there, and every
+function the benchmark tracer wraps exists."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -58,3 +60,18 @@ def test_no_unused_module_level_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracer.py is stdlib-only at module level, so it loads by path
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _name, _opts in tracer.TARGETS:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert tracer.TARGETS and missing == []

@@ -8,6 +8,8 @@ regular module.  Hom dimensions follow from counting paths between vertices.
 """
 
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from silting_forge.algebra import (
     compile_quiver_algebra,
     derive_algebra,
 )
-from silting_forge.exactlinalg import Matrix, rank, reduce_mod_row_space, row_space_basis
+from silting_forge.exactlinalg import Matrix, invert, rank, reduce_mod_row_space, row_space_basis
 from silting_forge.modules import (
     Module,
     ModuleMap,
@@ -42,6 +44,7 @@ from silting_forge.modules import (
     hom_coordinates,
     hom_dim,
     hom_space,
+    indecomposable_iso,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
@@ -296,6 +299,54 @@ class TestDecompose:
 # ---------------------------------------------------------------------------
 
 
+def _unitriangular(d, f, rng):
+    """Upper unitriangular d x d matrix with random entries above the diagonal."""
+    rows = [[f.one() if i == j else f.coerce(rng.randrange(3)) if j > i else f.zero() for j in range(d)] for i in range(d)]
+    return Matrix(f, rows, d, d)
+
+
+def _conjugate(mod, t):
+    """The copy of ``mod`` in the basis given by the columns of t^-1."""
+    tinv = invert(t)
+    return Module(mod.algebra, mod.dim, {lbl: t.mul(a).mul(tinv) for lbl, a in mod.action.items()})
+
+
+def _assert_witness(x, y, wit):
+    """``wit`` re-validates as a module map x -> y and is invertible."""
+    ModuleMap(x, y, wit.matrix)
+    assert invert(wit.matrix) is not None
+
+
+def _indecomposables(alg):
+    """Indecomposables of dimension <= 3: enumerated over a finite field;
+    over Q the simples and the non-simple projectives, which are all of them
+    for the a2 and a3rel quivers."""
+    if alg.field.kind == "prime":
+        return enumerate_indecomposables(alg, 3)
+    simples = [simple_module(alg, lbl) for lbl, _ in alg.idempotents]
+    return simples + [p for p, _ in indecomposable_projectives(alg) if p.dim > 1]
+
+
+def _reference_is_isomorphic(m, n):
+    """Exhaustive reference: some combination of the Hom basis is invertible.
+
+    Coefficients run over all of F_p, or over the grid {0..dim}^h over Q: the
+    determinant of Σ x_t f_t has degree <= dim in each x_t, so it vanishes on
+    the whole grid only when it vanishes identically."""
+    if m.dim != n.dim or m.dimension_vector() != n.dimension_vector():
+        return False
+    f = m.algebra.field
+    basis = hom_space(m, n)
+    values = range(f.p) if f.kind == "prime" else range(m.dim + 1)
+    for coeff in itertools.product(values, repeat=len(basis)):
+        mat = Matrix.zeros(f, n.dim, m.dim)
+        for c, b in zip(coeff, basis):
+            mat = mat + b.matrix.scale(f.coerce(c))
+        if invert(mat) is not None:
+            return True
+    return False
+
+
 class TestIsomorphism:
     def test_distinct_simples_are_not_isomorphic(self, a2):
         S1 = simple_module(a2, "e1")
@@ -325,6 +376,76 @@ class TestIsomorphism:
 
     def test_zero_modules_are_isomorphic(self, a2):
         assert is_isomorphic(zero_module(a2), zero_module(a2)) is not None
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+    def test_decisions_match_the_exhaustive_reference(self, field):
+        rng = random.Random(2024)
+        outcomes = set()
+        # End of the dual numbers' regular module is not spanned by invertibles
+        for quiver in (quiver_a2, quiver_a3_rel, quiver_dual_numbers):
+            alg = compile_quiver_algebra(quiver(field))
+            pool = _indecomposables(alg)
+            sums = [direct_sum(list(pair), algebra=alg)[0] for pair in itertools.combinations_with_replacement(pool, 2)]
+            # each module again in a random unimodular basis
+            copies = [
+                _conjugate(mod, _unitriangular(mod.dim, field, rng).transpose().mul(_unitriangular(mod.dim, field, rng)))
+                for mod in pool + sums
+            ]
+            indecs = pool + copies[: len(pool)]
+            decided = {}
+            for x, y in itertools.product(pool + sums + copies, repeat=2):
+                decided[id(x), id(y)] = expected = _reference_is_isomorphic(x, y)
+                outcomes.add(expected)
+                wit = is_isomorphic(x, y)
+                assert (wit is not None) == expected
+                if wit is not None:
+                    _assert_witness(x, y, wit)
+            for x, y in itertools.product(indecs, repeat=2):
+                wit = indecomposable_iso(x, y)
+                assert (wit is not None) == decided[id(x), id(y)]
+                if wit is not None:
+                    _assert_witness(x, y, wit)
+        assert outcomes == {True, False}
+
+    def test_large_hom_space_gets_a_witness(self, a2):
+        # End(S1^4 ⊕ S2) has dimension 17: 2^17 coefficient combinations
+        S1, S2 = simple_module(a2, "e1"), simple_module(a2, "e2")
+        m, _, _ = direct_sum([S1] * 4 + [S2], algebra=a2)
+        assert hom_dim(m, m) == 17
+        copy = _conjugate(m, _unitriangular(m.dim, F2, random.Random(7)))
+        _assert_witness(m, copy, is_isomorphic(m, copy))
+
+    def test_equal_dimension_vectors_different_summands(self, a2):
+        # (5, 1) both times, Hom dimension 21, but S1 occurs 5 and 4 times
+        S1, S2, P1 = simple_module(a2, "e1"), simple_module(a2, "e2"), projectives_of(a2)["e1"]
+        m, _, _ = direct_sum([S1] * 5 + [S2], algebra=a2)
+        n, _, _ = direct_sum([S1] * 4 + [P1], algebra=a2)
+        assert m.dimension_vector() == n.dimension_vector()
+        assert hom_dim(m, n) == 21
+        assert is_isomorphic(m, n) is None
+        # (3, 3) both times, and the same summand classes in other multiplicities
+        m, _, _ = direct_sum([S1, S1, S2, S2, P1], algebra=a2)
+        n, _, _ = direct_sum([S1, S2, P1, P1], algebra=a2)
+        assert m.dimension_vector() == n.dimension_vector()
+        assert is_isomorphic(m, n) is None
+
+    def test_small_end_rings_need_no_sympy(self, monkeypatch):
+        # a blocked import raises ImportError, so the factor-driven pass must
+        # stay unreached while every End ring fits the exhaustive scan
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        for quiver in (quiver_a2, quiver_a3_rel):
+            alg = compile_quiver_algebra(quiver())
+            pool = enumerate_indecomposables(alg, 3)
+            # each module with the indices of its summands in the pool
+            items = [(mod, (i,)) for i, mod in enumerate(pool)] + [
+                (direct_sum([pool[i], pool[j]], algebra=alg)[0], (i, j))
+                for i, j in itertools.combinations_with_replacement(range(len(pool)), 2)
+            ]
+            for mod, parts in items:
+                assert sum(mult for _, mult, _ in decompose(mod)) == len(parts)
+            # Krull–Schmidt: isomorphic exactly when the summands agree
+            for (x, xs), (y, ys) in itertools.product(items, repeat=2):
+                assert (is_isomorphic(x, y) is not None) == (xs == ys)
 
 
 # ---------------------------------------------------------------------------
