@@ -20,7 +20,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
@@ -46,6 +48,32 @@ class DomainError(ExactError):
 
 
 PATH_BUDGET = 200_000
+
+
+def memoized(fn):
+    """Derive ``fn(owner, *args, **kwargs)`` once per owner and arguments.
+
+    The value lives in ``owner._memo`` for the owner's lifetime; a separately
+    built equal owner derives its own.  Defaults are bound first, so ``f(a)``
+    and ``f(a, default)`` share an entry; arguments must be hashable.  Owners
+    are immutable, so ``fn`` must read no global that something mutates.  The
+    value is shared by every caller, and no caller may mutate it.
+    """
+    signature = inspect.signature(fn)
+    bare = (fn, *(p.default for p in list(signature.parameters.values())[1:]))
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args, **kwargs):
+        key = bare
+        if args or kwargs:
+            call = signature.bind(owner, *args, **kwargs)
+            call.apply_defaults()
+            key = (fn, *call.args[1:])
+        if key not in owner._memo:
+            owner._memo[key] = fn(owner, *args, **kwargs)
+        return owner._memo[key]
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +169,7 @@ class Algebra:
         self._index = {lbl: i for i, lbl in enumerate(labels)}
         if len(self._index) != self.dim:
             raise ValidationError("duplicate basis labels")
+        self._memo: dict = {}
         self._certify()
 
     # -- structure ----------------------------------------------------------
@@ -210,14 +239,13 @@ class Algebra:
             current = row_space_basis(gens, self.field, self.dim)
         return current
 
+    @memoized
     def generating_set(self) -> "GeneratorData":
         """Idempotents plus Peirce-pure radical lifts that generate the
         algebra, with an expansion of every basis element as a linear
-        combination of products of generators.  Cached; certified by closure
+        combination of products of generators.  Certified by closure
         reaching the full dimension."""
-        if getattr(self, "_gen_data", None) is None:
-            self._gen_data = _compute_generating_set(self)
-        return self._gen_data
+        return _compute_generating_set(self)
 
     def content_hash(self) -> str:
         payload = {
@@ -821,6 +849,12 @@ def derive_algebra(a: Algebra, kind: str, *, e: list[str] | None = None, b: Alge
     raise ValidationError(f"unknown derivation kind {kind!r}")
 
 
+@memoized
+def opposite_algebra(a: Algebra) -> Algebra:
+    """The opposite algebra of :func:`derive_algebra`, with ``a``'s labels."""
+    return derive_algebra(a, "opposite")[0]
+
+
 # ---------------------------------------------------------------------------
 # Bimodules and triangular algebras
 # ---------------------------------------------------------------------------
@@ -914,6 +948,7 @@ class TriangularContext:
     n_offset: int
     b_offset: int
     hypothesis_flags: dict = dc_field(default_factory=dict)
+    _memo: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def embed_a(self, vec: list) -> list:
         out = [self.gamma.field.zero()] * self.gamma.dim
@@ -1036,8 +1071,7 @@ def build_triangular(a: Algebra, b: Algebra, n: Bimodule) -> TriangularContext:
         from . import modules as _modules  # deferred: modules depends on this file
 
         left_mod = _modules.Module(a, dn, {lbl: n.left_action[lbl] for lbl in a.labels})
-        bop, _ = derive_algebra(b, "opposite")
-        right_mod = _modules.Module(bop, dn, {lbl: n.right_action[lbl] for lbl in b.labels})
+        right_mod = _modules.Module(opposite_algebra(b), dn, {lbl: n.right_action[lbl] for lbl in b.labels})
         ctx.hypothesis_flags = {
             "left_n_projective": _modules.is_projective(left_mod),
             "right_n_projective": _modules.is_projective(right_mod),

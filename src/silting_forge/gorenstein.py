@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import Matrix, rank
-from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
+from .algebra import Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
@@ -63,11 +63,12 @@ APPROXIMATION_SEARCH_BUDGET = 4096
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class GorensteinReport:
     """Both self-injective dimensions within a bound, plus the global dimension.
 
-    ``None`` in a dimension field means "exceeds bound"."""
+    ``None`` in a dimension field means "exceeds bound".  Reports compare by
+    identity, so a report passed to :func:`gp_classification` keys its memo."""
 
     algebra: Algebra
     left_injective_dimension: int | None
@@ -107,11 +108,10 @@ def _dual_left_regular_over_opposite(alg: Algebra) -> Module:
     multiplications; its projective dimension is the left self-injective
     dimension of the original algebra.
     """
-    op, _ = derive_algebra(alg, "opposite")
     action = {}
     for i, lbl in enumerate(alg.labels):
         action[lbl] = alg.left_mult_matrix(alg.basis_vector(i)).transpose()
-    return Module(op, alg.dim, action)
+    return Module(opposite_algebra(alg), alg.dim, action)
 
 
 def _dual_right_regular(alg: Algebra) -> Module:
@@ -126,6 +126,7 @@ def _dual_right_regular(alg: Algebra) -> Module:
     return Module(alg, alg.dim, action)
 
 
+@memoized
 def gorenstein_report(alg: Algebra, bound: int = 10) -> GorensteinReport:
     """Certify finite self-injective dimension on both sides within ``bound``."""
     if bound < 1:
@@ -142,16 +143,6 @@ def gorenstein_report(alg: Algebra, bound: int = 10) -> GorensteinReport:
         verdict=verdict,
         bound=bound,
     )
-
-
-_REPORT_CACHE: dict[str, GorensteinReport] = {}
-
-
-def _cached_report(alg: Algebra) -> GorensteinReport:
-    key = alg.content_hash()
-    if key not in _REPORT_CACHE:
-        _REPORT_CACHE[key] = gorenstein_report(alg)
-    return _REPORT_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +179,7 @@ def is_gorenstein_projective(m: Module, report: GorensteinReport | None = None) 
     with a complete resolution (which is not finitely checkable directly).
     """
     if report is None:
-        report = _cached_report(m.algebra)
+        report = gorenstein_report(m.algebra)
     if not report:
         raise DomainError("GP test requires Gorenstein certificate")
     d = report.injective_dimension
@@ -228,6 +219,7 @@ class GpClassification:
         }
 
 
+@memoized
 def gp_classification(source, dim_bound: int = 4, report: GorensteinReport | None = None) -> GpClassification:
     """Filter the bounded enumeration through the GP test.
 
@@ -235,13 +227,11 @@ def gp_classification(source, dim_bound: int = 4, report: GorensteinReport | Non
     hypotheses -- in the latter case the list is also built analytically from
     the two corner classes and cross-checked against the filtered list.
     """
-    from .algebra import TriangularContext
-
     if isinstance(source, TriangularContext):
         return _triangular_gp_classification(source, dim_bound, report)
     alg = source
     if report is None:
-        report = _cached_report(alg)
+        report = gorenstein_report(alg)
     if not report:
         raise DomainError("GP classification requires Gorenstein certificate")
     mods = [m for m in enumerate_indecomposables(alg, dim_bound) if is_gorenstein_projective(m, report)]

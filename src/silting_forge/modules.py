@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, same_algebra
+from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, memoized, opposite_algebra, same_algebra
 from .exactlinalg import (
     ExactError,
     FieldSpec,
@@ -59,8 +59,7 @@ class Module:
                 "module action violates the structure constants: " + "; ".join(violations[:5]),
                 violations=violations,
             )
-        self._adapted = None
-        self._radical_cols = None
+        self._memo: dict = {}
 
     def _violations(self) -> list[str]:
         a, f, n = self.algebra, self.algebra.field, self.dim
@@ -73,19 +72,11 @@ class Module:
         if n == 0:
             return out
         mats = [self.action[lbl] for lbl in a.labels]
-        unit = Matrix.zeros(f, n, n)
-        for i, c in enumerate(a.unit()):
-            if c != 0:
-                unit = unit + mats[i].scale(c)
-        if unit != Matrix.identity(f, n):
+        if self.act(a.unit()) != Matrix.identity(f, n):
             out.append("unit does not act as the identity")
         for i in range(a.dim):
             for j in range(a.dim):
-                expected = Matrix.zeros(f, n, n)
-                for k, c in enumerate(a.constants[i][j]):
-                    if c != 0:
-                        expected = expected + mats[k].scale(c)
-                if mats[i].mul(mats[j]) != expected:
+                if mats[i].mul(mats[j]) != self.act(a.constants[i][j]):
                     out.append(f"rho({a.labels[i]})·rho({a.labels[j]}) != rho({a.labels[i]}*{a.labels[j]})")
         return out
 
@@ -108,20 +99,35 @@ class Module:
         """dim e_v·M per distinguished idempotent, in idempotent order."""
         return {lbl: rank(self.act(vec)) for lbl, vec in self.algebra.idempotents}
 
+    @memoized
     def radical_columns(self) -> Matrix:
         """Canonical column basis of rad(A)·M."""
-        if self._radical_cols is None:
-            f = self.algebra.field
-            rows = []
-            for r in self.algebra.radical_rows.data:
-                rows.extend(self.act(list(r)).transpose().data)
-            self._radical_cols = row_space_basis(rows, f, self.dim).transpose()
-        return self._radical_cols
+        rows = []
+        for r in self.algebra.radical_rows.data:
+            rows.extend(self.act(list(r)).transpose().data)
+        return row_space_basis(rows, self.algebra.field, self.dim).transpose()
 
+    @memoized
     def adapted(self) -> "AdaptedModule":
-        if self._adapted is None:
-            self._adapted = _adapt(self)
-        return self._adapted
+        """The basis change in which every idempotent acts as a coordinate
+        projection, with the generator seeds' actions in that basis."""
+        f = self.algebra.field
+        cols: list[list] = []
+        blocks: dict[str, tuple[int, int]] = {}
+        for lbl, vec in self.algebra.idempotents:
+            reduced, r, _ = rref(self.act(vec).transpose())
+            start = len(cols)
+            for i in range(r):
+                cols.append(list(reduced.data[i]))
+            blocks[lbl] = (start, len(cols))
+        if len(cols) != self.dim:
+            raise ValidationError("idempotent images do not decompose the module")
+        S = Matrix(f, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)], self.dim, self.dim)
+        Sinv = invert(S)
+        if Sinv is None:
+            raise ValidationError("idempotent block bases are dependent")
+        action = {name: Sinv.mul(self.act(vec)).mul(S) for name, vec, _blk in self.algebra.generating_set().seeds}
+        return AdaptedModule(blocks, Sinv, S, action)
 
     def encode(self) -> str:
         """Deterministic content string (used for ordering and caching)."""
@@ -141,30 +147,6 @@ class AdaptedModule:
     to_adapted: Matrix                  # S^-1
     from_adapted: Matrix                # S
     action: dict[str, Matrix]           # adapted matrices for generator seeds
-
-
-def _adapt(m: Module) -> AdaptedModule:
-    f = m.algebra.field
-    cols: list[list] = []
-    blocks: dict[str, tuple[int, int]] = {}
-    for lbl, vec in m.algebra.idempotents:
-        proj = m.act(vec)
-        reduced, r, _ = rref(proj.transpose())
-        start = len(cols)
-        for i in range(r):
-            cols.append(list(reduced.data[i]))
-        blocks[lbl] = (start, len(cols))
-    if len(cols) != m.dim:
-        raise ValidationError("idempotent images do not decompose the module")
-    S = Matrix(f, [[cols[j][i] for j in range(m.dim)] for i in range(m.dim)], m.dim, m.dim)
-    Sinv = invert(S)
-    if Sinv is None:
-        raise ValidationError("idempotent block bases are dependent")
-    gen = m.algebra.generating_set()
-    action = {}
-    for name, vec, _blk in gen.seeds:
-        action[name] = Sinv.mul(m.act(vec)).mul(S)
-    return AdaptedModule(blocks, Sinv, S, action)
 
 
 class ModuleMap:
@@ -263,6 +245,7 @@ def zero_module(alg: Algebra) -> Module:
     return Module(alg, 0, {lbl: z for lbl in alg.labels})
 
 
+@memoized
 def regular_module(alg: Algebra) -> Module:
     return Module(alg, alg.dim, {lbl: alg.left_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)})
 
@@ -468,17 +451,20 @@ def hom_module(basis: list[ModuleMap], alg: Algebra, moves: dict[str, Matrix], o
 # ---------------------------------------------------------------------------
 
 
+@memoized
+def _projective_bases(alg: Algebra) -> dict[str, Matrix]:
+    """Canonical row basis of A·e_v inside the regular module, per vertex."""
+    return {
+        lbl: row_space_basis([alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)], alg.field, alg.dim)
+        for lbl, evec in alg.idempotents
+    }
+
+
+@memoized
 def indecomposable_projectives(alg: Algebra) -> list[tuple[Module, str]]:
     """P(v) = A·e_v with left multiplication, in idempotent order."""
-    f = alg.field
     reg = regular_module(alg)
-    out = []
-    for lbl, evec in alg.idempotents:
-        gens = [alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)]
-        cols = row_space_basis(gens, f, alg.dim).transpose()
-        sub, _ = submodule(reg, cols)
-        out.append((sub, lbl))
-    return out
+    return [(submodule(reg, rows.transpose())[0], lbl) for lbl, rows in _projective_bases(alg).items()]
 
 
 def simple_module(alg: Algebra, idem_label: str) -> Module:
@@ -517,23 +503,12 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap, list[str]]:
         z = zero_module(alg)
         return z, ModuleMap(z, m, Matrix.zeros(f, 0, 0), check=False), []
     projs = {lbl: mod for mod, lbl in indecomposable_projectives(alg)}
-    incl: dict[str, Matrix] = {}
-    for lbl, evec in alg.idempotents:
-        gens = [alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)]
-        incl[lbl] = row_space_basis(gens, f, alg.dim).transpose()
+    bases = _projective_bases(alg)
     gens = top_generators(m)
-    parts = [projs[lbl] for lbl, _ in gens]
-    P, injections, _ = direct_sum(parts, algebra=alg)
-    blocks = []
-    for (lbl, w), part in zip(gens, parts):
-        # map P(lbl) -> m : q |-> rho_m(q)·w, where q runs over the basis
-        # columns of P(lbl) inside the regular module
-        cols = []
-        for t in range(part.dim):
-            qvec = [incl[lbl].data[i][t] for i in range(alg.dim)]
-            img = m.act(qvec).mul(w)
-            cols.append([img.data[i][0] for i in range(m.dim)])
-        blocks.append(Matrix(f, [[cols[j][i] for j in range(part.dim)] for i in range(m.dim)], m.dim, part.dim))
+    P, _, _ = direct_sum([projs[lbl] for lbl, _ in gens], algebra=alg)
+    # map P(lbl) -> m : q |-> rho_m(q)·w, where q runs over the basis of
+    # P(lbl) inside the regular module
+    blocks = [Matrix.hstack([m.act(list(q)).mul(w) for q in bases[lbl].data]) for lbl, w in gens]
     pi_matrix = Matrix.hstack(blocks) if blocks else Matrix.zeros(f, m.dim, 0)
     pi = ModuleMap(P, m, pi_matrix)
     if not pi.is_surjective():
@@ -589,6 +564,7 @@ def projective_dimension(m: Module, bound: int = 10) -> int | None:
     return None
 
 
+@memoized
 def global_dimension(alg: Algebra, bound: int = 10) -> int | None:
     """Max projective dimension over the simple modules, or None beyond bound."""
     worst = 0
@@ -676,10 +652,9 @@ def _hom_to_regular_as_op_module(p: Module) -> tuple[Module, list[ModuleMap]]:
     """Hom_A(p, A) as a left module over A^op, with its Hom basis."""
     alg = p.algebra
     basis = hom_space(p, regular_module(alg))
-    aop, _ = derive_algebra(alg, "opposite")
     # (a · f)(x) = f(x) · a — right multiplication on values; A^op has A's labels
     moves = {lbl: alg.right_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)}
-    return hom_module(basis, aop, moves, on_values=True), basis
+    return hom_module(basis, opposite_algebra(alg), moves, on_values=True), basis
 
 
 def ar_translate(m: Module) -> Module:
@@ -993,6 +968,7 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
     return not current
 
 
+@memoized
 def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, ModuleMap]]]]:
     """Split into indecomposable summands with explicit splitting maps.
 
@@ -1157,9 +1133,6 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
 # Enumeration of indecomposables
 # ---------------------------------------------------------------------------
 
-_INDEC_CACHE: dict[tuple[str, int], list[Module]] = {}
-
-
 def _compositions(total: int, parts: int):
     """All tuples of non-negative ints of length `parts` summing to `total`."""
     if parts == 0:
@@ -1253,14 +1226,12 @@ def _canonical_slot(rad_seeds, slot_shapes, f):
     return idx, forms
 
 
+@memoized
 def enumerate_indecomposables(alg: Algebra, dim_bound: int = 3) -> list[Module]:
     """All indecomposable modules of total dimension <= dim_bound, up to
-    isomorphism, in deterministic order; cached per (algebra, bound)."""
+    isomorphism, in deterministic order; memoized on the algebra per bound."""
     if alg.field.kind != "prime":
         raise DomainError("enumeration requires finite field")
-    key = (alg.content_hash(), dim_bound)
-    if key in _INDEC_CACHE:
-        return list(_INDEC_CACHE[key])
     f = alg.field
     gen = alg.generating_set()
     idem_labels = [lbl for lbl, _ in alg.idempotents]
@@ -1319,8 +1290,7 @@ def enumerate_indecomposables(alg: Algebra, dim_bound: int = 3) -> list[Module]:
                         continue
                     found.append(mod)
     found.sort(key=lambda mm: (mm.dim, mm.encode()))
-    _INDEC_CACHE[key] = found
-    return list(found)
+    return found
 
 
 def _module_from_generator_blocks(

@@ -35,7 +35,6 @@ from .algebra import (
 )
 from .exactlinalg import Matrix, nullspace, row_space_basis, solve
 from .gorenstein import (
-    GpClassification,
     d_theta_contains,
     find_gorenstein_silting_presentation,
     gen_g_contains,
@@ -731,7 +730,6 @@ def glued_gp_presentation(
     tctx: TriangularContext,
     theta_x: Presentation,
     theta_y: Presentation,
-    gp: GpClassification | None = None,
     dim_bound: int = 4,
 ) -> Presentation:
     """Block-diagonal relative presentation over the triangular algebra from
@@ -772,8 +770,7 @@ def glued_gp_presentation(
         certificates={"transport": "induction"},
     )
     glued = direct_sum_presentation([part_x, part_y], algebra=tctx.gamma)
-    gp = gp or gp_classification(tctx, dim_bound=dim_bound)
-    gex = is_g_exact((glued.map, glued.coker_map), gp)
+    gex = is_g_exact((glued.map, glued.coker_map), gp_classification(tctx, dim_bound=dim_bound))
     glued.certificates.update(
         {
             "hypotheses": hyps,
@@ -959,9 +956,8 @@ def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe) -> Verif
     bound = probe if isinstance(probe, int) else 3
     gpa = gp_classification(tctx.a, dim_bound=4)
     gpb = gp_classification(tctx.b, dim_bound=4)
-    gpg = gp_classification(tctx, dim_bound=4)
     theta_x, theta_y = _resolve_pair_presentations(tctx, inputs, gpa, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y, gp=gpg)
+    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y)
     zs = inputs.get("z")
     if zs is None:
         zs = enumerate_indecomposables(tctx.gamma, bound)
@@ -1041,9 +1037,8 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationRe
     _check_algebra(y, tctx.b, "the bottom algebra")
     gpa = gp_classification(tctx.a, dim_bound=4)
     gpb = gp_classification(tctx.b, dim_bound=4)
-    gpg = gp_classification(tctx, dim_bound=4)
     theta_x, theta_y = _resolve_pair_presentations(tctx, inputs, gpa, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y, gp=gpg)
+    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y)
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
     lhs = _partial_wrt(theta, t)
@@ -1104,7 +1099,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
 
     theta_x = found_x[0] if found_x else proper_gp_presentation(x, gpa)
     theta_y = found_y[0] if found_y else proper_gp_presentation(y, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y, gp=gpg)
+    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y, dim_bound=gp_bound)
     notes.append(
         "presentations: top="
         + ("search-realised" if found_x else "automatic")

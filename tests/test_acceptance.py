@@ -217,7 +217,6 @@ def test_criterion_3_tensor_pair_suite(capsys, a2, tensor_suite):
 def test_criterion_4_glued_presentations(capsys, gamma0):
     start = time.perf_counter()
     gp_bottom = gp_classification(gamma0.b, dim_bound=4)
-    gp_glued = gp_classification(gamma0, dim_bound=4)
     top_simple = simple_module(gamma0.a, "eu")
     rng = random.Random(SEED)
     failures = []
@@ -232,7 +231,6 @@ def test_criterion_4_glued_presentations(capsys, gamma0):
             gamma0,
             minimal_projective_presentation(x),
             proper_gp_presentation(y, gp_bottom),
-            gp=gp_glued,
         )
         if glued.certificates["relatively_exact"] is not True:
             failures.append(f"trial {trial}: sequence not relatively exact")

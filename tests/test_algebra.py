@@ -12,8 +12,22 @@ from silting_forge.algebra import (
     build_triangular,
     compile_quiver_algebra,
     derive_algebra,
+    opposite_algebra,
 )
 from silting_forge.exactlinalg import FieldSpec, Matrix
+from silting_forge.gorenstein import GorensteinReport, GpClassification, gorenstein_report, gp_classification
+from silting_forge.modules import (
+    Module,
+    _projective_bases,
+    ModuleMap,
+    decompose,
+    direct_sum,
+    enumerate_indecomposables,
+    global_dimension,
+    indecomposable_projectives,
+    regular_module,
+    simple_module,
+)
 
 from conftest import (
     F2,
@@ -23,6 +37,7 @@ from conftest import (
     quiver_dual_numbers,
     quiver_kxk,
     quiver_point,
+    triangular_gamma0,
 )
 
 
@@ -303,3 +318,68 @@ def test_bimodule_validation(a2, point):
     bad_left = dict(left, e1=Matrix.zeros(f, 1, 1))
     with pytest.raises(ValidationError):
         Bimodule(a2, point, 1, bad_left, right)
+
+
+# --------------------------------------------------------------------------
+# Memoization
+# --------------------------------------------------------------------------
+
+
+def _content(value):
+    """A value with every object replaced by comparable content."""
+    if isinstance(value, Algebra):
+        return value.content_hash()
+    if isinstance(value, Module):
+        return value.encode()
+    if isinstance(value, ModuleMap):
+        return (_content(value.source), _content(value.target), value.matrix)
+    if isinstance(value, (GorensteinReport, GpClassification)):
+        return value.to_json()
+    if isinstance(value, (list, tuple)):
+        return [_content(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _content(v) for k, v in value.items()}
+    return value
+
+
+def test_memoized_values_are_derived_once_per_owner():
+    def owners():
+        alg = compile_quiver_algebra(quiver_a3_rel())
+        s1 = simple_module(alg, "e1")
+        m, _, _ = direct_sum([s1, s1, regular_module(alg)], algebra=alg)
+        return alg, m, triangular_gamma0()
+
+    first, second = owners(), owners()
+    # (owner index, function, arguments); the triangular classification also
+    # fills memos on its two corners and on the triangular algebra
+    calls = [
+        (0, Algebra.generating_set, ()),
+        (0, regular_module, ()),
+        (0, indecomposable_projectives, ()),
+        (0, _projective_bases, ()),
+        (0, opposite_algebra, ()),
+        (0, global_dimension, (3,)),
+        (0, gorenstein_report, (3,)),
+        (0, gp_classification, (2,)),
+        (0, enumerate_indecomposables, (2,)),
+        (1, Module.adapted, ()),
+        (1, Module.radical_columns, ()),
+        (1, decompose, ()),
+        (2, gp_classification, (3,)),
+    ]
+    for index, fn, args in calls:
+        value = fn(first[index], *args)
+        assert fn(first[index], *args) is value, fn.__name__
+        again = fn(second[index], *args)
+        if not isinstance(value, int):
+            assert again is not value, fn.__name__
+        assert _content(again) == _content(value), fn.__name__
+    alg = first[0]
+    assert gorenstein_report(alg) is gorenstein_report(alg, 10) is gorenstein_report(alg, bound=10)
+    assert gorenstein_report(alg, 2) is not gorenstein_report(alg, 3)
+    assert gorenstein_report(alg, 2).bound == 2
+    small, large = enumerate_indecomposables(alg, 1), enumerate_indecomposables(alg, 2)
+    assert len(small) < len(large) and small is not large
+    report = gorenstein_report(alg, 3)
+    assert gp_classification(alg, 2, report) is gp_classification(alg, dim_bound=2, report=report)
+    assert gp_classification(alg, 2, report) is not gp_classification(alg, 2)

@@ -1,6 +1,7 @@
 """The package's imports: the third-party ones match its declared
-dependencies, every name imported at module level is used there, and every
-function the benchmark tracer wraps exists."""
+dependencies, every name imported at module level is used there, no module
+keeps a module-level cache, and every function the benchmark tracer wraps
+exists."""
 
 import ast
 import importlib.util
@@ -60,6 +61,51 @@ def test_no_unused_module_level_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _empty_module_containers(source: str) -> set[str]:
+    """Names a module binds at module level to an empty ``{}``, ``[]``,
+    ``set()``, ``dict()`` or ``list()``: the shape of a per-process cache."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty_literal = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.List) and not value.elts
+        )
+        empty_call = (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in {"dict", "list", "set"}
+            and not value.args
+            and not value.keywords
+        )
+        if empty_literal or empty_call:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_empty_container_check_sees_module_level_only():
+    source = (
+        "A = {}\nB: dict[str, int] = {}\nC = set()\nD = dict()\nE = []\n"
+        "F = {1: 2}\nG = frozenset()\nH = dict(x=1)\ndef f():\n    local = {}\n"
+    )
+    assert _empty_module_containers(source) == {"A", "B", "C", "D", "E"}
+
+
+def test_no_module_level_caches():
+    # derived data is memoized on the object it belongs to (algebra.memoized),
+    # never in a module-level container that outlives it
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := _empty_module_containers(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def test_tracer_targets_exist():

@@ -729,9 +729,13 @@ class TestEnumeration:
     def test_bound_zero_is_empty(self, a2):
         assert enumerate_indecomposables(a2, 0) == []
 
-    def test_enumeration_is_deterministic(self, a2):
-        first = [m.encode() for m in enumerate_indecomposables(a2, 2)]
-        second = [m.encode() for m in enumerate_indecomposables(a2, 2)]
+    def test_enumeration_is_deterministic(self):
+        # two separately compiled algebras: the second enumeration is computed
+        # afresh rather than read from the first one's memo
+        first, second = (
+            [m.encode() for m in enumerate_indecomposables(compile_quiver_algebra(quiver_a2()), 2)]
+            for _ in range(2)
+        )
         assert first == second
 
     def test_enumeration_requires_finite_field(self):

@@ -352,13 +352,12 @@ def test_analytic_relative_projectives_match_classification():
 def test_glued_presentations_are_relatively_exact():
     tctx = _gamma0()
     gpb = gp_classification(tctx.b, dim_bound=4)
-    gpg = gp_classification(tctx, dim_bound=4)
     for seed in range(3):
         [y] = random_probe_modules(tctx.b, 1, seed=seed)
         x = _point_module(tctx, (seed % 3))
         theta_x = minimal_projective_presentation(x)
         theta_y = proper_gp_presentation(y, gpb)
-        glued = glued_gp_presentation(tctx, theta_x, theta_y, gp=gpg)
+        glued = glued_gp_presentation(tctx, theta_x, theta_y)
         assert glued.certificates["relatively_exact"] is True
         expected, _, _ = direct_sum(
             [
