@@ -11,9 +11,16 @@ chosen from ``field.p`` alone.  ``mul`` and ``rref`` pack each row into one
 Python int: the row's entries as bytes, read big-endian, so column ``j`` of an
 ``n``-column row is bit ``8(n - 1 - j)``.  Packing and unpacking are single
 bytes/int conversions, and XOR of two packed rows is their sum.
-``Matrix.data`` stays a list of lists of ints either way, and
-:func:`_generic_mul` and :func:`_generic_rref` keep the field-independent
-path that the F_2 kernels must agree with.
+``Matrix.data`` stays a list of lists of ints either way.
+
+Over F_p with p > 2 and over Q, ``Matrix.mul`` forms row i of the product as
+the combination of the rows of the right factor picked out by the nonzero
+entries of row i of the left one, visiting only the nonzero entries of those
+rows; over F_p it reduces each entry once, at the end.  That combination is
+:func:`combine`, which ``Module.act`` also uses for sums of action matrices.
+The dense dot-product :func:`_generic_mul` and :func:`_generic_rref` are kept
+as the references that both product kernels and the F_2 ``rref`` must agree
+with.
 """
 
 from __future__ import annotations
@@ -242,7 +249,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ExactError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         if self.field.p != 2:
-            return _generic_mul(self, other)
+            return _sparse_mul(self, other)
         # Row i of the product is the XOR of the rows of ``other`` selected by
         # the nonzero entries of row i of ``self``.
         packed = list(map(int.from_bytes, map(bytes, other.data), repeat("big")))
@@ -354,8 +361,33 @@ class Matrix:
         return m
 
 
+def combine(field: FieldSpec, terms: Iterable, n: int) -> list:
+    """The length-``n`` vector sum of c·v over ``terms``, pairs of a
+    coefficient c and a vector v listed by its nonzero entries ``(k, w)``.
+    Over F_p each entry is reduced once, at the end."""
+    acc = [field.zero()] * n
+    for c, entries in terms:
+        for k, w in entries:
+            acc[k] += c * w
+    if field.kind == "prime":
+        p = field.p
+        return [x % p for x in acc]
+    return acc
+
+
+def _sparse_mul(left: Matrix, other: Matrix) -> Matrix:
+    """:meth:`Matrix.mul` over F_p (p > 2) and Q: row i of the product is the
+    :func:`combine` of the rows of ``other`` picked out by the nonzero entries
+    of row i of ``left``, each listed once by its nonzero entries."""
+    f = left.field
+    n = other.ncols
+    nonzeros = [[(k, w) for k, w in enumerate(row) if w] for row in other.data]
+    out = [combine(f, [(v, nonzeros[j]) for j, v in enumerate(row) if v], n) for row in left.data]
+    return Matrix(f, out, left.nrows, n)
+
+
 def _generic_mul(left: Matrix, other: Matrix) -> Matrix:
-    """Product over any field by dot products; the reference for the F_2 kernel."""
+    """Product over any field by dot products; the reference for both kernels."""
     f = left.field
     ot = [[other.data[k][j] for k in range(other.nrows)] for j in range(other.ncols)]
     if f.kind == "prime":

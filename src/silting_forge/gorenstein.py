@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .exactlinalg import Matrix, rank
 from .algebra import Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
@@ -284,10 +285,11 @@ def _triangular_gp_classification(ctx, dim_bound: int, report: GorensteinReport 
 # ---------------------------------------------------------------------------
 
 
-def _g_epic(smap: ModuleMap, gp: GpClassification) -> bool:
-    """Whether Hom(G, smap) is surjective for every listed G."""
-    for g in gp.modules:
-        need = hom_dim(g, smap.target)
+def _g_epic(smap: ModuleMap, gp: GpClassification, needs: Iterable[int]) -> bool:
+    """Whether Hom(G, smap) is surjective for every listed G, given
+    ``needs``, the dimensions of Hom(G, smap.target) in the order of
+    ``gp.modules``."""
+    for g, need in zip(gp.modules, needs):
         if need and postcompose_rank(g, smap) != need:
             return False
     return True
@@ -307,10 +309,9 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
         raise ValidationError("module and classification live over different algebras")
     alg = m.algebra
     f = alg.field
-    components: list[tuple[Module, Matrix]] = []
-    for g in gp.modules:
-        for h in hom_space(g, m):
-            components.append((g, h.matrix))
+    homs = [hom_space(g, m) for g in gp.modules]
+    needs = [len(basis) for basis in homs]
+    components = [(g, h.matrix) for g, basis in zip(gp.modules, homs) for h in basis]
 
     def assemble(parts):
         if not parts:
@@ -322,7 +323,7 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
 
     def acceptable(parts):
         cand = assemble(parts)
-        return cand.is_surjective() and _g_epic(cand, gp)
+        return cand.is_surjective() and _g_epic(cand, gp, needs)
 
     if not acceptable(components):
         raise ValidationError("evaluation map fails to approximate; classification incomplete?")
@@ -448,7 +449,7 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     if not gp.complete:
         raise ValidationError("relative generation needs a complete classification")
     ev = right_add_approximation(t, m)
-    return ev.is_surjective() and _g_epic(ev, gp)
+    return ev.is_surjective() and _g_epic(ev, gp, (hom_dim(g, m) for g in gp.modules))
 
 
 def d_theta_contains(theta: Presentation, m: Module) -> bool:

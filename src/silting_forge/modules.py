@@ -22,6 +22,7 @@ from .exactlinalg import (
     ExactError,
     FieldSpec,
     Matrix,
+    combine,
     invert,
     nullspace,
     quotient_map,
@@ -71,12 +72,21 @@ class Module:
                 return [f"action of {lbl!r} is {m.nrows}x{m.ncols}, expected {n}x{n}"]
         if n == 0:
             return out
+        d = a.dim
         mats = [self.action[lbl] for lbl in a.labels]
         if self.act(a.unit()) != Matrix.identity(f, n):
             out.append("unit does not act as the identity")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if mats[i].mul(mats[j]) != self.act(a.constants[i][j]):
+        # Block j of rho(b_i)·[rho(b_1)|...|rho(b_d)] is rho(b_i)·rho(b_j), and
+        # row j of C_i·F is rho(b_i*b_j) flattened, where C_i holds the
+        # structure constants of b_i*b_1, ..., b_i*b_d and row k of F is
+        # rho(b_k) flattened: two products per i check d identities.
+        side = Matrix.hstack(mats)
+        flat = Matrix(f, [_flat(m) for m in mats], d, n * n)
+        for i in range(d):
+            got = mats[i].mul(side).data
+            want = Matrix(f, a.constants[i], d, d).mul(flat).data
+            for j in range(d):
+                if [x for row in got for x in row[j * n : (j + 1) * n]] != want[j]:
                     out.append(f"rho({a.labels[i]})·rho({a.labels[j]}) != rho({a.labels[i]}*{a.labels[j]})")
         return out
 
@@ -84,13 +94,17 @@ class Module:
         return self.action[label]
 
     def act(self, vec: list) -> Matrix:
-        """Action matrix of a general algebra element (coefficient vector)."""
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != 0:
-                out = out + self.action[self.algebra.labels[i]].scale(c)
-        return out
+        """Action matrix of a general algebra element (coefficient vector):
+        the :func:`combine` of the flattened rho(b_i) by its nonzero
+        coefficients, in one pass."""
+        f, n = self.algebra.field, self.dim
+        terms = [
+            (c, [(k, x) for k, x in enumerate(_flat(self.action[lbl])) if x])
+            for c, lbl in zip(vec, self.algebra.labels)
+            if c
+        ]
+        flat = combine(f, terms, n * n)
+        return Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)], n, n)
 
     def is_zero(self) -> bool:
         return self.dim == 0

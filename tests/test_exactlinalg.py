@@ -383,13 +383,51 @@ def test_f2_add_sub_scale_match_generic(a, seed, c):
     assert (scaled.nrows, scaled.ncols) == (a.nrows, a.ncols)
 
 
+@st.composite
+def odd_product_pair(draw):
+    """A product over F_3, F_7 or Q with shapes up to 30 (empty ones included)
+    and each entry nonzero with a drawn density.  When it has the room, row 0
+    of the left factor picks two equal rows of the right one with opposite
+    coefficients, so its product cancels to zero."""
+    f = draw(st.sampled_from([F3, F7, QQ]))
+    nrows, inner, ncols = draw(st.integers(0, 30)), draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = random.Random(draw(seeds))
+
+    def nonzero():
+        if f.kind == "prime":
+            return rng.randrange(1, f.p)
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 7))
+
+    def entries(n):
+        return [nonzero() if rng.random() < density else f.zero() for _ in range(n)]
+
+    a = [entries(inner) for _ in range(nrows)]
+    b = [entries(ncols) for _ in range(inner)]
+    if nrows and inner >= 2:
+        j, k = rng.sample(range(inner), 2)
+        b[k] = b[j][:]
+        a[0] = [f.zero()] * inner
+        a[0][j] = nonzero()
+        a[0][k] = f.neg(a[0][j])
+    return Matrix(f, a, nrows, inner), Matrix(f, b, inner, ncols)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F3, F7, QQ]).flatmap(random_matrix), st.integers(0, 5), seeds)
-def test_odd_and_rational_fields_keep_generic_kernels(a, ncols, seed):
-    f, rng = a.field, random.Random(seed)
-    b = Matrix(f, [[f.random(rng) for _ in range(ncols)] for _ in range(a.ncols)], a.ncols, ncols)
+@given(odd_product_pair())
+def test_odd_and_rational_fields_keep_generic_kernels(pair):
+    a, b = pair
+    f = a.field
+    product = a.mul(b)
+    assert product == exactlinalg._generic_mul(a, b)
+    assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
+    if f.kind == "prime":
+        assert all(type(x) is int and 0 <= x < f.p for row in product.data for x in row)
+    else:
+        assert all(type(x) is Fraction for row in product.data for x in row)
+    if a.nrows and a.ncols >= 2:
+        assert not any(product.data[0])
     assert rref(a) == exactlinalg._generic_rref(a)
-    assert a.mul(b) == exactlinalg._generic_mul(a, b)
     assert (a + a).data == [[f.add(x, x) for x in r] for r in a.data]
     assert (a - a).data == [[f.sub(x, x) for x in r] for r in a.data]
     assert a.scale(2).data == [[f.mul(f.coerce(2), x) for x in r] for r in a.data]

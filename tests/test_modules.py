@@ -30,6 +30,7 @@ from silting_forge.algebra import (
     compile_quiver_algebra,
     derive_algebra,
 )
+from silting_forge import exactlinalg
 from silting_forge.exactlinalg import Matrix, invert, rank, reduce_mod_row_space, row_space_basis
 from silting_forge.modules import (
     Module,
@@ -139,6 +140,103 @@ class TestValidation:
         cols = Matrix.from_rows(F2, [[1], [0], [0]])  # span{e1}: a·e1 = a escapes
         with pytest.raises(ValidationError):
             submodule(reg, cols)
+
+
+def _reference_act(alg, dim, action, vec):
+    """The term-by-term sum that ``Module.act`` replaced: a fresh matrix per
+    nonzero coefficient, built by ``zeros``, ``scale`` and ``+``."""
+    out = Matrix.zeros(alg.field, dim, dim)
+    for c, lbl in zip(vec, alg.labels):
+        if c != 0:
+            out = out + action[lbl].scale(c)
+    return out
+
+
+def _reference_violations(alg, dim, action):
+    """The per-pair structure check that ``Module._violations`` replaced:
+    dim A² products by dot products, each against ``_reference_act``."""
+    f = alg.field
+    if set(action) != set(alg.labels):
+        return [f"action keys {sorted(action)} do not match basis labels {sorted(alg.labels)}"]
+    for lbl, m in action.items():
+        if m.nrows != dim or m.ncols != dim:
+            return [f"action of {lbl!r} is {m.nrows}x{m.ncols}, expected {dim}x{dim}"]
+    if dim == 0:
+        return []
+    out = []
+    if _reference_act(alg, dim, action, alg.unit()) != Matrix.identity(f, dim):
+        out.append("unit does not act as the identity")
+    mats = [action[lbl] for lbl in alg.labels]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        if exactlinalg._generic_mul(mats[i], mats[j]) != _reference_act(alg, dim, action, alg.constants[i][j]):
+            out.append(f"rho({alg.labels[i]})·rho({alg.labels[j]}) != rho({alg.labels[i]}*{alg.labels[j]})")
+    return out
+
+
+def _reported_violations(alg, dim, action):
+    """The violations ``Module`` reports for an action: none when it builds."""
+    try:
+        Module(alg, dim, action)
+    except ValidationError as err:
+        return err.diagnostics["violations"]
+    return []
+
+
+def _broken_actions(alg, valid, rng):
+    """Actions that break the structure constants: one entry changed in one
+    action matrix (every label of the first module, one random label of each
+    other), a zero action, every idempotent acting as the identity, and two
+    wrong label sets."""
+    f = alg.field
+    broken = []
+    for t, mod in enumerate(valid):
+        for lbl in alg.labels if t == 0 else [rng.choice(alg.labels)]:
+            mat = mod.action[lbl].copy()
+            r, c = rng.randrange(mod.dim), rng.randrange(mod.dim)
+            mat.data[r][c] = f.add(mat.data[r][c], f.one())
+            broken.append((mod.dim, dict(mod.action, **{lbl: mat})))
+    reg = valid[0]
+    ident = Matrix.identity(f, reg.dim)
+    broken.append((2, {lbl: Matrix.zeros(f, 2, 2) for lbl in alg.labels}))
+    broken.append((reg.dim, dict(reg.action, **{lbl: ident for lbl, _ in alg.idempotents})))
+    missing = dict(reg.action)
+    del missing[alg.labels[-1]]
+    broken.append((reg.dim, missing))
+    broken.append((reg.dim, dict(missing, z=reg.action[alg.labels[-1]])))
+    return broken
+
+
+class TestValidationMatchesReference:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+    def test_violations_match_the_per_pair_reference(self, field):
+        alg = compile_quiver_algebra(quiver_a3_rel(field))
+        valid = [regular_module(alg)] + _indecomposables(alg)
+        for mod in valid:
+            assert mod._violations() == _reference_violations(alg, mod.dim, mod.action) == []
+        lists = []
+        for dim, action in _broken_actions(alg, valid, random.Random(7)):
+            expected = _reference_violations(alg, dim, action)
+            assert _reported_violations(alg, dim, action) == expected
+            lists.append(expected)
+        # A changed entry may give another valid module; the others must put
+        # every label on each side of some broken identity.
+        pairs = [msg for v in lists for msg in v if msg.startswith("rho(")]
+        for x in alg.labels:
+            assert any(msg.startswith(f"rho({x})·") for msg in pairs)
+            assert any(f"·rho({x}) != " in msg for msg in pairs)
+        assert ["unit does not act as the identity"] in lists
+        assert sum(v[0].startswith("action keys") for v in lists if v) == 2
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+    def test_act_matches_the_term_by_term_sum(self, field):
+        alg = compile_quiver_algebra(quiver_a3_rel(field))
+        rng = random.Random(11)
+        vectors = [[field.zero()] * alg.dim, alg.unit()]
+        vectors += [alg.basis_vector(i) for i in range(alg.dim)]
+        vectors += [[field.random(rng) for _ in range(alg.dim)] for _ in range(20)]
+        for mod in [regular_module(alg)] + _indecomposables(alg):
+            for vec in vectors:
+                assert mod.act(vec) == _reference_act(alg, mod.dim, mod.action, vec)
 
 
 # ---------------------------------------------------------------------------
