@@ -285,12 +285,12 @@ def _triangular_gp_classification(ctx, dim_bound: int, report: GorensteinReport 
 # ---------------------------------------------------------------------------
 
 
-def _g_epic(smap: ModuleMap, gp: GpClassification, needs: Iterable[int]) -> bool:
-    """Whether Hom(G, smap) is surjective for every listed G, given
-    ``needs``, the dimensions of Hom(G, smap.target) in the order of
-    ``gp.modules``."""
+def _g_epic(components, gp: GpClassification, needs: Iterable[int], hom=hom_space) -> bool:
+    """Whether Hom(G, phi) is surjective for every listed G, for phi given by
+    its ``components`` as in :func:`postcompose_rank`, given ``needs``, the
+    dimensions of Hom(G, target) in the order of ``gp.modules``."""
     for g, need in zip(gp.modules, needs):
-        if need and postcompose_rank(g, smap) != need:
+        if need and postcompose_rank(g, components, hom) != need:
             return False
     return True
 
@@ -312,18 +312,15 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
     homs = [hom_space(g, m) for g in gp.modules]
     needs = [len(basis) for basis in homs]
     components = [(g, h.matrix) for g, basis in zip(gp.modules, homs) for h in basis]
+    # Hom(G_j, G_k) for the G_j tested and the G_k among the components
+    used = [g for g, need in zip(gp.modules, needs) if need]
+    table = {(id(g), id(x)): hom_space(g, x) for g in used for x in used}
 
-    def assemble(parts):
-        if not parts:
-            src = zero_module(alg)
-            return ModuleMap(src, m, Matrix.zeros(f, m.dim, 0))
-        src, _, _ = direct_sum([g for g, _ in parts], algebra=alg)
-        mat = Matrix.hstack([h for _, h in parts])
-        return ModuleMap(src, m, mat)
+    def matrix(parts):
+        return Matrix.hstack([h for _, h in parts]) if parts else Matrix.zeros(f, m.dim, 0)
 
     def acceptable(parts):
-        cand = assemble(parts)
-        return cand.is_surjective() and _g_epic(cand, gp, needs)
+        return rank(matrix(parts)) == m.dim and _g_epic(parts, gp, needs, lambda g, x: table[id(g), id(x)])
 
     if not acceptable(components):
         raise ValidationError("evaluation map fails to approximate; classification incomplete?")
@@ -334,7 +331,8 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
             components = trial
         else:
             i += 1
-    return assemble(components)
+    src, _, _ = direct_sum([g for g, _ in components], algebra=alg)
+    return ModuleMap(src, m, matrix(components))
 
 
 def proper_gp_presentation(m: Module, gp: GpClassification) -> Presentation:
@@ -391,8 +389,8 @@ def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExact
     if rank(fmap.matrix) != mid_kernel:
         raise ValidationError("sequence is not exact in the ordinary sense (homology at the middle)")
     for j, g in enumerate(gp.modules):
-        rank_f = postcompose_rank(g, fmap)
-        rank_g = postcompose_rank(g, gmap)
+        rank_f = postcompose_rank(g, [(fmap.source, fmap.matrix)])
+        rank_g = postcompose_rank(g, [(gmap.source, gmap.matrix)])
         hom_mid = hom_dim(g, gmap.source)
         hom_end = hom_dim(g, gmap.target)
         if rank_g != hom_end:
@@ -449,7 +447,8 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     if not gp.complete:
         raise ValidationError("relative generation needs a complete classification")
     ev = right_add_approximation(t, m)
-    return ev.is_surjective() and _g_epic(ev, gp, (hom_dim(g, m) for g in gp.modules))
+    blocks = [(t, ev.matrix.submatrix(range(m.dim), range(c, c + t.dim))) for c in range(0, ev.source.dim, t.dim or 1)]
+    return ev.is_surjective() and _g_epic(blocks, gp, (hom_dim(g, m) for g in gp.modules))
 
 
 def d_theta_contains(theta: Presentation, m: Module) -> bool:

@@ -177,9 +177,7 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
         if check:
-            for lbl in source.algebra.labels:
-                if matrix.mul(source.action[lbl]) != target.action[lbl].mul(matrix):
-                    raise ValidationError(f"map does not commute with the action of {lbl!r}")
+            _check_commutes(source, target, [matrix])
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self ∘ other (apply other first)."""
@@ -357,50 +355,66 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     if m.dim == 0 or n.dim == 0:
         return []
     am, an = m.adapted(), n.adapted()
-    gen = alg.generating_set()
     positions: list[tuple[int, int]] = []
+    index = [[-1] * m.dim for _ in range(n.dim)]  # (r, c) -> unknown, or -1
     for lbl, _vec in alg.idempotents:
         r0, r1 = an.blocks[lbl]
         c0, c1 = am.blocks[lbl]
         for r in range(r0, r1):
             for c in range(c0, c1):
+                index[r][c] = len(positions)
                 positions.append((r, c))
     if not positions:
         return []
-    pos_index = {rc: t for t, rc in enumerate(positions)}
     rows = []
-    for name, _vec, _blk in gen.radical_seeds():
-        gm = am.action[name]
-        gn = an.action[name]
-        # every entry of the commutator H·gm - gn·H must vanish
+    for name, _vec, _blk in alg.generating_set().radical_seeds():
+        # H·gm - gn·H = 0 entrywise: Σ_c H[a][c]·gm[c][b] - Σ_r gn[a][r]·H[r][b] = 0
+        gm_cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*am.action[name].data)]
+        gn_rows = [[(r, x) for r, x in enumerate(row) if x] for row in an.action[name].data]
         for a_ in range(n.dim):
             for b_ in range(m.dim):
                 row = [f.zero()] * len(positions)
-                nonzero = False
-                for (rr, cc), t in pos_index.items():
-                    coeff = f.zero()
-                    if rr == a_ and gm.data[cc][b_] != 0:
-                        coeff = f.add(coeff, gm.data[cc][b_])
-                    if cc == b_ and gn.data[a_][rr] != 0:
-                        coeff = f.sub(coeff, gn.data[a_][rr])
-                    if coeff != 0:
-                        row[t] = coeff
-                        nonzero = True
-                if nonzero:
+                for c, x in gm_cols[b_]:
+                    t = index[a_][c]
+                    if t >= 0:
+                        row[t] = f.add(row[t], x)
+                for r, x in gn_rows[a_]:
+                    t = index[r][b_]
+                    if t >= 0:
+                        row[t] = f.sub(row[t], x)
+                if any(row):
                     rows.append(row)
-    if rows:
-        system = Matrix(f, rows, len(rows), len(positions))
-        nullbasis = nullspace(system)
-    else:
-        nullbasis = [Matrix.column(f, [f.one() if i == t else f.zero() for i in range(len(positions))]) for t in range(len(positions))]
-    maps = []
-    for vec in nullbasis:
-        H = Matrix.zeros(f, n.dim, m.dim)
-        for t, (rr, cc) in enumerate(positions):
-            H.data[rr][cc] = vec.data[t][0]
-        full = an.from_adapted.mul(H).mul(am.to_adapted)
-        maps.append(ModuleMap(m, n, full))
-    return maps
+    nullbasis = [vec.column_vector(0) for vec in nullspace(Matrix(f, rows, len(rows), len(positions)))]
+    # S_N·[H_1|...|H_k], then the stacked blocks times S_M^-1
+    k = len(nullbasis)
+    adapted = Matrix.zeros(f, n.dim, k * m.dim)
+    for j, vec in enumerate(nullbasis):
+        for t, (r, c) in enumerate(positions):
+            adapted.data[r][j * m.dim + c] = vec[t]
+    side = an.from_adapted.mul(adapted).data
+    stacked = [row[j * m.dim : (j + 1) * m.dim] for j in range(k) for row in side]
+    full = Matrix(f, stacked, k * n.dim, m.dim).mul(am.to_adapted).data
+    mats = [Matrix(f, full[j * n.dim : (j + 1) * n.dim], n.dim, m.dim) for j in range(k)]
+    _check_commutes(m, n, mats)
+    return [ModuleMap(m, n, mat, check=False) for mat in mats]
+
+
+def _check_commutes(m: Module, n: Module, mats: list[Matrix]) -> None:
+    """Raise :class:`ValidationError` unless every matrix is a homomorphism
+    m -> n, naming the first failing label of the first failing matrix.
+
+    Block (i, j) of [rho_n(l_1);...;rho_n(l_d)]·[F_1|...|F_k] is
+    rho_n(l_i)·F_j, and block (j, i) of [F_1;...;F_k]·[rho_m(l_1)|...|rho_m(l_d)]
+    is F_j·rho_m(l_i): two products check every identity."""
+    if not mats or m.dim == 0 or n.dim == 0:
+        return
+    labels, p, q = m.algebra.labels, n.dim, m.dim
+    left = Matrix.vstack([n.action[lbl] for lbl in labels]).mul(Matrix.hstack(mats)).data
+    right = Matrix.vstack(mats).mul(Matrix.hstack([m.action[lbl] for lbl in labels])).data
+    for j in range(len(mats)):
+        for i, lbl in enumerate(labels):
+            if any(left[i * p + r][j * q : (j + 1) * q] != right[j * p + r][i * q : (i + 1) * q] for r in range(p)):
+                raise ValidationError(f"map does not commute with the action of {lbl!r}")
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -420,13 +434,17 @@ def precompose_rank(phi: ModuleMap, u: Module) -> int:
     return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
 
 
-def postcompose_rank(g: Module, phi: ModuleMap) -> int:
-    """Rank of Hom(g, phi): Hom(g, source) -> Hom(g, target), h |-> phi∘h.
-
-    The composites lie in Hom(g, target), so the map is onto exactly when the
-    rank equals ``hom_dim(g, phi.target)``."""
-    rows = [_flat(phi.matrix.mul(h.matrix)) for h in hom_space(g, phi.source)]
-    return row_space_basis(rows, g.algebra.field, g.dim * phi.target.dim).nrows
+def postcompose_rank(g: Module, components, hom=hom_space) -> int:
+    """Rank of Hom(g, phi): Hom(g, ⊕X_k) -> Hom(g, Y), h |-> phi∘h, for phi
+    given by its ``components``: pairs of X_k and the column block M_k of phi
+    on X_k (a plain map is one component).  As Hom(g, ⊕X_k) = ⊕Hom(g, X_k),
+    the image is spanned by M_k·h over h in ``hom(g, X_k)``, called once per
+    distinct X_k.  The map is onto when the rank is ``hom_dim(g, Y)``."""
+    groups: dict[int, tuple[Module, list[Matrix]]] = {}
+    for x, block in components:
+        groups.setdefault(id(x), (x, []))[1].append(block)
+    rows = [_flat(block.mul(h.matrix)) for x, blocks in groups.values() for h in hom(g, x) for block in blocks]
+    return row_space_basis(rows, g.algebra.field, len(rows[0]) if rows else 0).nrows
 
 
 def hom_coordinates(basis: list[ModuleMap], mats: list[Matrix]) -> Matrix:

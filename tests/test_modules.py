@@ -31,11 +31,14 @@ from silting_forge.algebra import (
     derive_algebra,
 )
 from silting_forge import exactlinalg
-from silting_forge.exactlinalg import Matrix, invert, rank, reduce_mod_row_space, row_space_basis
+from silting_forge.exactlinalg import Matrix, invert, nullspace, rank, reduce_mod_row_space, row_space_basis
+from silting_forge.gorenstein import gorenstein_report, gp_classification
+from silting_forge.io import CORPUS_DIR, corpus_load
 from silting_forge.modules import (
     Module,
     ModuleMap,
     UndecidedError,
+    _check_commutes,
     ar_translate,
     cokernel,
     decompose,
@@ -65,6 +68,7 @@ from silting_forge.modules import (
     validate_module,
     zero_module,
 )
+from silting_forge.recollement import random_probe_modules
 
 
 @pytest.fixture
@@ -970,7 +974,7 @@ def test_induced_hom_ranks_match_span_criterion(field):
                 [phi.matrix.mul(h.matrix) for h in hom_space(u, phi.source)],
                 hom_space(u, phi.target), field, u.dim * phi.target.dim,
             )
-            assert (postcompose_rank(u, phi) == hom_dim(u, phi.target)) == onto
+            assert (postcompose_rank(u, [(phi.source, phi.matrix)]) == hom_dim(u, phi.target)) == onto
             seen.add(("post", onto))
     assert seen == {("pre", True), ("pre", False), ("post", True), ("post", False)}
 
@@ -996,3 +1000,201 @@ def test_hom_coordinates_recover_combinations_and_reject_outsiders():
     assert hom_coordinates([], [Matrix.zeros(F3, 1, 1)]) == Matrix.zeros(F3, 0, 1)
     with pytest.raises(ValidationError):
         hom_coordinates([], [Matrix.identity(F3, 1)])
+
+
+# ---------------------------------------------------------------------------
+# The batched Hom solve and the component rank against their references
+# ---------------------------------------------------------------------------
+
+
+def _reference_hom_space(m, n):
+    """Hom(m, n) as first written: the commutator system assembled position
+    by position, each solution taken back to the given bases with its own two
+    products and checked label by label."""
+    alg, f = m.algebra, m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    am, an = m.adapted(), n.adapted()
+    positions = [
+        (r, c) for lbl, _ in alg.idempotents for r in range(*an.blocks[lbl]) for c in range(*am.blocks[lbl])
+    ]
+    if not positions:
+        return []
+    rows = []
+    for name, _vec, _blk in alg.generating_set().radical_seeds():
+        gm, gn = am.action[name], an.action[name]
+        for a_ in range(n.dim):
+            for b_ in range(m.dim):
+                row = [f.zero()] * len(positions)
+                for t, (rr, cc) in enumerate(positions):
+                    coeff = f.zero()
+                    if rr == a_ and gm.data[cc][b_] != 0:
+                        coeff = f.add(coeff, gm.data[cc][b_])
+                    if cc == b_ and gn.data[a_][rr] != 0:
+                        coeff = f.sub(coeff, gn.data[a_][rr])
+                    row[t] = coeff
+                if any(row):
+                    rows.append(row)
+    width = len(positions)
+    if rows:
+        nullbasis = [v.column_vector(0) for v in nullspace(Matrix(f, rows, len(rows), width))]
+    else:
+        nullbasis = [[f.one() if i == t else f.zero() for i in range(width)] for t in range(width)]
+    out = []
+    for vec in nullbasis:
+        h = Matrix.zeros(f, n.dim, m.dim)
+        for t, (rr, cc) in enumerate(positions):
+            h.data[rr][cc] = vec[t]
+        full = an.from_adapted.mul(h).mul(am.to_adapted)
+        for lbl in alg.labels:
+            assert full.mul(m.action[lbl]) == n.action[lbl].mul(full)
+        out.append(ModuleMap(m, n, full, check=False))
+    return out
+
+
+def _unimodular(d, f, rng):
+    return _unitriangular(d, f, rng).transpose().mul(_unitriangular(d, f, rng))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_hom_space_matches_the_per_position_reference(field):
+    rng = random.Random(31)
+    a2 = compile_quiver_algebra(quiver_a2(field))
+    algebras = [
+        a2,
+        compile_quiver_algebra(quiver_a3_rel(field)),
+        compile_quiver_algebra(quiver_dual_numbers(field)),
+        derive_algebra(a2, "tensor", b=a2)[0],
+    ]
+    for alg in algebras:
+        indecs = [mod for mod in _indecomposables(alg) if mod.dim <= 3]
+        probes = [_conjugate(p, _unimodular(p.dim, field, rng)) for p in random_probe_modules(alg, 3, seed=5)]
+        pool = [zero_module(alg)] + indecs + probes
+        nonzero = 0
+        for x, y in itertools.product(pool, repeat=2):
+            got = [h.matrix for h in hom_space(x, y)]
+            assert got == [h.matrix for h in _reference_hom_space(x, y)]
+            nonzero += bool(got)
+        assert nonzero > len(pool)
+
+
+def _first_failing_label(m, n, mats):
+    """The label a map-by-map, label-by-label check names first, or None."""
+    for mat in mats:
+        for lbl in m.algebra.labels:
+            if mat.mul(m.action[lbl]) != n.action[lbl].mul(mat):
+                return lbl
+    return None
+
+
+def _assert_check_agrees(m, n, mats):
+    """The batched check passes or raises exactly as the reference does."""
+    expected = _first_failing_label(m, n, mats)
+    if expected is None:
+        _check_commutes(m, n, mats)
+        return False
+    with pytest.raises(ValidationError) as err:
+        _check_commutes(m, n, mats)
+    assert str(err.value) == f"map does not commute with the action of {expected!r}"
+    return True
+
+
+class TestBatchedCommuteCheck:
+    @pytest.fixture
+    def endos(self):
+        alg = compile_quiver_algebra(quiver_a3_rel(F3))
+        reg = regular_module(alg)
+        return reg, [h.matrix for h in hom_space(reg, reg)]
+
+    def test_every_hom_basis_passes(self, endos):
+        reg, mats = endos
+        assert len(mats) == 5
+        assert not _assert_check_agrees(reg, reg, mats)
+
+    def test_one_flipped_entry_is_caught_in_every_map(self, endos):
+        reg, mats = endos
+        caught = set()
+        for j, mat in enumerate(mats):
+            for r in range(reg.dim):
+                for c in range(reg.dim):
+                    bad = mat.copy()
+                    bad.data[r][c] = F3.add(bad.data[r][c], F3.one())
+                    if _assert_check_agrees(reg, reg, mats[:j] + [bad] + mats[j + 1 :]):
+                        caught.add(j)
+        assert caught == set(range(len(mats)))
+
+    def test_a_wrong_block_is_caught_in_every_position(self, endos):
+        reg, mats = endos
+        rng = random.Random(4)
+        for j in range(len(mats)):
+            wrong = Matrix(F3, [[rng.randrange(3) for _ in range(reg.dim)] for _ in range(reg.dim)])
+            assert _assert_check_agrees(reg, reg, mats[:j] + [wrong] + mats[j + 1 :])
+
+    def test_a_map_failing_only_the_last_label_is_caught(self, a2):
+        last = a2.labels[-1]
+        pool = [zero_module(a2)] + enumerate_indecomposables(a2, 3)
+        found = 0
+        for x, y in itertools.product(pool, repeat=2):
+            if not 0 < x.dim * y.dim <= 6:
+                continue
+            for entries in itertools.product((0, 1), repeat=x.dim * y.dim):
+                mat = Matrix(F2, [entries[i * x.dim : (i + 1) * x.dim] for i in range(y.dim)], y.dim, x.dim)
+                failing = [lbl for lbl in a2.labels if mat.mul(x.action[lbl]) != y.action[lbl].mul(mat)]
+                if failing != [last]:
+                    continue
+                found += 1
+                valid = [h.matrix for h in hom_space(x, y)]
+                for mats in ([mat], valid + [mat], [mat] + valid):
+                    assert _assert_check_agrees(x, y, mats)
+                with pytest.raises(ValidationError, match=f"action of {last!r}"):
+                    ModuleMap(x, y, mat)
+        assert found
+
+
+def _random_hom(x, y, rng):
+    """A random element of Hom(x, y), as a matrix."""
+    f = x.algebra.field
+    mat = Matrix.zeros(f, y.dim, x.dim)
+    for h in hom_space(x, y):
+        mat = mat + h.matrix.scale(rng.randrange(f.p))
+    return mat
+
+
+def _rank_through_direct_sum(g, y, components):
+    """Rank of Hom(g, phi) for phi assembled on the direct sum of the sources."""
+    src, _, _ = direct_sum([x for x, _ in components], algebra=g.algebra)
+    f = g.algebra.field
+    mat = Matrix.hstack([block for _, block in components]) if components else Matrix.zeros(f, y.dim, 0)
+    phi = ModuleMap(src, y, mat)
+    rows = [[v for row in phi.matrix.mul(h.matrix).data for v in row] for h in hom_space(g, src)]
+    return row_space_basis(rows, f, g.dim * y.dim).nrows
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_component_rank_matches_the_assembled_direct_sum(field):
+    rng = random.Random(17)
+    cases = []  # (sources X_k, targets Y and probes g)
+    for quiver in (quiver_a2, quiver_a3_rel):
+        alg = compile_quiver_algebra(quiver(field))
+        pool = enumerate_indecomposables(alg, 3)
+        cases.append((pool, pool + random_probe_modules(alg, 2, seed=3)))
+    if field == F2:
+        # the GP lists of the Gorenstein corpus algebras, as the relative
+        # approximations use them
+        for path in sorted(CORPUS_DIR.glob("*.json")):
+            entry = corpus_load(path.stem)
+            alg = getattr(entry, "gamma", entry)
+            if gorenstein_report(alg, bound=4).verdict == "gorenstein":
+                gp = gp_classification(entry, 3).modules
+                cases.append((gp, gp + random_probe_modules(alg, 2, seed=3)))
+    ranks = set()
+    for sources, targets in cases:
+        for y in targets:
+            for _ in range(3):
+                xs = [rng.choice(sources) for _ in range(rng.randrange(4))]
+                components = [(x, _random_hom(x, y, rng)) for x in xs]
+                for g in targets:
+                    got = postcompose_rank(g, components)
+                    assert got == _rank_through_direct_sum(g, y, components)
+                    ranks.add(got)
+    assert len(ranks) > 2
