@@ -389,9 +389,10 @@ def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExact
     if rank(fmap.matrix) != mid_kernel:
         raise ValidationError("sequence is not exact in the ordinary sense (homology at the middle)")
     for j, g in enumerate(gp.modules):
+        mid = hom_space(g, gmap.source)
         rank_f = postcompose_rank(g, [(fmap.source, fmap.matrix)])
-        rank_g = postcompose_rank(g, [(gmap.source, gmap.matrix)])
-        hom_mid = hom_dim(g, gmap.source)
+        rank_g = postcompose_rank(g, [(gmap.source, gmap.matrix)], hom=lambda _g, _x: mid)
+        hom_mid = len(mid)
         hom_end = hom_dim(g, gmap.target)
         if rank_g != hom_end:
             return GExactness(

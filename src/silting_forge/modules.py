@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, memoized, opposite_algebra, same_algebra
 from .exactlinalg import (
@@ -112,6 +111,12 @@ class Module:
     def dimension_vector(self) -> dict[str, int]:
         """dim e_v·M per distinguished idempotent, in idempotent order."""
         return {lbl: rank(self.act(vec)) for lbl, vec in self.algebra.idempotents}
+
+    @memoized
+    def stacked_actions(self) -> tuple[Matrix, Matrix]:
+        """[rho(l_1);...;rho(l_d)] and [rho(l_1)|...|rho(l_d)], in label order."""
+        mats = [self.action[lbl] for lbl in self.algebra.labels]
+        return Matrix.vstack(mats), Matrix.hstack(mats)
 
     @memoized
     def radical_columns(self) -> Matrix:
@@ -409,8 +414,8 @@ def _check_commutes(m: Module, n: Module, mats: list[Matrix]) -> None:
     if not mats or m.dim == 0 or n.dim == 0:
         return
     labels, p, q = m.algebra.labels, n.dim, m.dim
-    left = Matrix.vstack([n.action[lbl] for lbl in labels]).mul(Matrix.hstack(mats)).data
-    right = Matrix.vstack(mats).mul(Matrix.hstack([m.action[lbl] for lbl in labels])).data
+    left = n.stacked_actions()[0].mul(Matrix.hstack(mats)).data
+    right = Matrix.vstack(mats).mul(m.stacked_actions()[1]).data
     for j in range(len(mats)):
         for i, lbl in enumerate(labels):
             if any(left[i * p + r][j * q : (j + 1) * q] != right[j * p + r][i * q : (i + 1) * q] for r in range(p)):
@@ -825,32 +830,6 @@ def _min_poly(mat: Matrix) -> list:
     return coeffs
 
 
-def _factor_poly(coeffs: list, field: FieldSpec) -> list[tuple[list, int]]:
-    """Factor a monic polynomial; returns [(irreducible coeffs, multiplicity)]."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    if field.kind == "prime":
-        expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, x, modulus=field.p)
-    else:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, x, domain=sympy.QQ)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()[::-1]  # ascending
-        lead = cs[-1]
-        norm = []
-        for c in cs:
-            if field.kind == "prime":
-                norm.append(field.coerce(int(c) * pow(int(lead), -1, field.p)))
-            else:
-                norm.append(field.coerce(Fraction(sympy.Rational(c, lead).p, sympy.Rational(c, lead).q)))
-        out.append((norm, int(mult)))
-    return out
-
-
 def _eval_poly(coeffs: list, mat: Matrix) -> Matrix:
     f = mat.field
     d = mat.nrows
@@ -863,49 +842,26 @@ def _eval_poly(coeffs: list, mat: Matrix) -> Matrix:
     return out
 
 
-def _poly_power(coeffs: list, e: int, field: FieldSpec) -> list:
-    out = [field.one()]
-    for _ in range(e):
-        nxt = [field.zero()] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            if a == 0:
-                continue
-            for j, b in enumerate(coeffs):
-                if b != 0:
-                    nxt[i + j] = field.add(nxt[i + j], field.mul(a, b))
-        out = nxt
-    return out
-
-
 def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
     """If the endomorphism's minimal polynomial has >= 2 coprime primary
-    parts, return column bases of the corresponding kernel decomposition."""
+    parts g and h, return column bases of ker g(e) and ker h(e), which split
+    the module; None when it is a power of one irreducible."""
+    # imported on first use: no CLI command factors, and an interpreter
+    # without cached bytecode compiles every module it imports
+    from .polynomials import factor, mul, power
+
     f = m.algebra.field
-    coeffs = _min_poly(emat)
-    factors = _factor_poly(coeffs, f)
+    factors = factor(_min_poly(emat), f)
     if len(factors) < 2:
         return None
-    g = _poly_power(factors[0][0], factors[0][1], f)
+    g = power(*factors[0], f)
     h = [f.one()]
     for fac, mult in factors[1:]:
-        part = _poly_power(fac, mult, f)
-        nxt = [f.zero()] * (len(h) + len(part) - 1)
-        for i, a in enumerate(h):
-            if a == 0:
-                continue
-            for j, b in enumerate(part):
-                if b != 0:
-                    nxt[i + j] = f.add(nxt[i + j], f.mul(a, b))
-        h = nxt
-    gmat, hmat = _eval_poly(g, emat), _eval_poly(h, emat)
-    kg, kh = nullspace(gmat), nullspace(hmat)
-    if not kg or not kh:
-        return None
-    cols_g = Matrix.hstack(kg)
-    cols_h = Matrix.hstack(kh)
-    if cols_g.ncols + cols_h.ncols != m.dim:
-        return None
-    return cols_g, cols_h
+        h = mul(h, power(fac, mult, f), f)
+    kg, kh = nullspace(_eval_poly(g, emat)), nullspace(_eval_poly(h, emat))
+    if not kg or not kh or len(kg) + len(kh) != m.dim:
+        raise ValidationError("coprime factors of a minimal polynomial failed to split the module")
+    return Matrix.hstack(kg), Matrix.hstack(kh)
 
 
 def _structured_candidates(field: FieldSpec, h: int):
@@ -1007,14 +963,14 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
     Returns ``[(part, multiplicity, [(injection, projection), ...])]`` where
     the maps run part -> m and m -> part for each copy, and
     sum(inj ∘ proj) = id_m (verified).  Indecomposability of each part is
-    certified by a one-dimensional End, over a finite field by scanning all
-    of End whenever it has at most ``DECOMPOSE_BUDGET`` elements (every
-    endomorphism nilpotent or invertible, i.e. End is local), and over Q by
-    the trace form.  Larger End rings over F_p, and End rings over Q, are
-    first split by factoring minimal polynomials of structured candidates
-    (sympy).  This is the one search here that can fail: when it finds no
-    split and no certificate applies, :class:`UndecidedError` is raised
-    rather than an unverified split returned.
+    certified by a local End: over a finite field by scanning all of End
+    whenever it has at most ``DECOMPOSE_BUDGET`` elements (every
+    endomorphism nilpotent or invertible), and over Q by the trace form.
+    Larger End rings over F_p, and End rings over Q, are first split by
+    factoring minimal polynomials of structured candidates.  This is the one
+    search here that can fail: when it finds no split and no certificate
+    applies, :class:`UndecidedError` is raised rather than an unverified
+    split returned.
     """
     alg = m.algebra
     f = alg.field

@@ -33,7 +33,7 @@ def _declared_dependencies() -> set[str]:
 
 
 def test_declared_dependencies_match_imports():
-    assert _declared_dependencies() == {"sympy"}
+    assert _declared_dependencies() == set()
     assert _third_party_imports() == _declared_dependencies()
 
 

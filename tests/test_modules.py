@@ -8,8 +8,12 @@ regular module.  Hom dimensions follow from counting paths between vertices.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -548,6 +552,27 @@ class TestIsomorphism:
             # Krull–Schmidt: isomorphic exactly when the summands agree
             for (x, xs), (y, ys) in itertools.product(items, repeat=2):
                 assert (is_isomorphic(x, y) is not None) == (xs == ys)
+
+    def test_suites_match_golden_without_sympy(self):
+        # a fresh interpreter, so nothing is memoized, in which every
+        # `import sympy` fails: End rings too large to scan are split too
+        script = (
+            "import json, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from silting_forge.io import dump_json\n"
+            "from silting_forge.suites import run_suite\n"
+            "reports = run_suite('all', seed=11)['suites']\n"
+            "print(json.dumps({name: dump_json(report) for name, report in reports.items()}))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        golden = {
+            name: (root / "tests" / "golden" / f"suite_{name}_seed11.json").read_text(encoding="utf-8")
+            for name in ("idempotent", "tensor", "gluing")
+        }
+        assert json.loads(run.stdout) == golden
 
 
 # ---------------------------------------------------------------------------
