@@ -453,7 +453,7 @@ def _compute_generating_set(a: Algebra) -> GeneratorData:
             "distinguished idempotents plus radical lifts do not generate"
         )
     tracked = Matrix(f, [[values[t][i] for t in range(d)] for i in range(d)], d, d)
-    expansion, _ = solve(tracked, Matrix.identity(f, d))
+    expansion = solve(tracked, Matrix.identity(f, d))
     if expansion is None:
         raise ValidationError("tracked generator products are not independent")
     return GeneratorData(seeds, n_idem, words, expansion)
@@ -679,7 +679,7 @@ def _constants_in_subspace(a: Algebra, rows: Matrix) -> list[list[list]]:
         row = []
         for j in range(d):
             prod = a.multiply(list(rows.data[i]), list(rows.data[j]))
-            sol, _ = solve(basis_mat_t, Matrix.column(f, prod))
+            sol = solve(basis_mat_t, Matrix.column(f, prod))
             if sol is None:
                 raise ValidationError("subspace is not closed under multiplication")
             row.append([sol.data[t][0] for t in range(d)])
@@ -720,14 +720,14 @@ def derive_algebra(a: Algebra, kind: str, *, e: list[str] | None = None, b: Alge
             basis_mat_t = rows.transpose()
             idempotents = []
             for lbl in sorted(e, key=known.index):
-                sol, _ = solve(basis_mat_t, Matrix.column(f, a.idempotent_vector(lbl)))
+                sol = solve(basis_mat_t, Matrix.column(f, a.idempotent_vector(lbl)))
                 if sol is None:
                     raise ValidationError(f"idempotent {lbl!r} not inside its own corner")
                 idempotents.append((lbl, [sol.data[t][0] for t in range(rows.nrows)]))
             rad_gens = []
             for r in a.radical_rows.data:
                 w = a.multiply(evec, a.multiply(list(r), evec))
-                sol, _ = solve(basis_mat_t, Matrix.column(f, w))
+                sol = solve(basis_mat_t, Matrix.column(f, w))
                 if sol is None:
                     raise ValidationError("corner of the radical escapes the corner subspace")
                 rad_gens.append([sol.data[t][0] for t in range(rows.nrows)])

@@ -10,8 +10,15 @@ Over F_2 the kernels (``Matrix.mul``, ``rref``, ``+``, ``-``, ``scale``) are
 chosen from ``field.p`` alone.  ``mul`` and ``rref`` pack each row into one
 Python int: the row's entries as bytes, read big-endian, so column ``j`` of an
 ``n``-column row is bit ``8(n - 1 - j)``.  Packing and unpacking are single
-bytes/int conversions, and XOR of two packed rows is their sum.
-``Matrix.data`` stays a list of lists of ints either way.
+bytes/int conversions, and XOR of two packed rows is their sum.  ``rref``
+reads the pivot column of each elimination step off the bit index of its
+leading entry.  ``Matrix.data`` stays a list of lists of ints either way.
+
+Each elimination returns one result, in the shape its callers use:
+``rref`` gives ``(reduced, pivots)``, ``solve`` the solution with every
+free variable zero (or None), ``nullspace`` one ``ncols × nullity`` matrix
+whose columns are the canonical kernel basis, and ``invert`` is
+``solve(m, I)``.
 
 Over F_p with p > 2 and over Q, ``Matrix.mul`` forms row i of the product as
 the combination of the rows of the right factor picked out by the nonzero
@@ -139,9 +146,6 @@ class FieldSpec:
             raise ExactError("cannot enumerate the rationals")
         return iter(range(self.p))
 
-    def size(self) -> int | None:
-        return self.p if self.kind == "prime" else None
-
     def random(self, rng):
         if self.kind == "prime":
             return rng.randrange(self.p)
@@ -234,9 +238,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         f = self.field
         return Matrix(f, [[f.neg(a) for a in r] for r in self.data])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
 
     def _check_shape(self, other: "Matrix", same: bool = False):
         if self.field != other.field:
@@ -346,9 +347,6 @@ class Matrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         return Matrix(self.field, [[self.data[i][j] for j in cols] for i in rows], len(rows), len(cols))
 
-    def column_vector(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.nrows)]
-
     # -- serialization --------------------------------------------------------
     def to_lists(self) -> list[list[str]]:
         return [[self.field.to_str(x) for x in row] for row in self.data]
@@ -399,38 +397,32 @@ def _generic_mul(left: Matrix, other: Matrix) -> Matrix:
     return Matrix(f, out, left.nrows, other.ncols)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form.
 
-    Returns ``(reduced, rank, rowops)`` with ``rowops @ m == reduced`` and
-    ``rowops`` invertible.  Pivoting is deterministic: leftmost pivot column,
-    first row with a nonzero entry.
+    Returns ``(reduced, pivots)``: ``pivots[i]`` is the pivot column of row
+    ``i``, so the rank is ``len(pivots)`` and the rows past it are zero.
+    Pivoting is deterministic: leftmost pivot column, first row with a
+    nonzero entry.
     """
     if m.field.p == 2:
         return _rref_f2(m)
     return _generic_rref(m)
 
 
-def _rref_f2(m: Matrix) -> tuple[Matrix, int, Matrix]:
-    """:func:`rref` over F_2: each packed row carries its row of ``rowops`` in
-    the bytes after column ``ncols - 1``, so one XOR updates both."""
+def _rref_f2(m: Matrix) -> tuple[Matrix, list[int]]:
+    """:func:`rref` over F_2 on packed rows, eliminating by XOR."""
     nrows, ncols = m.nrows, m.ncols
-    # Row i of the identity is the nrows-byte window of ``units`` that starts
-    # i bytes before its middle 1.
-    units = bytes(nrows - 1) + b"\x01" + bytes(nrows - 1) if nrows else b""
-    rows = [
-        int.from_bytes(bytes(row) + units[nrows - 1 - i : 2 * nrows - 1 - i], "big")
-        for i, row in enumerate(m.data)
-    ]
-    shift = 8 * nrows
+    rows = list(map(int.from_bytes, map(bytes, m.data), repeat("big")))
+    pivots: list[int] = []
     r = 0
     while r < nrows:
-        live = reduce(or_, rows[r:]) >> shift
+        live = reduce(or_, rows[r:])
         if not live:
             break
         # The leftmost column with a nonzero entry at or below row r is the
         # next pivot column, exactly as in the column-by-column scan.
-        bit = live.bit_length() - 1 + shift
+        bit = live.bit_length() - 1
         i = r
         while not rows[i] >> bit & 1:
             i += 1
@@ -439,18 +431,17 @@ def _rref_f2(m: Matrix) -> tuple[Matrix, int, Matrix]:
         for i in range(nrows):
             if i != r and rows[i] >> bit & 1:
                 rows[i] ^= pivot
+        pivots.append(ncols - 1 - bit // 8)
         r += 1
-    packed = [v.to_bytes(ncols + nrows, "big") for v in rows]
-    reduced = Matrix(m.field, [list(b[:ncols]) for b in packed], nrows, ncols)
-    return reduced, r, Matrix(m.field, [list(b[ncols:]) for b in packed], nrows, nrows)
+    reduced = Matrix(m.field, [list(v.to_bytes(ncols, "big")) for v in rows], nrows, ncols)
+    return reduced, pivots
 
 
-def _generic_rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
+def _generic_rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """:func:`rref` over any field by scalar row operations; the reference for
     the F_2 kernel."""
     f = m.field
     a = [row[:] for row in m.data]
-    ops = Matrix.identity(f, m.nrows).data
     pivots: list[int] = []
     r = 0
     for c in range(m.ncols):
@@ -462,79 +453,60 @@ def _generic_rref(m: Matrix) -> tuple[Matrix, int, Matrix]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        ops[r], ops[pivot_row] = ops[pivot_row], ops[r]
         inv = f.inv(a[r][c])
         if inv != f.one():
             a[r] = [f.mul(inv, x) for x in a[r]]
-            ops[r] = [f.mul(inv, x) for x in ops[r]]
         for i in range(m.nrows):
             if i != r and a[i][c] != 0:
                 factor = a[i][c]
                 a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
-                ops[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(ops[i], ops[r])]
         pivots.append(c)
         r += 1
         if r == m.nrows:
             break
-    reduced = Matrix(f, a, m.nrows, m.ncols)
-    return reduced, r, Matrix(f, ops, m.nrows, m.nrows)
+    return Matrix(f, a, m.nrows, m.ncols), pivots
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return len(rref(m)[1])
 
 
-def solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, list[Matrix]]:
-    """Solve a·x = b for a column (or multi-column) right-hand side.
-
-    Returns ``(particular, nullbasis)`` where ``particular`` is None when the
-    system is inconsistent and ``nullbasis`` is a deterministic basis of
-    ker(a) as column vectors (free variable set to one, others zero).
-    """
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """The solution x of a·x = b with every free variable zero, for a column
+    (or multi-column) right-hand side; None when the system is inconsistent."""
     if a.nrows != b.nrows:
         raise ExactError(f"solve dimension mismatch: {a.nrows} rows vs {b.nrows}")
+    n = a.ncols
+    reduced, pivots = rref(Matrix.hstack([a, b]))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = Matrix.zeros(a.field, n, b.ncols)
+    for i, j in enumerate(pivots):
+        x.data[j] = reduced.data[i][n:]
+    return x
+
+
+def nullspace(a: Matrix) -> Matrix:
+    """The canonical basis of ker(a) as the columns of an ``ncols × nullity``
+    matrix: one column per free variable, in increasing order, with that
+    variable one and the other free variables zero."""
     f = a.field
-    aug = Matrix.hstack([a, b])
-    reduced, _, _ = rref(aug)
-    pivots: list[tuple[int, int]] = []
-    for i in range(reduced.nrows):
-        for j in range(aug.ncols):
-            if reduced.data[i][j] != 0:
-                pivots.append((i, j))
-                break
-    if any(j >= a.ncols for _, j in pivots):
-        particular = None
-    else:
-        particular = Matrix.zeros(f, a.ncols, b.ncols)
-        for i, j in pivots:
-            for k in range(b.ncols):
-                particular.data[j][k] = reduced.data[i][a.ncols + k]
-    pivot_cols = {j for _, j in pivots if j < a.ncols}
-    row_of_pivot = {j: i for i, j in pivots if j < a.ncols}
-    nullbasis: list[Matrix] = []
-    for free in range(a.ncols):
-        if free in pivot_cols:
-            continue
-        vec = Matrix.zeros(f, a.ncols, 1)
-        vec.data[free][0] = f.one()
-        for j, i in row_of_pivot.items():
-            vec.data[j][0] = f.neg(reduced.data[i][free])
-        nullbasis.append(vec)
-    return particular, nullbasis
-
-
-def nullspace(a: Matrix) -> list[Matrix]:
-    return solve(a, Matrix.zeros(a.field, a.nrows, 1))[1]
+    reduced, pivots = rref(a)
+    pivot_set = set(pivots)
+    free = [j for j in range(a.ncols) if j not in pivot_set]
+    zero, one = f.zero(), f.one()
+    rows = [[one if j == c else zero for c in free] for j in range(a.ncols)]
+    for i, j in enumerate(pivots):
+        row = reduced.data[i]
+        rows[j] = [f.neg(row[c]) for c in free]
+    return Matrix(f, rows, a.ncols, len(free))
 
 
 def invert(m: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None when singular."""
     if m.nrows != m.ncols:
         raise ExactError("inverse of a non-square matrix")
-    reduced, r, ops = rref(m)
-    if r != m.nrows:
-        return None
-    return ops
+    return solve(m, Matrix.identity(m.field, m.nrows))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +521,8 @@ def row_space_basis(vectors: Iterable[Sequence], field: FieldSpec, width: int) -
     if not rows:
         return Matrix.zeros(field, 0, width)
     m = Matrix(field, rows, len(rows), width)
-    reduced, r, _ = rref(m)
+    reduced, pivots = rref(m)
+    r = len(pivots)
     return Matrix(field, reduced.data[:r], r, width)
 
 

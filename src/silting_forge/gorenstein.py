@@ -285,10 +285,10 @@ def _triangular_gp_classification(ctx, dim_bound: int, report: GorensteinReport 
 # ---------------------------------------------------------------------------
 
 
-def _g_epic(components, gp: GpClassification, needs: Iterable[int], hom=hom_space) -> bool:
+def _g_epic(components, gp: GpClassification, needs: Iterable[int], hom=None) -> bool:
     """Whether Hom(G, phi) is surjective for every listed G, for phi given by
-    its ``components`` as in :func:`postcompose_rank`, given ``needs``, the
-    dimensions of Hom(G, target) in the order of ``gp.modules``."""
+    its ``components`` and ``hom`` as in :func:`postcompose_rank`, given
+    ``needs``, the dimensions of Hom(G, target) in the order of ``gp.modules``."""
     for g, need in zip(gp.modules, needs):
         if need and postcompose_rank(g, components, hom) != need:
             return False

@@ -134,10 +134,9 @@ class Module:
         cols: list[list] = []
         blocks: dict[str, tuple[int, int]] = {}
         for lbl, vec in self.algebra.idempotents:
-            reduced, r, _ = rref(self.act(vec).transpose())
+            reduced, pivots = rref(self.act(vec).transpose())
             start = len(cols)
-            for i in range(r):
-                cols.append(list(reduced.data[i]))
+            cols.extend(reduced.data[: len(pivots)])
             blocks[lbl] = (start, len(cols))
         if len(cols) != self.dim:
             raise ValidationError("idempotent images do not decompose the module")
@@ -276,7 +275,7 @@ def submodule(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
     action = {}
     for lbl in m.algebra.labels:
         rhs = m.action[lbl].mul(cols)
-        x, _ = solve(cols, rhs)
+        x = solve(cols, rhs)
         if x is None:
             raise ValidationError(f"columns are not stable under the action of {lbl!r}")
         action[lbl] = x
@@ -290,7 +289,7 @@ def quotient_module(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
     basis_rows = row_space_basis([c for c in cols.transpose().data], f, m.dim)
     proj, _keep = quotient_map(basis_rows, m.dim)
     q = proj.nrows
-    section, _ = solve(proj, Matrix.identity(f, q))
+    section = solve(proj, Matrix.identity(f, q))
     if section is None:
         raise ValidationError("projection has no section")
     action = {lbl: proj.mul(m.action[lbl]).mul(section) for lbl in m.algebra.labels}
@@ -300,9 +299,7 @@ def quotient_module(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
 
 def kernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
     """Kernel of a map as a submodule of its source, with the inclusion."""
-    null = nullspace(fmap.matrix)
-    cols = Matrix.hstack(null) if null else Matrix.zeros(fmap.source.algebra.field, fmap.source.dim, 0)
-    return submodule(fmap.source, cols)
+    return submodule(fmap.source, nullspace(fmap.matrix))
 
 
 def cokernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
@@ -389,13 +386,13 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
                         row[t] = f.sub(row[t], x)
                 if any(row):
                     rows.append(row)
-    nullbasis = [vec.column_vector(0) for vec in nullspace(Matrix(f, rows, len(rows), len(positions)))]
+    null = nullspace(Matrix(f, rows, len(rows), len(positions)))
     # S_N·[H_1|...|H_k], then the stacked blocks times S_M^-1
-    k = len(nullbasis)
+    k = null.ncols
     adapted = Matrix.zeros(f, n.dim, k * m.dim)
-    for j, vec in enumerate(nullbasis):
-        for t, (r, c) in enumerate(positions):
-            adapted.data[r][j * m.dim + c] = vec[t]
+    for (r, c), coords in zip(positions, null.data):
+        for j, x in enumerate(coords):
+            adapted.data[r][j * m.dim + c] = x
     side = an.from_adapted.mul(adapted).data
     stacked = [row[j * m.dim : (j + 1) * m.dim] for j in range(k) for row in side]
     full = Matrix(f, stacked, k * n.dim, m.dim).mul(am.to_adapted).data
@@ -439,12 +436,14 @@ def precompose_rank(phi: ModuleMap, u: Module) -> int:
     return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
 
 
-def postcompose_rank(g: Module, components, hom=hom_space) -> int:
+def postcompose_rank(g: Module, components, hom=None) -> int:
     """Rank of Hom(g, phi): Hom(g, ⊕X_k) -> Hom(g, Y), h |-> phi∘h, for phi
     given by its ``components``: pairs of X_k and the column block M_k of phi
     on X_k (a plain map is one component).  As Hom(g, ⊕X_k) = ⊕Hom(g, X_k),
     the image is spanned by M_k·h over h in ``hom(g, X_k)``, called once per
-    distinct X_k.  The map is onto when the rank is ``hom_dim(g, Y)``."""
+    distinct X_k; ``hom`` is :func:`hom_space` unless given, looked up at
+    call time.  The map is onto when the rank is ``hom_dim(g, Y)``."""
+    hom = hom or hom_space
     groups: dict[int, tuple[Module, list[Matrix]]] = {}
     for x, block in components:
         groups.setdefault(id(x), (x, []))[1].append(block)
@@ -461,7 +460,7 @@ def hom_coordinates(basis: list[ModuleMap], mats: list[Matrix]) -> Matrix:
     f, width = shape.field, shape.nrows * shape.ncols
     span = Matrix(f, [_flat(b.matrix) for b in basis], len(basis), width).transpose()
     rhs = Matrix(f, [_flat(m) for m in mats], len(mats), width).transpose()
-    coords, _ = solve(span, rhs)
+    coords = solve(span, rhs)
     if coords is None:
         raise ValidationError("a matrix falls outside the span of the Hom basis")
     return coords
@@ -551,10 +550,9 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap, list[str]]:
     if not pi.is_surjective():
         raise ValidationError("projective cover construction failed surjectivity")
     # minimality: ker(pi) ⊆ rad·P
-    nullbasis = nullspace(pi_matrix)
     radP_rows = row_space_basis([list(r) for r in P.radical_columns().transpose().data], f, P.dim)
-    for v in nullbasis:
-        if any(reduce_mod_row_space([v.data[i][0] for i in range(P.dim)], radP_rows)):
+    for v in nullspace(pi_matrix).transpose().data:
+        if any(reduce_mod_row_space(v, radP_rows)):
             raise ValidationError("projective cover is not minimal (kernel escapes the radical)")
     return P, pi, [lbl for lbl, _ in gens]
 
@@ -749,7 +747,7 @@ def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
     rel = row_space_basis(rel_rows, f, big)
     proj, _keep = quotient_map(rel, big)
     q = proj.nrows
-    section, _ = solve(proj, Matrix.identity(f, q))
+    section = solve(proj, Matrix.identity(f, q))
     if section is None:
         raise ValidationError("tensor quotient has no section")
     action = {}
@@ -824,7 +822,7 @@ def _min_poly(mat: Matrix) -> list:
     k = len(flat_rows)
     A = Matrix(f, [[flat_rows[t][i] for t in range(k)] for i in range(d * d)], d * d, k)
     b = Matrix.column(f, [powers[k].data[i][j] for i in range(d) for j in range(d)])
-    x, _ = solve(A, b)
+    x = solve(A, b)
     coeffs = [f.neg(x.data[t][0]) for t in range(k)]
     coeffs.append(f.one())
     return coeffs
@@ -859,9 +857,9 @@ def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] |
     for fac, mult in factors[1:]:
         h = mul(h, power(fac, mult, f), f)
     kg, kh = nullspace(_eval_poly(g, emat)), nullspace(_eval_poly(h, emat))
-    if not kg or not kh or len(kg) + len(kh) != m.dim:
+    if not kg.ncols or not kh.ncols or kg.ncols + kh.ncols != m.dim:
         raise ValidationError("coprime factors of a minimal polynomial failed to split the module")
-    return Matrix.hstack(kg), Matrix.hstack(kh)
+    return kg, kh
 
 
 def _structured_candidates(field: FieldSpec, h: int):
@@ -888,11 +886,10 @@ def _fitting_split(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
     invertible."""
     f = m.algebra.field
     stable = emat.power(m.dim)
-    kb = nullspace(stable)
+    cols_k = nullspace(stable)
     img_rows = row_space_basis(stable.transpose().data, f, m.dim)
-    if not kb or img_rows.nrows == 0:
+    if not cols_k.ncols or img_rows.nrows == 0:
         return None
-    cols_k = Matrix.hstack(kb)
     cols_i = img_rows.transpose()
     if cols_k.ncols + cols_i.ncols != m.dim:
         raise ValidationError("Fitting decomposition dimensions are inconsistent")
@@ -920,14 +917,14 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
 
     gram = Matrix(f, [[tr(mats[i].mul(mats[j])) for j in range(h)] for i in range(h)], h, h)
     nullb = nullspace(gram)
-    if h - len(nullb) != 1:
+    if h - nullb.ncols != 1:
         return False
     rad_mats = []
-    for v in nullb:
+    for v in nullb.transpose().data:
         mat = Matrix.zeros(f, d, d)
         for t in range(h):
-            if v.data[t][0] != 0:
-                mat = mat + mats[t].scale(v.data[t][0])
+            if v[t] != 0:
+                mat = mat + mats[t].scale(v[t])
         rad_mats.append(mat)
 
     rad_flat = row_space_basis([_flat(mm) for mm in rad_mats], f, d * d)

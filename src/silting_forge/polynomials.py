@@ -189,7 +189,7 @@ def _berlekamp(g: list, field: FieldSpec) -> list[list]:
         row = divmod(mul(row, xp, field), g, field)[1]
     # v = Σ v_j x^j has v^p ≡ Σ v_j x^(jp) (mod g): v is fixed iff Σ_j v_j rows[j] = v
     fixed = Matrix(field, [[(rows[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], n, n)
-    basis = [_strip(vec.column_vector(0)) for vec in nullspace(fixed)]
+    basis = [_strip(vec) for vec in nullspace(fixed).transpose().data]
     return _split(g, basis, field)
 
 

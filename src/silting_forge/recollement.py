@@ -177,7 +177,7 @@ def _col_basis(mat: Matrix) -> Matrix:
 
 def _restrict_into(basis: Matrix, cols: Matrix) -> Matrix:
     """Coordinates of the columns in the given column basis."""
-    sol, _ = solve(basis, cols)
+    sol = solve(basis, cols)
     if sol is None:
         raise ValidationError("columns fall outside the subspace")
     return sol
@@ -279,7 +279,7 @@ def _functor_module(ctx: RecollementContext, which: str, m: Module):
         blocks = [m.act(list(r)) for r in ideal.data]
         cols = Matrix.hstack(blocks) if blocks else Matrix.zeros(f, m.dim, 0)
         quo_mid, pi = quotient_module(m, _col_basis(cols))
-        section, _ = solve(pi.matrix, Matrix.identity(f, quo_mid.dim))
+        section = solve(pi.matrix, Matrix.identity(f, quo_mid.dim))
         action = {}
         for j, lbl in enumerate(ctx.quotient.labels):
             mid_idx = ctx.data["keep"][j]
@@ -287,8 +287,7 @@ def _functor_module(ctx: RecollementContext, which: str, m: Module):
         return Module(ctx.quotient, quo_mid.dim, action), pi.matrix
     if which == "p":
         blocks = [m.act(list(r)) for r in ctx.data["ideal"].data]
-        null = nullspace(Matrix.vstack(blocks) if blocks else Matrix.zeros(f, 0, m.dim))
-        K = Matrix.hstack(null) if null else Matrix.zeros(f, m.dim, 0)
+        K = nullspace(Matrix.vstack(blocks) if blocks else Matrix.zeros(f, 0, m.dim))
         mats = [m.rho(ctx.middle.labels[mid_idx]) for mid_idx in ctx.data["keep"]]
         return _layer_module(K, ctx.quotient, mats), K
     if which == "e":
@@ -340,7 +339,7 @@ def apply_functor(ctx: RecollementContext, which: str, x):
         if which == "i":
             mat = x.matrix
         elif which == "q":
-            section, _ = solve(dsrc, Matrix.identity(f, fsrc.dim))
+            section = solve(dsrc, Matrix.identity(f, fsrc.dim))
             mat = dtgt.mul(x.matrix).mul(section)
         elif which in ("p", "e"):
             mat = _restrict_into(dtgt, x.matrix.mul(dsrc))

@@ -176,10 +176,9 @@ def kernel_top_multiplicities(smap: ModuleMap) -> dict[str, int]:
     labels = [lbl for lbl, _ in alg.idempotents]
     if p1.dim == 0:
         return {lbl: 0 for lbl in labels}
-    nullb = nullspace(smap.matrix)
-    if not nullb:
+    kcols = nullspace(smap.matrix)
+    if not kcols.ncols:
         return {lbl: 0 for lbl in labels}
-    kcols = Matrix.hstack(nullb)
     top, proj = quotient_module(p1, p1.radical_columns())
     img = proj.matrix.mul(kcols)
     return {lbl: rank(top.act(evec).mul(img)) for lbl, evec in alg.idempotents}

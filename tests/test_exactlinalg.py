@@ -142,49 +142,58 @@ def test_power():
 # --------------------------------------------------------------------------
 
 
+def _assert_row_space_certificate(m, reduced, pivots):
+    """``(reduced, pivots)`` is a reduced echelon form of ``m``: pivots
+    strictly increase, each pivot column is a unit vector, the rows past the
+    rank are zero, and stacking ``m`` under ``reduced`` adds no rank."""
+    f = m.field
+    assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, j in enumerate(pivots):
+        assert [row[j] for row in reduced.data] == [f.one() if k == i else f.zero() for k in range(m.nrows)]
+    assert not any(x for row in reduced.data[len(pivots):] for x in row)
+    assert rank(Matrix.vstack([reduced, m])) == len(pivots)
+
+
 def test_rref_all_ones_f2():
     # Oracle: both rows equal over F_2, so rank 1, reduced = [[1,1],[0,0]].
     m = Matrix.from_rows(F2, [[1, 1], [1, 1]])
-    reduced, rk, ops = rref(m)
-    assert rk == 1
+    reduced, pivots = rref(m)
+    assert pivots == [0]
     assert reduced.to_lists() == [["1", "1"], ["0", "0"]]
-    assert ops.mul(m) == reduced
+    _assert_row_space_certificate(m, reduced, pivots)
 
 
 def test_rref_identity_rational():
     m = Matrix.identity(QQ, 3)
-    reduced, rk, ops = rref(m)
-    assert rk == 3
+    reduced, pivots = rref(m)
+    assert pivots == [0, 1, 2]
     assert reduced == m
-    assert ops == m
 
 
 def test_rref_proportional_rows():
     # Oracle: [[2,4],[1,2]] has proportional rows; rank 1, reduced [[1,2],[0,0]].
     m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
-    reduced, rk, ops = rref(m)
-    assert rk == 1
+    reduced, pivots = rref(m)
+    assert pivots == [0]
     assert reduced.to_lists() == [["1", "2"], ["0", "0"]]
-    assert ops.mul(m) == reduced
+    _assert_row_space_certificate(m, reduced, pivots)
 
 
 def test_solve_identity():
     a = Matrix.identity(QQ, 2)
     b = Matrix.column(QQ, [5, -1])
-    x, null = solve(a, b)
-    assert x == b
-    assert null == []
+    assert solve(a, b) == b
+    assert nullspace(a) == Matrix.zeros(QQ, 2, 0)
 
 
 def test_solve_zero_matrix():
     a = Matrix.zeros(QQ, 2, 2)
     b = Matrix.zeros(QQ, 2, 1)
-    x, null = solve(a, b)
-    assert x == Matrix.zeros(QQ, 2, 1)
-    assert len(null) == 2
+    assert solve(a, b) == Matrix.zeros(QQ, 2, 1)
+    assert nullspace(a) == Matrix.identity(QQ, 2)
     # Inconsistent when b is nonzero.
-    x2, _ = solve(a, Matrix.column(QQ, [1, 0]))
-    assert x2 is None
+    assert solve(a, Matrix.column(QQ, [1, 0])) is None
 
 
 def test_solve_underdetermined_f2():
@@ -192,12 +201,10 @@ def test_solve_underdetermined_f2():
     # (1,0) and (0,1); kernel of [1 1] is {(0,0), (1,1)} so nullity 1.
     a = Matrix.from_rows(F2, [[1, 1]])
     b = Matrix.column(F2, [1])
-    x, null = solve(a, b)
-    assert x is not None
+    x = solve(a, b)
+    assert x == Matrix.column(F2, [1, 0])  # the free variable y is zero
     assert a.mul(x) == b
-    assert len(null) == 1
-    assert a.mul(null[0]).is_zero()
-    assert not null[0].is_zero()
+    assert nullspace(a) == Matrix.column(F2, [1, 1])
 
 
 def test_invert():
@@ -262,17 +269,17 @@ def random_matrix(draw, field=None):
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
 def test_rref_idempotent_and_certified(m):
-    reduced, rk, ops = rref(m)
-    assert ops.mul(m) == reduced
-    again, rk2, _ = rref(reduced)
-    assert again == reduced and rk2 == rk
-    assert invert(ops) is not None
+    reduced, pivots = rref(m)
+    _assert_row_space_certificate(m, reduced, pivots)
+    assert rref(reduced) == (reduced, pivots)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
 def test_rank_nullity(m):
-    assert rank(m) + len(nullspace(m)) == m.ncols
+    null = nullspace(m)
+    assert null.nrows == m.ncols
+    assert rank(m) + null.ncols == m.ncols
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,12 +289,12 @@ def test_solve_consistency(m, rng):
     # b in the column space: solve must succeed and certify.
     coeffs = Matrix.column(f, [f.random(rng) for _ in range(m.ncols)])
     b = m.mul(coeffs)
-    x, null = solve(m, b)
+    x = solve(m, b)
     assert x is not None
     assert m.mul(x) == b
-    for v in null:
-        assert m.mul(v).is_zero()
-    assert rank(m) + len(null) == m.ncols
+    null = nullspace(m)
+    assert m.mul(null).is_zero()
+    assert rank(m) + rank(null) == m.ncols
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,10 +355,10 @@ def test_f2_mul_matches_generic(pair):
 @settings(max_examples=40, deadline=None)
 @given(f2_matrix())
 def test_f2_rref_matches_generic(m):
-    reduced, rk, ops = rref(m)
-    ref_reduced, ref_rk, ref_ops = exactlinalg._generic_rref(m)
-    assert (reduced, rk, ops) == (ref_reduced, ref_rk, ref_ops)
-    assert reduced.to_lists() == ref_reduced.to_lists() and ops.to_lists() == ref_ops.to_lists()
+    reduced, pivots = rref(m)
+    ref_reduced, ref_pivots = exactlinalg._generic_rref(m)
+    assert (reduced, pivots) == (ref_reduced, ref_pivots)
+    assert reduced.to_lists() == ref_reduced.to_lists()
 
 
 @settings(max_examples=30, deadline=None)
@@ -362,7 +369,7 @@ def test_f2_solve_and_invert_match_generic(a, nrhs, seed):
     assert solve(a, b) == _with_generic_rref(solve, a, b)
     n = min(a.nrows, a.ncols)
     square = a.submatrix(range(n), range(n))
-    # Identity plus a strictly upper part: invertible, so the rowops are compared.
+    # Identity plus a strictly upper part: invertible, so the inverses are compared.
     upper = [[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(square.data)]
     unit = Matrix.identity(F2, n) + Matrix(F2, upper, n, n)
     for sq in (square, unit):
@@ -431,3 +438,137 @@ def test_odd_and_rational_fields_keep_generic_kernels(pair):
     assert (a + a).data == [[f.add(x, x) for x in r] for r in a.data]
     assert (a - a).data == [[f.sub(x, x) for x in r] for r in a.data]
     assert a.scale(2).data == [[f.mul(f.coerce(2), x) for x in r] for r in a.data]
+
+
+# --------------------------------------------------------------------------
+# The kernels against their first versions.  rref used to return a
+# row-operation matrix beside the reduced form, solve a null basis beside its
+# solution, and nullspace a list of n×1 columns; invert read the row
+# operations.  Every shared output must be unchanged.
+# --------------------------------------------------------------------------
+
+
+def _reference_rref(m):
+    """``(reduced, rank, rowops)`` with ``rowops·m == reduced``, by scalar row
+    operations applied to m and to the identity alike."""
+    f = m.field
+    a = [row[:] for row in m.data]
+    ops = Matrix.identity(f, m.nrows).data
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = None
+        for i in range(r, m.nrows):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        ops[r], ops[pivot_row] = ops[pivot_row], ops[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        ops[r] = [f.mul(inv, x) for x in ops[r]]
+        for i in range(m.nrows):
+            if i != r and a[i][c] != 0:
+                factor = a[i][c]
+                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+                ops[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(ops[i], ops[r])]
+        r += 1
+        if r == m.nrows:
+            break
+    return Matrix(f, a, m.nrows, m.ncols), r, Matrix(f, ops, m.nrows, m.nrows)
+
+
+def _reference_pivots(reduced):
+    """The pivot of each nonzero row, found by rescanning the row."""
+    return [next(j for j, x in enumerate(row) if x != 0) for row in reduced.data if any(row)]
+
+
+def _reference_solve(a, b):
+    """``(particular, nullbasis)``: the solution with free variables zero (or
+    None) and the kernel basis as a list of n×1 columns."""
+    f = a.field
+    reduced = _reference_rref(Matrix.hstack([a, b]))[0]
+    pivots = list(enumerate(_reference_pivots(reduced)))
+    if any(j >= a.ncols for _, j in pivots):
+        particular = None
+    else:
+        particular = Matrix.zeros(f, a.ncols, b.ncols)
+        for i, j in pivots:
+            for k in range(b.ncols):
+                particular.data[j][k] = reduced.data[i][a.ncols + k]
+    row_of_pivot = {j: i for i, j in pivots if j < a.ncols}
+    nullbasis = []
+    for free in range(a.ncols):
+        if free in row_of_pivot:
+            continue
+        vec = Matrix.zeros(f, a.ncols, 1)
+        vec.data[free][0] = f.one()
+        for j, i in row_of_pivot.items():
+            vec.data[j][0] = f.neg(reduced.data[i][free])
+        nullbasis.append(vec)
+    return particular, nullbasis
+
+
+def _reference_nullspace(a):
+    return _reference_solve(a, Matrix.zeros(a.field, a.nrows, 1))[1]
+
+
+def _reference_invert(m):
+    _, r, ops = _reference_rref(m)
+    return ops if r == m.nrows else None
+
+
+def _reference_cases(f, seed):
+    """Empty shapes, tall sparse systems (the shape of the Hom commutator
+    system), wide systems and singular square matrices over ``f``."""
+    rng = random.Random(seed)
+
+    def entry():
+        if f.kind == "prime":
+            return rng.randrange(1, f.p)
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 5), rng.randrange(1, 4))
+
+    def sample(nrows, ncols, density):
+        data = [[entry() if rng.random() < density else f.zero() for _ in range(ncols)] for _ in range(nrows)]
+        return Matrix(f, data, nrows, ncols)
+
+    cases = [sample(0, 5, 1.0), sample(5, 0, 1.0), sample(0, 0, 1.0)]
+    cases += [sample(rng.randrange(30, 50), rng.randrange(4, 9), 0.25) for _ in range(3)]
+    cases += [sample(rng.randrange(2, 5), rng.randrange(8, 14), 0.6) for _ in range(3)]
+    for n in (4, 7):
+        square = sample(n, n, 0.7)
+        # row n-1 = row 0 + row 1 makes it singular
+        square.data[n - 1] = [f.add(x, y) for x, y in zip(square.data[0], square.data[1])]
+        cases += [square, sample(n, n, 0.7)]
+    return rng, cases
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["F2", "F3", "F5", "Q"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernels_match_their_reference_versions(field, seed):
+    rng, cases = _reference_cases(field, seed)
+    seen = set()
+    for m in cases:
+        reduced, pivots = rref(m)
+        ref_reduced, ref_rank, _ = _reference_rref(m)
+        assert reduced == ref_reduced
+        assert pivots == _reference_pivots(ref_reduced) and len(pivots) == ref_rank
+        _assert_row_space_certificate(m, reduced, pivots)
+
+        null = nullspace(m)
+        ref_null = _reference_nullspace(m)
+        assert null == (Matrix.hstack(ref_null) if ref_null else Matrix.zeros(field, m.ncols, 0))
+
+        x = Matrix(field, [[field.random(rng) for _ in range(2)] for _ in range(m.ncols)], m.ncols, 2)
+        noise = Matrix(field, [[field.random(rng)] for _ in range(m.nrows)], m.nrows, 1)
+        for b in (m.mul(x), noise):
+            sol = solve(m, b)
+            assert sol == _reference_solve(m, b)[0]
+            seen.add(sol is None)
+
+        if m.nrows == m.ncols:
+            inv = invert(m)
+            assert inv == _reference_invert(m)
+            seen.add(("invertible", inv is not None))
+    assert {True, False, ("invertible", True), ("invertible", False)} <= seen

@@ -825,7 +825,7 @@ class TestApproximation:
                     for h in hom_space(x, m):
                         from silting_forge.exactlinalg import solve
 
-                        lift, _ = solve(ap.matrix, h.matrix)
+                        lift = solve(ap.matrix, h.matrix)
                         assert lift is not None
 
 
@@ -1062,7 +1062,7 @@ def _reference_hom_space(m, n):
                     rows.append(row)
     width = len(positions)
     if rows:
-        nullbasis = [v.column_vector(0) for v in nullspace(Matrix(f, rows, len(rows), width))]
+        nullbasis = nullspace(Matrix(f, rows, len(rows), width)).transpose().data
     else:
         nullbasis = [[f.one() if i == t else f.zero() for i in range(width)] for t in range(width)]
     out = []
@@ -1223,3 +1223,28 @@ def test_component_rank_matches_the_assembled_direct_sum(field):
                     assert got == _rank_through_direct_sum(g, y, components)
                     ranks.add(got)
     assert len(ranks) > 2
+
+
+def test_hom_defaults_are_looked_up_when_called(monkeypatch, a2):
+    """Without ``hom=``, ``postcompose_rank`` and ``gorenstein._g_epic`` read
+    ``modules.hom_space`` when called, so a wrapper installed after import
+    (as a tracer installs one) sees every Hom solve they make."""
+    from types import SimpleNamespace
+
+    from silting_forge import gorenstein, modules
+
+    calls = []
+    original = modules.hom_space
+
+    def counting(g, x):
+        calls.append((g, x))
+        return original(g, x)
+
+    monkeypatch.setattr(modules, "hom_space", counting)
+    m = regular_module(a2)
+    need = len(original(m, m))
+    identity = [(m, Matrix.identity(a2.field, m.dim))]
+    assert postcompose_rank(m, identity) == need
+    assert calls == [(m, m)]
+    assert gorenstein._g_epic(identity, SimpleNamespace(modules=[m]), [need])
+    assert calls == [(m, m), (m, m)]
