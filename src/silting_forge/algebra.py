@@ -223,9 +223,6 @@ class Algebra:
         cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
         return Matrix(self.field, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)], self.dim, self.dim)
 
-    def in_radical(self, v: list) -> bool:
-        return not any(reduce_mod_row_space(v, self.radical_rows))
-
     def radical_power_rows(self, n: int) -> Matrix:
         """Canonical row basis of radical^n."""
         current = self.radical_rows
@@ -255,17 +252,6 @@ class Algebra:
             "idempotents": [[lbl, [self.field.to_str(c) for c in vec]] for lbl, vec in self.idempotents],
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-    def describe(self) -> dict:
-        return {
-            "dim": self.dim,
-            "field": {"kind": self.field.kind, **({"p": self.field.p} if self.field.p else {})},
-            "basis": self.labels,
-            "idempotents": [lbl for lbl, _ in self.idempotents],
-            "radical_dim": self.radical_rows.nrows,
-            "provenance": self.provenance,
-            "hash": self.content_hash(),
-        }
 
     # -- certification --------------------------------------------------------
     def _certify(self):
@@ -960,12 +946,6 @@ class TriangularContext:
         out = [self.gamma.field.zero()] * self.gamma.dim
         for i, c in enumerate(vec):
             out[self.b_offset + i] = c
-        return out
-
-    def embed_n(self, vec: list) -> list:
-        out = [self.gamma.field.zero()] * self.gamma.dim
-        for i, c in enumerate(vec):
-            out[self.n_offset + i] = c
         return out
 
     def e_a(self) -> list:

@@ -13,7 +13,8 @@ Subcommand tree::
 Every invocation prints one canonical JSON document on standard output and
 exits 0 on PASS/positive verdicts, 1 on FAIL/negative verdicts, 2 on
 undecided outcomes, and 3 on usage errors or malformed inputs.  Output is
-byte-identical across runs for fixed inputs and seed.
+byte-identical across runs for fixed inputs and seed.  A subcommand accepts
+only the shared flags (``_SHARED_FLAGS``) that it reads.
 """
 
 from __future__ import annotations
@@ -77,27 +78,33 @@ def _at_least(low: int):
     return integer
 
 
-def _common_flags(parser):
-    parser.add_argument("--field", default=None, help="ground field: a prime or Q")
-    parser.add_argument("--dim-bound", type=_at_least(0), default=None)
-    parser.add_argument("--length-bound", type=_at_least(0), default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=_at_least(1), default=None)
+#: Flags that several subcommands share, with their ``add_argument`` keywords.
+_SHARED_FLAGS = {
+    "--field": {"help": "ground field: a prime or Q"},
+    "--dim-bound": {"type": _at_least(0)},
+    "--length-bound": {"type": _at_least(0)},
+    "--seed": {"type": int, "default": 0},
+    "--budget": {"type": _at_least(1), "default": gmod.APPROXIMATION_SEARCH_BUDGET},
+}
+
+
+def _leaf(group, name, *flags, **defaults):
+    """A subcommand taking the named shared flags and no other, with ``defaults``."""
+    p = group.add_parser(name)
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    p.set_defaults(**defaults)
+    return p
 
 
 def _build_parser() -> _Parser:
     root = _Parser(prog="silting-forge", add_help=True)
     sub = root.add_subparsers(dest="group")
 
-    def leaf(group, name):
-        p = group.add_parser(name)
-        _common_flags(p)
-        return p
-
     algebra = sub.add_parser("algebra").add_subparsers(dest="command")
-    p = leaf(algebra, "build")
+    p = _leaf(algebra, "build", "--field", "--length-bound")
     p.add_argument("--quiver", required=True, help="algebra definition file")
-    p = leaf(algebra, "derive")
+    p = _leaf(algebra, "derive", "--length-bound")
     p.add_argument("--base", required=True, help="corpus id or definition file")
     p.add_argument(
         "--kind",
@@ -106,37 +113,37 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--e", default=None, help="comma-separated idempotent labels")
     p.add_argument("--right", default=None, help="second algebra for tensor")
-    p = leaf(algebra, "triangular")
+    p = _leaf(algebra, "triangular", "--length-bound")
     p.add_argument("--context", default=None, help="corpus id or context file")
     p.add_argument("--top", default=None)
     p.add_argument("--bottom", default=None)
     p.add_argument("--bimodule", default=None, help="bimodule file")
 
     module = sub.add_parser("module").add_subparsers(dest="command")
-    p = leaf(module, "validate")
+    p = _leaf(module, "validate", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
-    p = leaf(module, "hom")
+    p = _leaf(module, "hom", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p = leaf(module, "tau")
+    p = _leaf(module, "tau", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
-    p = leaf(module, "decompose")
+    p = _leaf(module, "decompose", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
-    p = leaf(module, "enumerate")
+    p = _leaf(module, "enumerate", "--length-bound", "--dim-bound", dim_bound=3)
     p.add_argument("--algebra", required=True)
 
     silting = sub.add_parser("silting").add_subparsers(dest="command")
-    p = leaf(silting, "check")
+    p = _leaf(silting, "check", "--length-bound", "--dim-bound", dim_bound=3)
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--presentation", default="auto", help="'auto' or a map file")
-    p = leaf(silting, "enumerate")
+    p = _leaf(silting, "enumerate", "--length-bound", "--dim-bound", dim_bound=3)
     p.add_argument("--algebra", required=True)
-    p = leaf(silting, "tensor")
+    p = _leaf(silting, "tensor", "--length-bound", "--dim-bound", dim_bound=2)
     p.add_argument("--left", required=True)
     p.add_argument("--left-module", required=True)
     p.add_argument("--right", required=True)
@@ -145,27 +152,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--right-presentation", default="auto")
 
     gorenstein = sub.add_parser("gorenstein").add_subparsers(dest="command")
-    p = leaf(gorenstein, "report")
+    p = _leaf(gorenstein, "report", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--bound", type=int, default=10)
-    p = leaf(gorenstein, "gp")
+    p = _leaf(gorenstein, "gp", "--length-bound", "--dim-bound", dim_bound=4)
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", default=None)
-    p = leaf(gorenstein, "check")
+    p = _leaf(gorenstein, "check", "--length-bound", "--budget")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--presentation", default="auto")
 
     recollement = sub.add_parser("recollement").add_subparsers(dest="command")
-    p = leaf(recollement, "build")
+    p = _leaf(recollement, "build", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--e", required=True, help="comma-separated idempotent labels")
-    p = leaf(recollement, "apply")
+    p = _leaf(recollement, "apply", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--e", required=True)
     p.add_argument("--functor", required=True, choices=["i", "q", "p", "e", "l", "r"])
     p.add_argument("--module", required=True)
-    p = leaf(recollement, "verify")
+    p = _leaf(recollement, "verify", "--length-bound", "--budget")
     p.add_argument("--statement", required=True)
     p.add_argument("--algebra", default=None)
     p.add_argument("--e", default=None)
@@ -176,13 +183,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--probe", type=_at_least(0), default=None)
 
     theorems = sub.add_parser("theorems").add_subparsers(dest="command")
-    p = leaf(theorems, "run")
+    p = _leaf(theorems, "run", "--seed", "--budget")
     p.add_argument("--suite", required=True, choices=list(smod.SUITES))
     p.add_argument("--context", default=None)
 
     corpus = sub.add_parser("corpus").add_subparsers(dest="command")
-    leaf(corpus, "list")
-    p = leaf(corpus, "add")
+    _leaf(corpus, "list")
+    p = _leaf(corpus, "add")
     p.add_argument("--file", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--kind", required=True)
@@ -349,10 +356,9 @@ def _handle_module(args):
         }, 0
     if args.command == "enumerate":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
-        bound = args.dim_bound if args.dim_bound is not None else 3
-        pool = enumerate_indecomposables(alg, bound)
+        pool = enumerate_indecomposables(alg, args.dim_bound)
         return {
-            "dim_bound": bound,
+            "dim_bound": args.dim_bound,
             "count": len(pool),
             "dimension_vectors": [m.dimension_vector() for m in pool],
         }, 0
@@ -363,15 +369,13 @@ def _handle_silting(args):
     if args.command == "check":
         alg, t = _load_module(args.algebra, args.module, length_bound=args.length_bound)
         sigma = _load_presentation(args.presentation, t)
-        bound = args.dim_bound if args.dim_bound is not None else 3
-        cert = silting_check(t, sigma, dim_bound=bound)
+        cert = silting_check(t, sigma, dim_bound=args.dim_bound)
         return cert.to_json(), _exit_from_verdict(cert.verdict)
     if args.command == "enumerate":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
-        bound = args.dim_bound if args.dim_bound is not None else 3
-        certs = enumerate_silting(alg, bound)
+        certs = enumerate_silting(alg, args.dim_bound)
         return {
-            "dim_bound": bound,
+            "dim_bound": args.dim_bound,
             "count": len(certs),
             "certificates": [c.to_json() for c in certs],
         }, 0
@@ -380,8 +384,7 @@ def _handle_silting(args):
         right_alg, s = _load_module(args.right, args.right_module, length_bound=args.length_bound)
         sigma = _load_presentation(args.left_presentation, t)
         eta = _load_presentation(args.right_presentation, s)
-        bound = args.dim_bound if args.dim_bound is not None else 2
-        ts, pres, cert, report = tensor_silting(t, sigma, s, eta, dim_bound=bound)
+        ts, pres, cert, report = tensor_silting(t, sigma, s, eta, dim_bound=args.dim_bound)
         out = {"certificate": cert.to_json(), "report": report}
         return out, _exit_from_verdict(cert.verdict)
     raise UsageError("silting needs a subcommand: check, enumerate, tensor")
@@ -394,11 +397,10 @@ def _handle_gorenstein(args):
         return report.to_json(), _exit_from_verdict(report.verdict)
     if args.command == "gp":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
-        bound = args.dim_bound if args.dim_bound is not None else 4
         if args.module is None:
-            gp = gmod.gp_classification(alg, dim_bound=bound)
+            gp = gmod.gp_classification(alg, dim_bound=args.dim_bound)
             return {
-                "dim_bound": bound,
+                "dim_bound": args.dim_bound,
                 "count": len(gp.modules),
                 "dimension_vectors": [m.dimension_vector() for m in gp.modules],
                 "notes": list(gp.notes),
@@ -414,7 +416,7 @@ def _handle_gorenstein(args):
                 "gorenstein check supports --presentation auto; supplied "
                 "relative presentations are a library-level feature"
             )
-        cert = gmod.gorenstein_silting_check(t, "AUTO")
+        cert = gmod.gorenstein_silting_check(t, "AUTO", budget=args.budget)
         return cert.to_json(), _exit_from_verdict(cert.verdict)
     raise UsageError("gorenstein needs a subcommand: report, gp, check")
 
@@ -453,7 +455,7 @@ def _handle_recollement(args):
                 raise ValidationError("triangular statements need --x and --y module files")
             inputs["x"] = module_from_json(read_json_file(args.x), tctx.a)
             inputs["y"] = module_from_json(read_json_file(args.y), tctx.b)
-            report = rmod.verify_transfer(tctx, statement, inputs, probe=args.probe)
+            report = rmod.verify_transfer(tctx, statement, inputs, args.probe, args.budget)
         else:
             if not (args.algebra and args.e):
                 raise ValidationError(
@@ -469,14 +471,14 @@ def _handle_recollement(args):
                 if ctx.quotient is None:
                     raise ValidationError("quotient layer is degenerate")
                 t = module_from_json(read_json_file(args.module), ctx.quotient)
-            report = rmod.verify_transfer(ctx, statement, {"t": t}, probe=args.probe)
+            report = rmod.verify_transfer(ctx, statement, {"t": t}, args.probe, args.budget)
         return report.to_json(), _exit_from_verdict(report.verdict)
     raise UsageError("recollement needs a subcommand: build, apply, verify")
 
 
 def _handle_theorems(args):
     if args.command == "run":
-        report = smod.run_suite(args.suite, context_ref=args.context, seed=args.seed)
+        report = smod.run_suite(args.suite, args.context, args.seed, args.budget)
         return report, _exit_from_verdict(report["verdict"])
     raise UsageError("theorems needs the run subcommand")
 
@@ -519,19 +521,14 @@ _GROUPS = {
 
 
 def run(argv=None) -> int:
-    """Parse, dispatch, print one JSON document, and return the exit code.
-
-    ``--budget N`` caps the left-approximation search for this call only."""
+    """Parse, dispatch, print one JSON document, and return the exit code."""
     parser = _build_parser()
-    budget = gmod.APPROXIMATION_SEARCH_BUDGET
     try:
         args = parser.parse_args(argv)
         if args.group is None:
             raise UsageError("a subcommand is required")
         if getattr(args, "command", None) is None:
             raise UsageError(f"{args.group} needs a subcommand")
-        if getattr(args, "budget", None) is not None:
-            gmod.APPROXIMATION_SEARCH_BUDGET = args.budget
         payload, code = _GROUPS[args.group](args)
     except UsageError as exc:
         sys.stdout.write(dump_json({"error": {"type": "usage", "message": str(exc)}}))
@@ -551,8 +548,6 @@ def run(argv=None) -> int:
             )
         )
         return 2
-    finally:
-        gmod.APPROXIMATION_SEARCH_BUDGET = budget
     sys.stdout.write(dump_json(payload))
     return code
 

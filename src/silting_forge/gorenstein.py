@@ -55,7 +55,7 @@ from .silting import (
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
 
-#: Cap on the subset search inside :func:`left_approximation_sequence`.
+#: Default cap on the subset search inside :func:`left_approximation_sequence`.
 APPROXIMATION_SEARCH_BUDGET = 4096
 
 
@@ -518,6 +518,7 @@ def left_approximation_sequence(
     gp: GpClassification,
     class_probes: list | None = None,
     transport=None,
+    budget: int = APPROXIMATION_SEARCH_BUDGET,
 ) -> LeftApproximationSequence:
     """Search for p -> T_0 -> T_{-1} -> 0, relatively exact, T_i in Add(t),
     whose first map restricts surjectively on Hom(-, U) for every probe U in
@@ -533,9 +534,9 @@ def left_approximation_sequence(
     search is deterministic.  ``transport`` (default: identity) carries maps
     over p's algebra to the algebra of theta and gp; candidates are built
     before it and tested after it, and ``detail`` records their dimensions
-    before it.  A miss returns ``found=False`` with the bound; a miss after
-    candidates were dropped at :data:`APPROXIMATION_SEARCH_BUDGET` raises
-    :class:`UndecidedError`.
+    before it.  At most ``budget`` candidates are tried.  A miss returns
+    ``found=False`` with the bound; a miss after candidates were dropped at
+    the budget raises :class:`UndecidedError`.
     """
     alg = p.algebra
     f = alg.field
@@ -554,7 +555,7 @@ def left_approximation_sequence(
             middle_dim = sum(columns[j][0].dim for j in combo)
             candidates.append((middle_dim, combo))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    budget = min(len(candidates), APPROXIMATION_SEARCH_BUDGET)
+    budget = min(len(candidates), budget)
 
     for middle_dim, combo in candidates[:budget]:
         if combo:
@@ -661,6 +662,7 @@ def gorenstein_silting_check(
     theta="AUTO",
     gp: GpClassification | None = None,
     probe=None,
+    budget: int = APPROXIMATION_SEARCH_BUDGET,
 ) -> GorensteinSiltingCertificate:
     """Certified comparison of Gen_G(t) with the class of ``theta``.
 
@@ -668,7 +670,8 @@ def gorenstein_silting_check(
     the sufficiency route: a left approximation sequence for every listed GP
     indecomposable.  Verdict rules mirror the absolute check: a mismatch is
     decisive unless the sufficiency route simultaneously completes, which is
-    a contradiction and yields ``undecided``.
+    a contradiction and yields ``undecided``.  ``budget`` caps each
+    approximation search.
     """
     if gp is None:
         gp = gp_classification(t.algebra)
@@ -709,7 +712,8 @@ def gorenstein_silting_check(
 
     class_probes = [u for u, du in zip(probe_list, in_class) if du]
     approximations = [
-        left_approximation_sequence(g, t, theta_pres, gp, class_probes) for g in gp.modules
+        left_approximation_sequence(g, t, theta_pres, gp, class_probes, budget=budget)
+        for g in gp.modules
     ]
     sufficiency = all(approximations)
 
@@ -755,6 +759,7 @@ def find_gorenstein_silting_presentation(
     t: Module,
     gp: GpClassification,
     probe=None,
+    budget: int = APPROXIMATION_SEARCH_BUDGET,
 ) -> tuple[Presentation, GorensteinSiltingCertificate] | None:
     """Bounded existential search for a presentation certifying ``t``.
 
@@ -773,7 +778,7 @@ def find_gorenstein_silting_presentation(
             if mask & (1 << j)
         ]
         theta = direct_sum_presentation(blocks, algebra=alg) if len(blocks) > 1 else base
-        cert = gorenstein_silting_check(t, theta, gp, probe)
+        cert = gorenstein_silting_check(t, theta, gp, probe, budget)
         if cert.verdict == "gorenstein_silting":
             return theta, cert
     return None

@@ -953,6 +953,46 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
     return not current
 
 
+def _combination(coeff, endos: list[ModuleMap]) -> Matrix:
+    f = endos[0].source.algebra.field
+    d = endos[0].source.dim
+    emat = Matrix.zeros(f, d, d)
+    for c, e in zip(coeff, endos):
+        if c != 0:
+            emat = emat + e.matrix.scale(f.coerce(c))
+    return emat
+
+
+def _split_pair(sub: Module) -> tuple[Matrix, Matrix] | None:
+    """Column bases of two complementary summands of ``sub``, or None when
+    End(sub) is certified local (see :func:`decompose`)."""
+    f = sub.algebra.field
+    endos = hom_space(sub, sub)
+    h = len(endos)
+    if h == 1:
+        return None
+    # exact pass: End is local iff every element is nilpotent or invertible;
+    # a violator yields a nontrivial Fitting decomposition
+    if f.kind == "prime" and f.p**h <= DECOMPOSE_BUDGET:
+        for coeff in itertools.product(range(f.p), repeat=h):
+            emat = _combination(coeff, endos)
+            pair = None if invert(emat) is not None else _fitting_split(sub, emat)
+            if pair is not None:
+                return pair
+        return None
+    # End too large to scan, or Q: coprime-factor splits from structured
+    # candidates
+    for coeff in _structured_candidates(f, h):
+        pair = _split_from_endomorphism(sub, _combination(coeff, endos))
+        if pair is not None:
+            return pair
+    if f.kind == "rational" and _trace_form_certifies_local(endos):
+        return None
+    raise UndecidedError(
+        f"decomposition budget exhausted on a dim-{sub.dim} module with End of dim {h}"
+    )
+
+
 @memoized
 def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, ModuleMap]]]]:
     """Split into indecomposable summands with explicit splitting maps.
@@ -973,52 +1013,18 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
     f = alg.field
     if m.dim == 0:
         return []
+    # (columns in m, summand) pairs, split depth first with the first part on
+    # top, so the leaves come in the order of a recursive split
     leaves: list[tuple[Matrix, Module]] = []
-
-    def combination(coeff, endos):
-        emat = Matrix.zeros(f, endos[0].source.dim, endos[0].source.dim)
-        for c, e in zip(coeff, endos):
-            if c != 0:
-                emat = emat + e.matrix.scale(f.coerce(c))
-        return emat
-
-    def split(cols: Matrix, sub: Module, pair: tuple[Matrix, Matrix]):
-        for part_cols in pair:
-            part, _ = submodule(sub, part_cols)
-            work(cols.mul(part_cols), part)
-
-    def work(cols: Matrix, sub: Module):
-        endos = hom_space(sub, sub)
-        h = len(endos)
-        if h == 1:
+    stack = [(Matrix.identity(f, m.dim), m)]
+    while stack:
+        cols, sub = stack.pop()
+        pair = _split_pair(sub)
+        if pair is None:
             leaves.append((cols, sub))
-            return
-        # exact pass: End is local iff every element is nilpotent or
-        # invertible; a violator yields a nontrivial Fitting decomposition
-        if f.kind == "prime" and f.p**h <= DECOMPOSE_BUDGET:
-            for coeff in itertools.product(range(f.p), repeat=h):
-                emat = combination(coeff, endos)
-                pair = None if invert(emat) is not None else _fitting_split(sub, emat)
-                if pair is not None:
-                    split(cols, sub, pair)
-                    return
-            leaves.append((cols, sub))
-            return
-        # End too large to scan, or Q: coprime-factor splits from structured
-        # candidates
-        for coeff in _structured_candidates(f, h):
-            pair = _split_from_endomorphism(sub, combination(coeff, endos))
-            if pair is not None:
-                split(cols, sub, pair)
-                return
-        if f.kind == "rational" and _trace_form_certifies_local(endos):
-            leaves.append((cols, sub))
-            return
-        raise UndecidedError(
-            f"decomposition budget exhausted on a dim-{sub.dim} module with End of dim {h}"
-        )
-
-    work(Matrix.identity(f, m.dim), m)
+            continue
+        for part_cols in reversed(pair):
+            stack.append((cols.mul(part_cols), submodule(sub, part_cols)[0]))
     leaves.sort(key=lambda t: (t[1].dim, t[1].encode()))
     # group by isomorphism; each copy keeps its columns and its witness from
     # the group's representative (None for the representative itself)

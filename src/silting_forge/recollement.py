@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .exactlinalg import Matrix, nullspace, row_space_basis, solve
 from .gorenstein import (
+    APPROXIMATION_SEARCH_BUDGET,
     d_theta_contains,
     find_gorenstein_silting_presentation,
     gen_g_contains,
@@ -871,6 +872,7 @@ def _transfer_i(
     ctx: RecollementContext,
     inputs: dict,
     probe,
+    budget: int,
     statement: str = "lemma_i_transfer",
     note: str = "inflation along the canonical projection",
 ) -> VerificationReport:
@@ -904,7 +906,7 @@ def _transfer_i(
     )
 
 
-def _transfer_q(ctx: RecollementContext, inputs: dict, probe) -> VerificationReport:
+def _transfer_q(ctx: RecollementContext, inputs: dict, probe, budget: int) -> VerificationReport:
     t = inputs["t"]
     _require_quotient(ctx)
     _check_algebra(t, ctx.middle, "the middle algebra")
@@ -951,7 +953,7 @@ def _resolve_pair_presentations(tctx: TriangularContext, inputs: dict, gpa, gpb)
     return theta_x, theta_y
 
 
-def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
+def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     bound = probe if isinstance(probe, int) else 3
     gpa = gp_classification(tctx.a, dim_bound=4)
     gpb = gp_classification(tctx.b, dim_bound=4)
@@ -1000,7 +1002,7 @@ def _partial_wrt(theta: Presentation, t: Module) -> bool:
     return _class_membership(theta, t)
 
 
-def _prop_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
+def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
@@ -1030,7 +1032,7 @@ def _prop_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationR
     )
 
 
-def _cor_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
+def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
@@ -1069,7 +1071,7 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationRe
     )
 
 
-def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
+def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
@@ -1088,10 +1090,10 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
 
     # (c) and (d): bounded existential certification on each side, with the
     # automatic-presentation verdict recorded alongside
-    found_x = find_gorenstein_silting_presentation(x, gpa, probe=probes_a)
-    found_y = find_gorenstein_silting_presentation(y, gpb, probe=probes_b)
-    auto_x = gorenstein_silting_check(x, "AUTO", gpa, probe=probes_a).verdict
-    auto_y = gorenstein_silting_check(y, "AUTO", gpb, probe=probes_b).verdict
+    found_x = find_gorenstein_silting_presentation(x, gpa, probes_a, budget)
+    found_y = find_gorenstein_silting_presentation(y, gpb, probes_b, budget)
+    auto_x = gorenstein_silting_check(x, "AUTO", gpa, probes_a, budget).verdict
+    auto_y = gorenstein_silting_check(y, "AUTO", gpb, probes_b, budget).verdict
     gen_ok = gen_g_contains(x, ny, gpa)
     atom_c = (found_x is not None) and gen_ok
     atom_d = found_y is not None
@@ -1107,12 +1109,12 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
     )
 
     # (a): the glued candidate first, then the bounded existential search
-    cert_glued = gorenstein_silting_check(t, theta, gpg, probe=probes_g)
+    cert_glued = gorenstein_silting_check(t, theta, gpg, probes_g, budget)
     if cert_glued.verdict == "gorenstein_silting":
         atom_a = True
         realised_a = "glued"
     else:
-        found_t = find_gorenstein_silting_presentation(t, gpg, probe=probes_g)
+        found_t = find_gorenstein_silting_presentation(t, gpg, probes_g, budget)
         atom_a = found_t is not None
         realised_a = "search" if found_t else None
 
@@ -1127,9 +1129,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
             side, part, t_side, transport = "a", triple.x, x, lambda m: _z_a(tctx, m)
         else:
             side, part, t_side, transport = "b", triple.y, y, lambda m: _t_b(tctx, m)
-        seq = left_approximation_sequence(
-            part, t_side, theta, gpg, class_probes=class_g, transport=transport
-        )
+        seq = left_approximation_sequence(part, t_side, theta, gpg, class_g, transport, budget)
         if seq.found:
             row = {"found": True, "middle_dim": seq.detail["middle_dim"],
                    "end_dim": seq.detail["end_dim"], "side": side}
@@ -1143,7 +1143,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
     class_x = [u for u in probes_a if d_theta_contains(theta_x, u)]
     e_rows = []
     for p, lbl in indecomposable_projectives(tctx.a):
-        seq = left_approximation_sequence(p, x, theta_x, gpa, class_probes=class_x)
+        seq = left_approximation_sequence(p, x, theta_x, gpa, class_x, budget=budget)
         e_rows.append({"projective": lbl, "found": seq.found})
     atom_e = all(r["found"] for r in e_rows)
 
@@ -1151,7 +1151,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationRep
     class_y = [u for u in probes_b if d_theta_contains(theta_y, u)]
     f_rows = []
     for gmod in gpb.modules:
-        seq = left_approximation_sequence(gmod, y, theta_y, gpb, class_probes=class_y)
+        seq = left_approximation_sequence(gmod, y, theta_y, gpb, class_y, budget=budget)
         f_rows.append({"gp_dimension_vector": gmod.dimension_vector(), "found": seq.found})
     atom_f = all(r["found"] for r in f_rows)
 
@@ -1202,13 +1202,17 @@ _STATEMENTS = {
 }
 
 
-def verify_transfer(ctx, statement: str, inputs: dict, probe=None) -> VerificationReport:
+def verify_transfer(
+    ctx, statement: str, inputs: dict, probe=None, budget: int = APPROXIMATION_SEARCH_BUDGET
+) -> VerificationReport:
     """Evaluate both sides of a transfer statement and report per-atom
     verdicts with witnesses.
 
     ``ctx`` is a :class:`RecollementContext` for the idempotent statements or
     a :class:`TriangularContext` for the gluing statements; ``probe`` is a
-    dimension bound for the probe sweeps.
+    dimension bound for the probe sweeps; ``budget`` caps each
+    left-approximation search (only ``thm_gluing_equivalences`` runs any).
+    A search cut off at the budget makes the report UNDECIDED, with no atoms.
     """
     if statement not in _STATEMENTS:
         raise ValidationError(
@@ -1222,7 +1226,7 @@ def verify_transfer(ctx, statement: str, inputs: dict, probe=None) -> Verificati
     if probe is not None and not isinstance(probe, int):
         raise ValidationError("transfer drivers take a dimension bound as the probe")
     try:
-        return driver(ctx, inputs, probe)
+        return driver(ctx, inputs, probe, budget)
     except UndecidedError as exc:
         return VerificationReport(
             statement=statement,

@@ -2,7 +2,8 @@
 
 Each runner returns a JSON-ready report with one row per checked instance and
 an aggregate verdict.  Reports contain no wall-clock data, so a fixed seed
-yields byte-identical output across runs.
+yields byte-identical output across runs.  A driver that stops undecided
+before evaluating any atom gives an UNDECIDED row carrying its reason.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import ValidationError
+from .gorenstein import APPROXIMATION_SEARCH_BUDGET
 from .io import corpus_load, resolve_context
 from .modules import (
     direct_sum,
@@ -24,8 +26,8 @@ from .silting import enumerate_silting, tensor_silting
 SUITES = ("idempotent", "tensor", "gluing", "all")
 
 
-def _aggregate(rows, key="verdict"):
-    verdicts = {row[key] for row in rows}
+def _aggregate(rows):
+    verdicts = {row["verdict"] for row in rows}
     if "FAIL" in verdicts:
         return "FAIL"
     if "UNDECIDED" in verdicts:
@@ -53,16 +55,18 @@ def run_idempotent_suite(seed: int = 0) -> dict:
                 else:
                     t = zero_module(ctx.quotient)
                 report = verify_transfer(ctx, "thm_idempotent_ideal", {"t": t})
-                rows.append(
-                    {
-                        "algebra": corpus_id,
-                        "summands": list(combo),
-                        "module_dimension_vector": t.dimension_vector(),
-                        "quotient_verdict": report.atoms["silting_over_quotient"]["verdict"],
-                        "middle_verdict": report.atoms["silting_over_middle"]["verdict"],
-                        "verdict": report.verdict,
-                    }
-                )
+                row = {
+                    "algebra": corpus_id,
+                    "summands": list(combo),
+                    "module_dimension_vector": t.dimension_vector(),
+                    "verdict": report.verdict,
+                }
+                if report.atoms:
+                    row["quotient_verdict"] = report.atoms["silting_over_quotient"]["verdict"]
+                    row["middle_verdict"] = report.atoms["silting_over_middle"]["verdict"]
+                else:
+                    row["reason"] = report.witnesses[0]["reason"]
+                rows.append(row)
     return {
         "suite": "idempotent",
         "seed": seed,
@@ -137,13 +141,15 @@ def run_tensor_suite(seed: int = 0) -> dict:
     }
 
 
-def run_gluing_suite(context_ref: str | None = None, seed: int = 0) -> dict:
+def run_gluing_suite(
+    context_ref: str | None = None, seed: int = 0, budget: int = APPROXIMATION_SEARCH_BUDGET
+) -> dict:
     """The gluing-theorem grid over the bundled triangular context.
 
     X ranges over multiples of the top simple, Y over sums drawn from the
     bottom simple and the bottom regular module; each pair runs the full
     equivalence driver, and every report must satisfy both recorded
-    equivalences.
+    equivalences.  ``budget`` caps each left-approximation search.
     """
     tctx = resolve_context(context_ref) if context_ref else corpus_load("gamma0")
     top_simple = simple_module(tctx.a, tctx.a.idempotents[0][0])
@@ -172,17 +178,15 @@ def run_gluing_suite(context_ref: str | None = None, seed: int = 0) -> dict:
     ]
     rows = []
     for (xn, x), (yn, y) in itertools.product(xs, ys):
-        report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": x, "y": y})
-        rows.append(
-            {
-                "x": xn,
-                "y": yn,
-                "atoms": {atom: report.atoms[atom]["value"] for atom in "abcdef"},
-                "equivalence_a_b": report.atoms["equivalence_a_b"],
-                "equivalence_a_cdef": report.atoms["equivalence_a_cdef"],
-                "verdict": report.verdict,
-            }
-        )
+        report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": x, "y": y}, budget=budget)
+        row = {"x": xn, "y": yn, "verdict": report.verdict}
+        if report.atoms:
+            row["atoms"] = {atom: report.atoms[atom]["value"] for atom in "abcdef"}
+            row["equivalence_a_b"] = report.atoms["equivalence_a_b"]
+            row["equivalence_a_cdef"] = report.atoms["equivalence_a_cdef"]
+        else:
+            row["reason"] = report.witnesses[0]["reason"]
+        rows.append(row)
     return {
         "suite": "gluing",
         "seed": seed,
@@ -191,25 +195,21 @@ def run_gluing_suite(context_ref: str | None = None, seed: int = 0) -> dict:
     }
 
 
-def run_suite(name: str, context_ref: str | None = None, seed: int = 0) -> dict:
+def run_suite(
+    name: str, context_ref: str | None = None, seed: int = 0, budget: int = APPROXIMATION_SEARCH_BUDGET
+) -> dict:
+    """One named suite, or all three; only the gluing suite reads ``budget``."""
     if name == "idempotent":
         return run_idempotent_suite(seed=seed)
     if name == "tensor":
         return run_tensor_suite(seed=seed)
     if name == "gluing":
-        return run_gluing_suite(context_ref=context_ref, seed=seed)
+        return run_gluing_suite(context_ref=context_ref, seed=seed, budget=budget)
     if name == "all":
         reports = {
             "idempotent": run_idempotent_suite(seed=seed),
             "tensor": run_tensor_suite(seed=seed),
-            "gluing": run_gluing_suite(context_ref=context_ref, seed=seed),
+            "gluing": run_gluing_suite(context_ref=context_ref, seed=seed, budget=budget),
         }
-        verdicts = {r["verdict"] for r in reports.values()}
-        if "FAIL" in verdicts:
-            verdict = "FAIL"
-        elif "UNDECIDED" in verdicts:
-            verdict = "UNDECIDED"
-        else:
-            verdict = "PASS"
-        return {"suite": "all", "seed": seed, "suites": reports, "verdict": verdict}
+        return {"suite": "all", "seed": seed, "suites": reports, "verdict": _aggregate(reports.values())}
     raise ValidationError(f"unknown suite {name!r}; have {', '.join(SUITES)}")

@@ -8,6 +8,7 @@ exit code contract: 0 for positive verdicts, 1 for negative ones,
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -15,7 +16,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import silting_forge.gorenstein as gmod
-from silting_forge.cli import run
+from silting_forge.cli import _build_parser, run
 from silting_forge.exactlinalg import Matrix
 from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
 from silting_forge.modules import (
@@ -403,9 +404,10 @@ def test_corpus_add_and_list(regular_file, tmp_path, monkeypatch):
 
 def test_cli_output_is_byte_deterministic(regular_file):
     first = cli_raw("silting", "check", "--algebra", "a2",
-                    "--module", regular_file, "--presentation", "auto", "--seed", "7")
+                    "--module", regular_file, "--presentation", "auto")
     second = cli_raw("silting", "check", "--algebra", "a2",
-                     "--module", regular_file, "--presentation", "auto", "--seed", "7")
+                     "--module", regular_file, "--presentation", "auto")
+    assert first[0] == 0
     assert first == second
     run_a = cli_raw("theorems", "run", "--suite", "idempotent", "--seed", "3")
     run_b = cli_raw("theorems", "run", "--suite", "idempotent", "--seed", "3")
@@ -423,6 +425,66 @@ def test_budget_flag_is_accepted(regular_file):
         assert got == code
         assert out["verdict"] == verdict
     assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
+
+
+def test_gluing_suite_cut_off_by_the_budget_is_undecided():
+    # Budget 1 stops some approximation searches: those rows, and the
+    # suite, are UNDECIDED rather than a crash.
+    code, out = cli("theorems", "run", "--suite", "gluing", "--budget", "1")
+    assert code == 2
+    assert out["verdict"] == "UNDECIDED"
+    undecided = [row for row in out["rows"] if row["verdict"] == "UNDECIDED"]
+    assert undecided and all("budget" in row["reason"] for row in undecided)
+
+
+def _leaf_parsers():
+    """``(group command, parser)`` for every subcommand of the CLI."""
+    def subparsers(parser):
+        actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return actions[0].choices if actions else {}
+
+    for group, group_parser in subparsers(_build_parser()).items():
+        for command, parser in subparsers(group_parser).items():
+            yield f"{group} {command}", parser
+
+
+SHARED_FLAGS = {"--field", "--dim-bound", "--length-bound", "--seed", "--budget"}
+LENGTH_BOUND_GROUPS = ("algebra", "module", "silting", "gorenstein", "recollement")
+FLAGS_BEYOND_LENGTH_BOUND = {
+    "algebra build": {"--field"},
+    "module enumerate": {"--dim-bound"},
+    "silting check": {"--dim-bound"},
+    "silting enumerate": {"--dim-bound"},
+    "silting tensor": {"--dim-bound"},
+    "gorenstein gp": {"--dim-bound"},
+    "gorenstein check": {"--budget"},
+    "recollement verify": {"--budget"},
+    "theorems run": {"--seed", "--budget"},
+}
+
+
+def test_each_subcommand_takes_only_the_shared_flags_it_reads():
+    slots = 0
+    leaves = dict(_leaf_parsers())
+    assert len(leaves) == 20
+    for name, parser in leaves.items():
+        declared = {o for a in parser._actions for o in a.option_strings} & SHARED_FLAGS
+        expected = set(FLAGS_BEYOND_LENGTH_BOUND.get(name, ()))
+        if name.split()[0] in LENGTH_BOUND_GROUPS:
+            expected.add("--length-bound")
+        assert declared == expected, name
+        slots += len(declared)
+    assert slots == 27
+
+
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(regular_file):
+    for argv in [
+        ("silting", "check", "--algebra", "a2", "--module", regular_file, "--seed", "7"),
+        ("corpus", "list", "--budget", "5"),
+    ]:
+        code, out = cli(*argv)
+        assert code == 3, argv
+        assert out["error"]["type"] == "usage"
 
 
 def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):

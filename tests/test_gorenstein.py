@@ -31,7 +31,6 @@ from silting_forge.modules import (
     submodule,
     zero_module,
 )
-import silting_forge.gorenstein as gmod
 from silting_forge.gorenstein import (
     GpClassification,
     d_theta_contains,
@@ -438,7 +437,7 @@ def test_sequence_for_module_already_in_add(gp_dual):
         assert seq.found
 
 
-def test_sequence_canonical_example(gp_a2, monkeypatch):
+def test_sequence_canonical_example(gp_a2):
     alg, gp = gp_a2
     projs = {lbl: p for p, lbl in indecomposable_projectives(alg)}
     t = direct_sum([simple_module(alg, "e1"), projs["e1"]], algebra=alg)[0]
@@ -450,11 +449,10 @@ def test_sequence_canonical_example(gp_a2, monkeypatch):
     assert bool(is_g_exact((seq.phi, seq.psi), gp))
     # Within budget 1 only the zero map is tried and it fails: a search cut
     # off there must not answer "not found".
-    monkeypatch.setattr(gmod, "APPROXIMATION_SEARCH_BUDGET", 1)
     with pytest.raises(UndecidedError, match="budget"):
-        left_approximation_sequence(projs["e2"], t, theta, gp)
+        left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
     with pytest.raises(UndecidedError):
-        gorenstein_silting_check(t, theta, gp)
+        gorenstein_silting_check(t, theta, gp, budget=1)
 
 
 def test_sequence_none_is_a_value(gp_dual):

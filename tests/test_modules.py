@@ -7,6 +7,7 @@ length-two projective; over the dual numbers they are the simple and the
 regular module.  Hom dimensions follow from counting paths between vertices.
 """
 
+import gc
 import itertools
 import json
 import os
@@ -930,6 +931,25 @@ def test_decompose_direct_sums_recovers_the_parts(data):
     parts = decompose(big)
     assert sum(p.dim * mult for p, mult, _ in parts) == big.dim
     assert sum(mult for _, mult, _ in parts) == len(picks)
+
+
+@pytest.mark.parametrize("corpus_id", ["a2", "a3rel", "a2xa2", "dualnum", "kxk"])
+def test_decompose_leaves_nothing_for_the_cyclic_collector(corpus_id):
+    # Every object one decompose call allocates is freed by reference
+    # counting: with the collector off, a collection afterwards finds nothing.
+    alg = corpus_load(corpus_id)
+    reg = regular_module(alg)
+    decompose(reg)  # warms the algebra's memo
+    fresh = Module(alg, reg.dim, dict(reg.action))
+    gc.collect()
+    gc.disable()
+    try:
+        parts = decompose(fresh)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert sum(p.dim * mult for p, mult, _ in parts) == reg.dim
+    assert unreachable == 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -28,8 +28,10 @@ from silting_forge.modules import (
     simple_module,
     zero_module,
 )
+from silting_forge import recollement as rmod, suites
 from silting_forge.recollement import (
     Triple,
+    VerificationReport,
     analytic_gp_modules,
     apply_functor,
     glued_gp_presentation,
@@ -240,6 +242,30 @@ def test_random_battery_counts(a2_ctx):
     }
 
 
+def _break_functor(monkeypatch, which):
+    """Make ``apply_functor`` send every module to zero under ``which``."""
+    real = rmod.apply_functor
+
+    def broken(ctx, name, x):
+        image = real(ctx, name, x)
+        return zero_module(image.algebra) if name == which else image
+
+    monkeypatch.setattr(rmod, "apply_functor", broken)
+
+
+def test_construction_battery_names_the_broken_identity(monkeypatch):
+    _break_functor(monkeypatch, "p")
+    with pytest.raises(ValidationError, match=r"recollement battery failed: .*p\(M\)") as err:
+        idempotent_recollement(compile_quiver_algebra(quiver_a2()), ("e2",))
+    assert err.value.diagnostics["identity"] == "dim Hom(i(X),M) = dim Hom(X,p(M))"
+
+
+def test_random_battery_names_the_broken_identity(a2_ctx, monkeypatch):
+    _break_functor(monkeypatch, "r")
+    with pytest.raises(ValidationError, match=r"dim Hom\(e\(M\),Y\) != dim Hom\(M,r\(Y\)\)"):
+        run_adjunction_battery(a2_ctx, count=10, seed=1)
+
+
 def test_gamma0_idempotent_recollement_battery():
     tctx = _gamma0()
     ctx = idempotent_recollement(tctx.gamma, ("b.ev",))
@@ -387,6 +413,25 @@ def test_quotient_transfer_on_regular(a2_ctx):
     reg = regular_module(a2_ctx.middle)
     report = verify_transfer(a2_ctx, "lemma_q_transfer", {"t": reg})
     assert report.verdict == "PASS"
+
+
+def test_idempotent_suite_rows_an_undecided_report(monkeypatch):
+    # A driver stopped by UndecidedError reports no atoms; its row is
+    # UNDECIDED with the reason, and so is the suite.
+    def undecided(ctx, statement, inputs, probe=None, budget=None):
+        return VerificationReport(
+            statement=statement, inputs={}, atoms={}, verdict="UNDECIDED",
+            witnesses=[{"reason": "search stopped at its budget"}],
+        )
+
+    monkeypatch.setattr(suites, "verify_transfer", undecided)
+    report = suites.run_idempotent_suite()
+    assert report["verdict"] == "UNDECIDED"
+    assert report["rows"]
+    for row in report["rows"]:
+        assert row["verdict"] == "UNDECIDED"
+        assert row["reason"] == "search stopped at its budget"
+        assert "quotient_verdict" not in row
 
 
 def test_inflation_transfer_on_zero(a2_ctx):
