@@ -14,7 +14,8 @@ Every invocation prints one canonical JSON document on standard output and
 exits 0 on PASS/positive verdicts, 1 on FAIL/negative verdicts, 2 on
 undecided outcomes, and 3 on usage errors or malformed inputs.  Output is
 byte-identical across runs for fixed inputs and seed.  A subcommand accepts
-only the shared flags (``_SHARED_FLAGS``) that it reads.
+only the shared flags (``_SHARED_FLAGS``) that it reads, and a flag that the
+chosen branch of its handler ignores is a usage error.
 """
 
 from __future__ import annotations
@@ -155,7 +156,9 @@ def _build_parser() -> _Parser:
     p = _leaf(gorenstein, "report", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--bound", type=int, default=10)
-    p = _leaf(gorenstein, "gp", "--length-bound", "--dim-bound", dim_bound=4)
+    # No parser default for --dim-bound: the handler tells "given" from
+    # "defaulted", because the --module branch reads no bound.
+    p = _leaf(gorenstein, "gp", "--length-bound", "--dim-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", default=None)
     p = _leaf(gorenstein, "check", "--length-bound", "--budget")
@@ -247,6 +250,13 @@ def _load_presentation(flag: str, t: Module):
     )
 
 
+def _reject_unread(value, flag: str, branch: str) -> None:
+    """A usage error when ``flag`` was given (``value`` is not None) on a
+    handler branch that does not read it."""
+    if value is not None:
+        raise UsageError(f"{flag} has no effect with {branch}")
+
+
 def _exit_from_verdict(verdict: str) -> int:
     if verdict in ("silting", "gorenstein_silting", "PASS", "gorenstein"):
         return 0
@@ -297,6 +307,7 @@ def _handle_algebra(args):
         return out, 0
     if args.command == "triangular":
         if args.context:
+            _reject_unread(args.length_bound, "--length-bound", "--context")
             tctx = resolve_context(args.context)
         else:
             if not (args.top and args.bottom and args.bimodule):
@@ -398,13 +409,15 @@ def _handle_gorenstein(args):
     if args.command == "gp":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
         if args.module is None:
-            gp = gmod.gp_classification(alg, dim_bound=args.dim_bound)
+            dim_bound = 4 if args.dim_bound is None else args.dim_bound
+            gp = gmod.gp_classification(alg, dim_bound=dim_bound)
             return {
-                "dim_bound": args.dim_bound,
+                "dim_bound": dim_bound,
                 "count": len(gp.modules),
                 "dimension_vectors": [m.dimension_vector() for m in gp.modules],
                 "notes": list(gp.notes),
             }, 0
+        _reject_unread(args.dim_bound, "--dim-bound", "--module")
         m = module_from_json(read_json_file(args.module), alg)
         cert = gmod.is_gorenstein_projective(m)
         return cert.to_json(), (0 if cert.holds else 1)
@@ -449,6 +462,7 @@ def _handle_recollement(args):
     if args.command == "verify":
         statement = args.statement
         if args.context:
+            _reject_unread(args.length_bound, "--length-bound", "--context")
             tctx = resolve_context(args.context)
             inputs = {}
             if args.x is None or args.y is None:

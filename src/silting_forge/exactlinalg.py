@@ -14,20 +14,28 @@ bytes/int conversions, and XOR of two packed rows is their sum.  ``rref``
 reads the pivot column of each elimination step off the bit index of its
 leading entry.  ``Matrix.data`` stays a list of lists of ints either way.
 
+Over F_p with p > 2, ``mul`` packs rows the same way while ``k·(p-1)² <= 255``
+for the inner dimension k (k <= 63 over F_3): row i of the product is the
+integer sum of c·(packed row j) over the nonzero entries c of row i, every
+unreduced entry fits its byte, and each is reduced once.  ``rref`` over F_p
+inlines its arithmetic, reducing at every row operation, with no call into
+``FieldSpec`` per scalar.
+
 Each elimination returns one result, in the shape its callers use:
 ``rref`` gives ``(reduced, pivots)``, ``solve`` the solution with every
 free variable zero (or None), ``nullspace`` one ``ncols × nullity`` matrix
 whose columns are the canonical kernel basis, and ``invert`` is
 ``solve(m, I)``.
 
-Over F_p with p > 2 and over Q, ``Matrix.mul`` forms row i of the product as
-the combination of the rows of the right factor picked out by the nonzero
-entries of row i of the left one, visiting only the nonzero entries of those
-rows; over F_p it reduces each entry once, at the end.  That combination is
-:func:`combine`, which ``Module.act`` also uses for sums of action matrices.
-The dense dot-product :func:`_generic_mul` and :func:`_generic_rref` are kept
-as the references that both product kernels and the F_2 ``rref`` must agree
-with.
+Over Q, and over F_p past the byte bound, ``Matrix.mul`` forms row i of the
+product as the combination of the rows of the right factor picked out by the
+nonzero entries of row i of the left one, visiting only the nonzero entries of
+those rows; over F_p it reduces each entry once, at the end.  That combination
+is :func:`combine`, which ``Module.act`` also uses for sums of action matrices.
+The dense dot-product :func:`_generic_mul` and :func:`_generic_rref` (the Q
+elimination) are kept as the references that every product and elimination
+kernel must agree with.  Kernels wrap the rows they build with
+``Matrix._wrap``; the public ``Matrix(...)`` copies them and checks the shape.
 """
 
 from __future__ import annotations
@@ -175,6 +183,15 @@ class Matrix:
         self.ncols = ncols
         self.data = rows
 
+    @staticmethod
+    def _wrap(field: FieldSpec, rows: list, nrows: int, ncols: int) -> "Matrix":
+        """A matrix owning ``rows`` as given, with no copy and no shape check:
+        only for kernel outputs, whose rows are freshly built lists of the
+        stated shape that nothing else holds."""
+        m = object.__new__(Matrix)
+        m.field, m.data, m.nrows, m.ncols = field, rows, nrows, ncols
+        return m
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -183,7 +200,7 @@ class Matrix:
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
         z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        return Matrix._wrap(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -198,7 +215,7 @@ class Matrix:
         return cls(field, [[field.coerce(x)] for x in entries], len(entries), 1)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data], self.nrows, self.ncols)
+        return Matrix._wrap(self.field, [row[:] for row in self.data], self.nrows, self.ncols)
 
     # -- basic ops ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -221,23 +238,23 @@ class Matrix:
         f = self.field
         if f.p == 2:
             return self._xor(other)
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix._wrap(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
         f = self.field
         if f.p == 2:
             return self._xor(other)
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix._wrap(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.nrows, self.ncols)
 
     def _xor(self, other: "Matrix") -> "Matrix":
         """Sum (= difference) over F_2."""
         data = [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        return Matrix(self.field, data, self.nrows, self.ncols)
+        return Matrix._wrap(self.field, data, self.nrows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.data])
+        return Matrix._wrap(f, [[f.neg(a) for a in r] for r in self.data], self.nrows, self.ncols)
 
     def _check_shape(self, other: "Matrix", same: bool = False):
         if self.field != other.field:
@@ -249,29 +266,40 @@ class Matrix:
         self._check_shape(other)
         if self.ncols != other.nrows:
             raise ExactError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        if self.field.p != 2:
+        p = self.field.p
+        if p is None or p > 2 and other.nrows * (p - 1) ** 2 > 255:
             return _sparse_mul(self, other)
-        # Row i of the product is the XOR of the rows of ``other`` selected by
-        # the nonzero entries of row i of ``self``.
+        # Row i of the product is the sum of the rows of ``other`` picked out
+        # by the nonzero entries of row i of ``self``, on packed rows.  Over
+        # F_2 the sum is XOR; over F_p the bound keeps each unreduced entry
+        # below 256, so no byte carries into its neighbour.
         packed = list(map(int.from_bytes, map(bytes, other.data), repeat("big")))
         n = other.ncols
         out = []
-        for row in self.data:
-            acc = 0
-            for v in compress(packed, row):
-                acc ^= v
-            out.append(list(acc.to_bytes(n, "big")))
-        return Matrix(self.field, out, self.nrows, n)
+        if p == 2:
+            for row in self.data:
+                acc = 0
+                for v in compress(packed, row):
+                    acc ^= v
+                out.append(list(acc.to_bytes(n, "big")))
+        else:
+            for row in self.data:
+                acc = 0
+                for c, v in zip(row, packed):
+                    if c:
+                        acc += c * v
+                out.append([x % p for x in acc.to_bytes(n, "big")])
+        return Matrix._wrap(self.field, out, self.nrows, n)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
         if f.p == 2:
             return self.copy() if c else Matrix.zeros(f, self.nrows, self.ncols)
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.data], self.nrows, self.ncols)
+        return Matrix._wrap(f, [[f.mul(c, a) for a in r] for r in self.data], self.nrows, self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)] if self.data and self.ncols else [[] for _ in range(self.ncols)] if self.ncols else [], self.ncols, self.nrows)
+        return Matrix._wrap(self.field, [list(col) for col in zip(*self.data)] if self.nrows else [[] for _ in range(self.ncols)], self.ncols, self.nrows)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.data)
@@ -298,7 +326,7 @@ class Matrix:
         if any(m.nrows != nrows for m in mats):
             raise ExactError("hstack row mismatch")
         data = [[x for m in mats for x in m.data[i]] for i in range(nrows)]
-        return Matrix(mats[0].field, data, nrows, sum(m.ncols for m in mats))
+        return Matrix._wrap(mats[0].field, data, nrows, sum(m.ncols for m in mats))
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
@@ -309,7 +337,7 @@ class Matrix:
         if any(m.ncols != ncols for m in mats):
             raise ExactError("vstack column mismatch")
         data = [row[:] for m in mats for row in m.data]
-        return Matrix(mats[0].field, data, sum(m.nrows for m in mats), ncols)
+        return Matrix._wrap(mats[0].field, data, sum(m.nrows for m in mats), ncols)
 
     @staticmethod
     def block_diag(field: FieldSpec, mats: Sequence["Matrix"]) -> "Matrix":
@@ -345,7 +373,7 @@ class Matrix:
         return out
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for j in cols] for i in rows], len(rows), len(cols))
+        return Matrix._wrap(self.field, [[self.data[i][j] for j in cols] for i in rows], len(rows), len(cols))
 
     # -- serialization --------------------------------------------------------
     def to_lists(self) -> list[list[str]]:
@@ -381,7 +409,7 @@ def _sparse_mul(left: Matrix, other: Matrix) -> Matrix:
     n = other.ncols
     nonzeros = [[(k, w) for k, w in enumerate(row) if w] for row in other.data]
     out = [combine(f, [(v, nonzeros[j]) for j, v in enumerate(row) if v], n) for row in left.data]
-    return Matrix(f, out, left.nrows, n)
+    return Matrix._wrap(f, out, left.nrows, n)
 
 
 def _generic_mul(left: Matrix, other: Matrix) -> Matrix:
@@ -405,8 +433,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     Pivoting is deterministic: leftmost pivot column, first row with a
     nonzero entry.
     """
-    if m.field.p == 2:
+    p = m.field.p
+    if p == 2:
         return _rref_f2(m)
+    if p:
+        return _rref_fp(m)
     return _generic_rref(m)
 
 
@@ -433,13 +464,43 @@ def _rref_f2(m: Matrix) -> tuple[Matrix, list[int]]:
                 rows[i] ^= pivot
         pivots.append(ncols - 1 - bit // 8)
         r += 1
-    reduced = Matrix(m.field, [list(v.to_bytes(ncols, "big")) for v in rows], nrows, ncols)
+    reduced = Matrix._wrap(m.field, [list(v.to_bytes(ncols, "big")) for v in rows], nrows, ncols)
     return reduced, pivots
 
 
+def _rref_fp(m: Matrix) -> tuple[Matrix, list[int]]:
+    """:func:`rref` over F_p (p > 2): the pivoting of :func:`_generic_rref`
+    with the arithmetic inline, each row operation reduced mod p."""
+    p, nrows = m.field.p, m.nrows
+    a = [row[:] for row in m.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        if r == nrows:
+            break
+        i = r
+        while i < nrows and not a[i][c]:
+            i += 1
+        if i == nrows:
+            continue
+        a[r], a[i] = a[i], a[r]
+        lead = a[r][c]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            a[r] = [inv * x % p for x in a[r]]
+        pivot = a[r]
+        for i in range(nrows):
+            fac = a[i][c]
+            if fac and i != r:
+                a[i] = [(x - fac * y) % p for x, y in zip(a[i], pivot)]
+        pivots.append(c)
+        r += 1
+    return Matrix._wrap(m.field, a, nrows, m.ncols), pivots
+
+
 def _generic_rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """:func:`rref` over any field by scalar row operations; the reference for
-    the F_2 kernel."""
+    """:func:`rref` over any field by scalar row operations: the Q kernel, and
+    the reference for the F_2 and F_p ones."""
     f = m.field
     a = [row[:] for row in m.data]
     pivots: list[int] = []
@@ -499,7 +560,7 @@ def nullspace(a: Matrix) -> Matrix:
     for i, j in enumerate(pivots):
         row = reduced.data[i]
         rows[j] = [f.neg(row[c]) for c in free]
-    return Matrix(f, rows, a.ncols, len(free))
+    return Matrix._wrap(f, rows, a.ncols, len(free))
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -517,13 +578,9 @@ def invert(m: Matrix) -> Matrix | None:
 
 def row_space_basis(vectors: Iterable[Sequence], field: FieldSpec, width: int) -> Matrix:
     """Canonical (rref) basis of the span of the given row vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return Matrix.zeros(field, 0, width)
-    m = Matrix(field, rows, len(rows), width)
-    reduced, pivots = rref(m)
+    reduced, pivots = rref(Matrix(field, vectors, None, width))
     r = len(pivots)
-    return Matrix(field, reduced.data[:r], r, width)
+    return Matrix._wrap(field, reduced.data[:r], r, width)
 
 
 def reduce_mod_row_space(vector: Sequence, basis: Matrix) -> list:

@@ -993,7 +993,6 @@ def _split_pair(sub: Module) -> tuple[Matrix, Matrix] | None:
     )
 
 
-@memoized
 def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, ModuleMap]]]]:
     """Split into indecomposable summands with explicit splitting maps.
 
@@ -1009,6 +1008,20 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
     applies, :class:`UndecidedError` is raised rather than an unverified
     split returned.
     """
+    out = []
+    for rep, mult, pairs in _decomposition(m):
+        rep = m if rep is None else rep
+        maps = [(ModuleMap(rep, m, inj, check=False), ModuleMap(m, rep, proj, check=False)) for inj, proj in pairs]
+        out.append((rep, mult, maps))
+    return out
+
+
+@memoized
+def _decomposition(m: Module) -> list[tuple[Module, int, list[tuple[Matrix, Matrix]]]]:
+    """:func:`decompose` with each splitting map as its checked matrix, and
+    None for a part that is ``m`` itself.  The memo on ``m`` then refers to
+    nothing that refers to ``m``, so ``m`` and its memo form no reference
+    cycle and reference counting frees them."""
     alg = m.algebra
     f = alg.field
     if m.dim == 0:
@@ -1051,9 +1064,11 @@ def decompose(m: Module) -> list[tuple[Module, int, list[tuple[ModuleMap, Module
             offset += rep.dim
             if w is not None:
                 cols, proj = cols.mul(w), invert(w).mul(proj)
-            pairs.append((ModuleMap(rep, m, cols), ModuleMap(m, rep, proj)))
+            _check_commutes(rep, m, [cols])
+            _check_commutes(m, rep, [proj])
+            pairs.append((cols, proj))
             total = total + cols.mul(proj)
-        out.append((rep, len(pairs), pairs))
+        out.append((None if rep is m else rep, len(pairs), pairs))
     if total != Matrix.identity(f, m.dim):
         raise ValidationError("splitting maps do not sum to the identity")
     return out

@@ -18,9 +18,9 @@ from silting_forge.exactlinalg import FieldSpec, Matrix
 from silting_forge.gorenstein import GorensteinReport, GpClassification, gorenstein_report, gp_classification
 from silting_forge.modules import (
     Module,
+    _decomposition,
     _projective_bases,
     ModuleMap,
-    decompose,
     direct_sum,
     enumerate_indecomposables,
     global_dimension,
@@ -364,7 +364,7 @@ def test_memoized_values_are_derived_once_per_owner():
         (0, enumerate_indecomposables, (2,)),
         (1, Module.adapted, ()),
         (1, Module.radical_columns, ()),
-        (1, decompose, ()),
+        (1, _decomposition, ()),
         (2, gp_classification, (3,)),
     ]
     for index, fn, args in calls:

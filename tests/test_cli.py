@@ -487,6 +487,40 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(regular_file):
         assert out["error"]["type"] == "usage"
 
 
+def _assert_unread_flag_rejected(argv, flag):
+    code, out = cli(*argv)
+    assert code == 3, argv
+    assert out["error"]["type"] == "usage"
+    assert flag in out["error"]["message"]
+
+
+def test_gp_of_one_module_rejects_a_dim_bound(regular_file):
+    gp = ("gorenstein", "gp", "--algebra", "a2")
+    _assert_unread_flag_rejected((*gp, "--module", regular_file, "--dim-bound", "4"), "--dim-bound")
+    # Without --module the bound is read, and it still defaults to 4.
+    code, out = cli(*gp)
+    assert code == 0 and out["dim_bound"] == 4
+
+
+def test_recollement_verify_on_a_context_rejects_a_length_bound(tmp_path):
+    tctx = corpus_load("gamma0")
+    x = tmp_path / "x.json"
+    x.write_text(dump_json(module_to_json(simple_module(tctx.a, "eu"))))
+    y = tmp_path / "y.json"
+    y.write_text(dump_json(module_to_json(regular_module(tctx.b))))
+    _assert_unread_flag_rejected(
+        ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
+         "--x", str(x), "--y", str(y), "--length-bound", "5"),
+        "--length-bound",
+    )
+
+
+def test_algebra_triangular_on_a_context_rejects_a_length_bound():
+    _assert_unread_flag_rejected(
+        ("algebra", "triangular", "--context", "gamma0", "--length-bound", "5"), "--length-bound"
+    )
+
+
 def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
     check = ("gorenstein", "check", "--algebra", "a2", "--module", regular_file, "--presentation", "auto")
     rejected = [

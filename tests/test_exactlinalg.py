@@ -572,3 +572,132 @@ def test_kernels_match_their_reference_versions(field, seed):
             assert inv == _reference_invert(m)
             seen.add(("invertible", inv is not None))
     assert {True, False, ("invertible", True), ("invertible", False)} <= seen
+
+
+# --------------------------------------------------------------------------
+# The F_p kernels on both sides of the byte bound.  The packed product runs
+# when k·(p-1)² <= 255 for the inner dimension k: k <= 63 over F_3, k <= 15
+# over F_5, k <= 7 over F_7; F_17 and p = 2^31 - 1 always fall back to
+# _sparse_mul past k = 0.  All-(p-1) factors put every unreduced entry of the
+# product at k·(p-1)², the most a byte must hold.
+# --------------------------------------------------------------------------
+
+F17 = FieldSpec("prime", 17)
+MERSENNE = FieldSpec("prime", 2**31 - 1)
+
+
+def _fp_matrix(f, nrows, ncols, rng, density):
+    data = [[rng.randrange(1, f.p) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    return Matrix(f, data, nrows, ncols)
+
+
+def _top_matrix(f, nrows, ncols):
+    return Matrix(f, [[f.p - 1] * ncols for _ in range(nrows)], nrows, ncols)
+
+
+@pytest.mark.parametrize(
+    "field, inner",
+    [(F3, 63), (F3, 64), (F5, 15), (F5, 16), (F7, 7), (F7, 8), (F17, 1), (F17, 9), (MERSENNE, 5)],
+    ids=lambda x: f"F{x.p}" if isinstance(x, FieldSpec) else f"k{x}",
+)
+def test_fp_product_matches_generic_across_the_byte_bound(field, inner):
+    packed = inner * (field.p - 1) ** 2 <= 255
+    rng = random.Random(inner)
+    pairs = [(_top_matrix(field, 4, inner), _top_matrix(field, inner, 9))]
+    pairs += [(_fp_matrix(field, 5, inner, rng, d), _fp_matrix(field, inner, 7, rng, d)) for d in (0.0, 0.3, 1.0)]
+    pairs += [(_top_matrix(field, 0, inner), _top_matrix(field, inner, 3))]
+    pairs += [(_top_matrix(field, 3, inner), _top_matrix(field, inner, 0))]
+    for a, b in pairs:
+        with mock.patch.object(exactlinalg, "_sparse_mul", wraps=exactlinalg._sparse_mul) as sparse:
+            product = a.mul(b)
+        assert sparse.called is not packed
+        assert product == exactlinalg._generic_mul(a, b)
+        assert all(type(x) is int and 0 <= x < field.p for row in product.data for x in row)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, F17, MERSENNE], ids=lambda f: f"F{f.p}")
+def test_fp_small_shapes_match_generic(field):
+    top = field.p - 1
+    # (m × 0)·(0 × n) is the zero matrix; 1×1 products and eliminations.
+    for a, b in [
+        (Matrix(field, [[], []], 2, 0), Matrix(field, [], 0, 3)),
+        (Matrix(field, [], 0, 4), _top_matrix(field, 4, 2)),
+        (Matrix(field, [[top]], 1, 1), Matrix(field, [[top]], 1, 1)),
+        (Matrix(field, [[0]], 1, 1), Matrix(field, [[top]], 1, 1)),
+    ]:
+        assert a.mul(b) == exactlinalg._generic_mul(a, b)
+    for m in [Matrix(field, [], 0, 5), Matrix(field, [[]] * 5, 5, 0), Matrix(field, [[top]], 1, 1),
+              Matrix(field, [[0]], 1, 1), _top_matrix(field, 6, 6)]:
+        assert exactlinalg._rref_fp(m) == exactlinalg._generic_rref(m) == rref(m)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, F17, MERSENNE], ids=lambda f: f"F{f.p}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fp_rref_matches_generic(field, seed):
+    rng = random.Random(seed)
+    cases = [_top_matrix(field, 5, 8)]
+    for _ in range(12):
+        nrows, ncols = rng.randrange(1, 20), rng.randrange(1, 20)
+        cases.append(_fp_matrix(field, nrows, ncols, rng, rng.choice([0.2, 0.5, 1.0])))
+    # A rank-deficient case: the last row is the sum of the first two.
+    m = _fp_matrix(field, 6, 9, rng, 0.8)
+    m.data[5] = [(x + y) % field.p for x, y in zip(m.data[0], m.data[1])]
+    cases.append(m)
+    for m in cases:
+        reduced, pivots = exactlinalg._rref_fp(m)
+        assert (reduced, pivots) == exactlinalg._generic_rref(m) == rref(m)
+        assert pivots == _reference_pivots(reduced)
+
+
+# --------------------------------------------------------------------------
+# Kernel outputs own their rows: Matrix._wrap takes the rows it is handed, so
+# no kernel may hand it a row list of one of its inputs.
+# --------------------------------------------------------------------------
+
+
+def _kernel_outputs(f):
+    """``(name, output, inputs)`` for every kernel that wraps fresh rows."""
+    a = Matrix.from_rows(f, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
+    b = Matrix.from_rows(f, [[1, 1], [0, 1], [1, 0], [1, 1]])
+    reduced = Matrix.from_rows(f, [[1, 0, 1], [0, 1, 1]])
+    return [
+        ("mul", a.mul(b), (a, b)),
+        ("_sparse_mul", exactlinalg._sparse_mul(a, b), (a, b)),
+        ("rref", rref(a)[0], (a,)),
+        ("rref of a reduced matrix", rref(reduced)[0], (reduced,)),
+        ("copy", a.copy(), (a,)),
+        ("add", a + a, (a,)),
+        ("sub", a - a, (a,)),
+        ("neg", -a, (a,)),
+        ("scale", a.scale(1), (a,)),
+        ("hstack of one", Matrix.hstack([a]), (a,)),
+        ("vstack of one", Matrix.vstack([a]), (a,)),
+        ("transpose", a.transpose(), (a,)),
+        ("submatrix", a.submatrix(range(3), range(4)), (a,)),
+        ("nullspace", nullspace(reduced), (reduced,)),
+        ("row_space_basis", row_space_basis(reduced.data, f, 3), (reduced,)),
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_kernel_outputs_share_no_row_with_their_inputs(field):
+    for name, out, inputs in _kernel_outputs(field):
+        before = [m.copy() for m in inputs]
+        input_rows = {id(row) for m in inputs for row in m.data}
+        assert not any(id(row) in input_rows for row in out.data), name
+        for row in out.data:
+            row[:] = ["mutated"] * len(row)
+        assert list(inputs) == before, name
+
+
+def test_public_constructor_copies_and_checks_shape():
+    with pytest.raises(ExactError):
+        Matrix(F3, [[1, 2], [0]])
+    with pytest.raises(ExactError):
+        Matrix(F3, [[1, 2]], 2, 2)
+    with pytest.raises(ExactError):
+        Matrix(F3, [[1, 2]], 1, 3)
+    rows = [[1, 2], [0, 1]]
+    m = Matrix(F3, rows)
+    rows[0][0] = 2
+    assert m.data == [[1, 2], [0, 1]] and m.data[0] is not rows[0]

@@ -937,6 +937,8 @@ def test_decompose_direct_sums_recovers_the_parts(data):
 def test_decompose_leaves_nothing_for_the_cyclic_collector(corpus_id):
     # Every object one decompose call allocates is freed by reference
     # counting: with the collector off, a collection afterwards finds nothing.
+    # Nor does one after the module is dropped: the decomposition memoized on
+    # it refers to nothing that refers back to it.
     alg = corpus_load(corpus_id)
     reg = regular_module(alg)
     decompose(reg)  # warms the algebra's memo
@@ -946,10 +948,14 @@ def test_decompose_leaves_nothing_for_the_cyclic_collector(corpus_id):
     try:
         parts = decompose(fresh)
         unreachable = gc.collect()
+        summed = sum(p.dim * mult for p, mult, _ in parts)
+        del parts, fresh
+        dropped = gc.collect()
     finally:
         gc.enable()
-    assert sum(p.dim * mult for p, mult, _ in parts) == reg.dim
+    assert summed == reg.dim
     assert unreachable == 0
+    assert dropped == 0
 
 
 @settings(max_examples=15, deadline=None)
