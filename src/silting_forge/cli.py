@@ -307,7 +307,9 @@ def _handle_algebra(args):
         return out, 0
     if args.command == "triangular":
         if args.context:
-            _reject_unread(args.length_bound, "--length-bound", "--context")
+            for value, flag in [(args.length_bound, "--length-bound"), (args.top, "--top"),
+                                (args.bottom, "--bottom"), (args.bimodule, "--bimodule")]:
+                _reject_unread(value, flag, "--context")
             tctx = resolve_context(args.context)
         else:
             if not (args.top and args.bottom and args.bimodule):
@@ -462,7 +464,9 @@ def _handle_recollement(args):
     if args.command == "verify":
         statement = args.statement
         if args.context:
-            _reject_unread(args.length_bound, "--length-bound", "--context")
+            for value, flag in [(args.length_bound, "--length-bound"), (args.algebra, "--algebra"),
+                                (args.e, "--e"), (args.module, "--module")]:
+                _reject_unread(value, flag, "--context")
             tctx = resolve_context(args.context)
             inputs = {}
             if args.x is None or args.y is None:
@@ -471,6 +475,8 @@ def _handle_recollement(args):
             inputs["y"] = module_from_json(read_json_file(args.y), tctx.b)
             report = rmod.verify_transfer(tctx, statement, inputs, args.probe, args.budget)
         else:
+            for value, flag in [(args.x, "--x"), (args.y, "--y")]:
+                _reject_unread(value, flag, "idempotent statements")
             if not (args.algebra and args.e):
                 raise ValidationError(
                     "idempotent statements need --algebra and --e; triangular ones --context"

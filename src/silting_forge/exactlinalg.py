@@ -16,10 +16,12 @@ leading entry.  ``Matrix.data`` stays a list of lists of ints either way.
 
 Over F_p with p > 2, ``mul`` packs rows the same way while ``k·(p-1)² <= 255``
 for the inner dimension k (k <= 63 over F_3): row i of the product is the
-integer sum of c·(packed row j) over the nonzero entries c of row i, every
-unreduced entry fits its byte, and each is reduced once.  ``rref`` over F_p
-inlines its arithmetic, reducing at every row operation, with no call into
-``FieldSpec`` per scalar.
+integer sum of c·(packed row j) over the nonzero entries c of row i, and
+every unreduced entry fits its byte.  The packed sum is reduced in one
+``bytes.translate`` through ``FieldSpec.residues``, the table of x mod p for
+every byte x, which each prime field builds once, when it is made.  ``rref``
+over F_p inlines its arithmetic, reducing at every row operation, with no
+call into ``FieldSpec`` per scalar.
 
 Each elimination returns one result, in the shape its callers use:
 ``rref`` gives ``(reduced, pivots)``, ``solve`` the solution with every
@@ -40,7 +42,7 @@ kernel must agree with.  Kernels wrap the rows they build with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
@@ -82,15 +84,20 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Exact ground field: ``prime`` (F_p, p prime <= 2^31) or ``rational``."""
+    """Exact ground field: ``prime`` (F_p, p prime <= 2^31) or ``rational``.
+
+    A prime field carries ``residues``, the 256-byte table of x mod p for
+    each byte x, through which the packed product reduces its rows."""
 
     kind: str
     p: int | None = None
+    residues: bytes = dc_field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "prime":
             if self.p is None or not (2 <= self.p <= 2**31) or not _is_prime(self.p):
                 raise ExactError(f"field parameter p={self.p!r} is not a prime <= 2^31")
+            object.__setattr__(self, "residues", bytes(x % self.p for x in range(256)))
         elif self.kind == "rational":
             if self.p is not None:
                 raise ExactError("rational field takes no parameter p")
@@ -283,12 +290,13 @@ class Matrix:
                     acc ^= v
                 out.append(list(acc.to_bytes(n, "big")))
         else:
+            residues = self.field.residues
             for row in self.data:
                 acc = 0
                 for c, v in zip(row, packed):
                     if c:
                         acc += c * v
-                out.append([x % p for x in acc.to_bytes(n, "big")])
+                out.append(list(acc.to_bytes(n, "big").translate(residues)))
         return Matrix._wrap(self.field, out, self.nrows, n)
 
     def scale(self, c) -> "Matrix":

@@ -39,6 +39,7 @@ class UndecidedError(ExactError):
 
 DECOMPOSE_BUDGET = 4096       # max field-element combinations scanned exhaustively
 ENUMERATION_BUDGET = 1 << 21  # max action fillings per algebra enumeration
+_BATCH_CELLS = 1 << 12        # entries a product over a run of labels keeps within
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +76,27 @@ class Module:
         mats = [self.action[lbl] for lbl in a.labels]
         if self.act(a.unit()) != Matrix.identity(f, n):
             out.append("unit does not act as the identity")
-        # Block j of rho(b_i)·[rho(b_1)|...|rho(b_d)] is rho(b_i)·rho(b_j), and
-        # row j of C_i·F is rho(b_i*b_j) flattened, where C_i holds the
-        # structure constants of b_i*b_1, ..., b_i*b_d and row k of F is
-        # rho(b_k) flattened: two products per i check d identities.
+        # Block (i, j) of [rho(b_1);...;rho(b_d)]·[rho(b_1)|...|rho(b_d)] is
+        # rho(b_i)·rho(b_j), and row i·d + j of C·F is rho(b_i*b_j) flattened,
+        # where C is the algebra's constants matrix and row k of F is rho(b_k)
+        # flattened.  Two products check the identities of a run of labels i:
+        # all d of them, unless the module is so large that a (d·n)² product
+        # would raise the peak memory, and then as many as keep each product
+        # within _BATCH_CELLS entries (at least one).
         side = Matrix.hstack(mats)
-        flat = Matrix(f, [_flat(m) for m in mats], d, n * n)
-        for i in range(d):
-            got = mats[i].mul(side).data
-            want = Matrix(f, a.constants[i], d, d).mul(flat).data
-            for j in range(d):
-                if [x for row in got for x in row[j * n : (j + 1) * n]] != want[j]:
-                    out.append(f"rho({a.labels[i]})·rho({a.labels[j]}) != rho({a.labels[i]}*{a.labels[j]})")
+        flat = Matrix._wrap(f, [_flat(m) for m in mats], d, n * n)
+        constants = a.constants_matrix()
+        step = max(1, _BATCH_CELLS // (d * n * n))
+        for start in range(0, d, step):
+            stop = min(d, start + step)
+            run = constants if stop - start == d else constants.submatrix(range(start * d, stop * d), range(d))
+            got = Matrix.vstack(mats[start:stop]).mul(side).data
+            want = run.mul(flat).data
+            for t, i in enumerate(range(start, stop)):
+                for j in range(d):
+                    if [x for row in got[t * n : (t + 1) * n] for x in row[j * n : (j + 1) * n]] != want[t * d + j]:
+                        out.append(f"rho({a.labels[i]})·rho({a.labels[j]}) != rho({a.labels[i]}*{a.labels[j]})")
+            del got, want  # so that the next run's products do not overlap them
         return out
 
     def rho(self, label: str) -> Matrix:
@@ -144,8 +154,9 @@ class Module:
         Sinv = invert(S)
         if Sinv is None:
             raise ValidationError("idempotent block bases are dependent")
-        action = {name: Sinv.mul(self.act(vec)).mul(S) for name, vec, _blk in self.algebra.generating_set().seeds}
-        return AdaptedModule(blocks, Sinv, S, action)
+        seeds = self.algebra.generating_set().seeds
+        moved = conjugate(Sinv, [self.act(vec) for _name, vec, _blk in seeds], S)
+        return AdaptedModule(blocks, Sinv, S, {name: mat for (name, _vec, _blk), mat in zip(seeds, moved)})
 
     def encode(self) -> str:
         """Deterministic content string (used for ordering and caching)."""
@@ -266,20 +277,45 @@ def regular_module(alg: Algebra) -> Module:
     return Module(alg, alg.dim, {lbl: alg.left_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)})
 
 
+def conjugate(left: Matrix, mats: list[Matrix], right: Matrix) -> list[Matrix]:
+    """left·M·right for every M in ``mats`` (all of one shape), with two
+    products: left·[M_1|...|M_k], then its blocks stacked,
+    [left·M_1;...;left·M_k], times right."""
+    if not mats:
+        return []
+    f, p, m, k = left.field, left.nrows, mats[0].ncols, len(mats)
+    side = left.mul(Matrix.hstack(mats)).data
+    stacked = Matrix._wrap(f, [row[j * m : (j + 1) * m] for j in range(k) for row in side], k * p, m)
+    full = stacked.mul(right).data
+    return [Matrix._wrap(f, full[j * p : (j + 1) * p], p, right.ncols) for j in range(k)]
+
+
+def restrict(basis: Matrix, mats: list[Matrix]) -> list[Matrix] | None:
+    """For independent columns ``basis`` (n × k) and nonempty ``mats`` (each
+    n × n), the k × k matrices X_i with basis·X_i = M_i·basis, or None when
+    some M_i moves a column out of their span.  One product gives
+    [M_1;...;M_d]·basis, and one solve of basis against
+    [M_1·basis|...|M_d·basis] gives [X_1|...|X_d]."""
+    f, n, k, d = basis.field, basis.nrows, basis.ncols, len(mats)
+    moved = Matrix.vstack(mats).mul(basis).data
+    side = Matrix._wrap(f, [[x for i in range(d) for x in moved[i * n + r]] for r in range(n)], n, d * k)
+    x = solve(basis, side)
+    if x is None:
+        return None
+    return [Matrix._wrap(f, [row[i * k : (i + 1) * k] for row in x.data], k, k) for i in range(d)]
+
+
 def submodule(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
     """Submodule spanned by the given (independent) columns, with inclusion."""
-    f = m.algebra.field
     k = cols.ncols
     if rank(cols) != k:
         raise ValidationError("submodule columns are dependent")
-    action = {}
-    for lbl in m.algebra.labels:
-        rhs = m.action[lbl].mul(cols)
-        x = solve(cols, rhs)
-        if x is None:
-            raise ValidationError(f"columns are not stable under the action of {lbl!r}")
-        action[lbl] = x
-    sub = Module(m.algebra, k, action)
+    labels = m.algebra.labels
+    mats = restrict(cols, [m.action[lbl] for lbl in labels])
+    if mats is None:
+        lbl = next(lbl for lbl in labels if solve(cols, m.action[lbl].mul(cols)) is None)
+        raise ValidationError(f"columns are not stable under the action of {lbl!r}")
+    sub = Module(m.algebra, k, dict(zip(labels, mats)))
     return sub, ModuleMap(sub, m, cols)
 
 
@@ -292,8 +328,8 @@ def quotient_module(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
     section = solve(proj, Matrix.identity(f, q))
     if section is None:
         raise ValidationError("projection has no section")
-    action = {lbl: proj.mul(m.action[lbl]).mul(section) for lbl in m.algebra.labels}
-    quo = Module(m.algebra, q, action)
+    labels = m.algebra.labels
+    quo = Module(m.algebra, q, dict(zip(labels, conjugate(proj, [m.action[lbl] for lbl in labels], section))))
     return quo, ModuleMap(m, quo, proj)
 
 
@@ -387,16 +423,11 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
                 if any(row):
                     rows.append(row)
     null = nullspace(Matrix(f, rows, len(rows), len(positions)))
-    # S_N·[H_1|...|H_k], then the stacked blocks times S_M^-1
-    k = null.ncols
-    adapted = Matrix.zeros(f, n.dim, k * m.dim)
+    adapted = [Matrix.zeros(f, n.dim, m.dim) for _ in range(null.ncols)]
     for (r, c), coords in zip(positions, null.data):
-        for j, x in enumerate(coords):
-            adapted.data[r][j * m.dim + c] = x
-    side = an.from_adapted.mul(adapted).data
-    stacked = [row[j * m.dim : (j + 1) * m.dim] for j in range(k) for row in side]
-    full = Matrix(f, stacked, k * n.dim, m.dim).mul(am.to_adapted).data
-    mats = [Matrix(f, full[j * n.dim : (j + 1) * n.dim], n.dim, m.dim) for j in range(k)]
+        for h, x in zip(adapted, coords):
+            h.data[r][c] = x
+    mats = conjugate(an.from_adapted, adapted, am.to_adapted)
     _check_commutes(m, n, mats)
     return [ModuleMap(m, n, mat, check=False) for mat in mats]
 
@@ -474,12 +505,31 @@ def hom_module(basis: list[ModuleMap], alg: Algebra, moves: dict[str, Matrix], o
     the moved basis."""
     if not basis:
         return zero_module(alg)
+    f, k, hs = alg.field, len(basis), [b.matrix for b in basis]
+    p, q = hs[0].nrows, hs[0].ncols
+    # For a run of labels, one product gives every moved basis map: block
+    # (l, j) of [moves;]·[h_1|...|h_k] is moves[l]·h_j, and block (j, l) of
+    # [h_1;...;h_k]·[moves|] is h_j·moves[l].  One solve gives all their
+    # coordinates.  A run holds every label unless the moved maps would pass
+    # _BATCH_CELLS entries: the one-shot solve raised the heap peak of an
+    # F_3 enumeration by 0.18 MB.
+    step = max(1, _BATCH_CELLS // (k * p * q))
     action = {}
-    for lbl in alg.labels:
-        move = moves[lbl]
-        moved = [move.mul(b.matrix) if on_values else b.matrix.mul(move) for b in basis]
-        action[lbl] = hom_coordinates(basis, moved)
-    return Module(alg, len(basis), action)
+    for start in range(0, alg.dim, step):
+        run = alg.labels[start : start + step]
+        ms, r = [moves[lbl] for lbl in run], range(len(run))
+        if on_values:
+            grid = Matrix.vstack(ms).mul(Matrix.hstack(hs)).data
+            moved = [[row[j * q : (j + 1) * q] for row in grid[l * p : (l + 1) * p]] for l in r for j in range(k)]
+        else:
+            grid = Matrix.vstack(hs).mul(Matrix.hstack(ms)).data
+            moved = [[row[l * q : (l + 1) * q] for row in grid[j * p : (j + 1) * p]] for l in r for j in range(k)]
+        del grid  # the moved maps hold every row they need
+        coords = hom_coordinates(basis, [Matrix._wrap(f, rows, p, q) for rows in moved]).data
+        del moved
+        for l, lbl in zip(r, run):
+            action[lbl] = Matrix._wrap(f, [row[l * k : (l + 1) * k] for row in coords], k, k)
+    return Module(alg, k, action)
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +800,9 @@ def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
     section = solve(proj, Matrix.identity(f, q))
     if section is None:
         raise ValidationError("tensor quotient has no section")
-    action = {}
-    for a_idx, a_lbl in enumerate(A.labels):
-        la = n.left_action[a_lbl]
-        big_mat = la.kron(Matrix.identity(f, dy))
-        action[a_lbl] = proj.mul(big_mat).mul(section)
-    mod = Module(A, q, action)
+    ident = Matrix.identity(f, dy)
+    bigs = [n.left_action[lbl].kron(ident) for lbl in A.labels]
+    mod = Module(A, q, dict(zip(A.labels, conjugate(proj, bigs, section))))
     return mod, {"projection": proj, "section": section}
 
 

@@ -51,6 +51,7 @@ from .modules import (
     ModuleMap,
     Presentation,
     UndecidedError,
+    conjugate,
     direct_sum,
     enumerate_indecomposables,
     global_dimension,
@@ -62,6 +63,7 @@ from .modules import (
     is_isomorphic,
     is_projective,
     quotient_module,
+    restrict,
     simple_module,
     submodule,
     tensor_map,
@@ -184,11 +186,19 @@ def _restrict_into(basis: Matrix, cols: Matrix) -> Matrix:
     return sol
 
 
+def _restrict_all(basis: Matrix, labels: list[str], mats: list[Matrix]) -> dict[str, Matrix]:
+    """Each label's matrix restricted to the span of ``basis``, by one
+    :func:`restrict`."""
+    restricted = restrict(basis, mats)
+    if restricted is None:
+        raise ValidationError("columns fall outside the subspace")
+    return dict(zip(labels, restricted))
+
+
 def _layer_module(basis: Matrix, alg: Algebra, mats: list[Matrix]) -> Module:
     """The subspace spanned by ``basis`` as a module over ``alg``, whose i-th
     label acts by ``mats[i]`` restricted to it."""
-    action = {lbl: _restrict_into(basis, mat.mul(basis)) for lbl, mat in zip(alg.labels, mats)}
-    return Module(alg, basis.ncols, action)
+    return Module(alg, basis.ncols, _restrict_all(basis, alg.labels, mats))
 
 
 def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
@@ -236,13 +246,9 @@ def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
     gens = [alg.multiply(alg.basis_vector(i), evec) for i in range(alg.dim)]
     lf_rows = row_space_basis(gens, f, alg.dim)
     F = lf_rows.transpose()
-    left_action = {}
-    for i, lbl in enumerate(alg.labels):
-        left_action[lbl] = _restrict_into(F, alg.left_mult_matrix(alg.basis_vector(i)).mul(F))
-    right_action = {}
-    for i, clbl in enumerate(corner.labels):
-        w = list(data["corner_rows"].data[i])
-        right_action[clbl] = _restrict_into(F, alg.right_mult_matrix(w).mul(F))
+    corner_rows = [list(w) for w in data["corner_rows"].data]
+    left_action = _restrict_all(F, alg.labels, [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)])
+    right_action = _restrict_all(F, corner.labels, [alg.right_mult_matrix(w) for w in corner_rows])
     data["l_bimodule"] = Bimodule(alg, corner, F.ncols, left_action, right_action)
 
     # right-layer space: the right ideal generated by the idempotent, as a
@@ -250,15 +256,9 @@ def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
     gens = [alg.multiply(evec, alg.basis_vector(i)) for i in range(alg.dim)]
     rt_rows = row_space_basis(gens, f, alg.dim)
     H = rt_rows.transpose()
-    corner_action = {}
-    for i, clbl in enumerate(corner.labels):
-        w = list(data["corner_rows"].data[i])
-        corner_action[clbl] = _restrict_into(H, alg.left_mult_matrix(w).mul(H))
-    data["r_space"] = Module(corner, H.ncols, corner_action)
-    data["r_right_action"] = {
-        lbl: _restrict_into(H, alg.right_mult_matrix(alg.basis_vector(i)).mul(H))
-        for i, lbl in enumerate(alg.labels)
-    }
+    data["r_space"] = _layer_module(H, corner, [alg.left_mult_matrix(w) for w in corner_rows])
+    right_mults = [alg.right_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+    data["r_right_action"] = _restrict_all(H, alg.labels, right_mults)
 
     ctx = RecollementContext(alg, quotient, corner, tuple(e_list), data)
     ctx.battery = _construction_battery(ctx)
@@ -281,11 +281,8 @@ def _functor_module(ctx: RecollementContext, which: str, m: Module):
         cols = Matrix.hstack(blocks) if blocks else Matrix.zeros(f, m.dim, 0)
         quo_mid, pi = quotient_module(m, _col_basis(cols))
         section = solve(pi.matrix, Matrix.identity(f, quo_mid.dim))
-        action = {}
-        for j, lbl in enumerate(ctx.quotient.labels):
-            mid_idx = ctx.data["keep"][j]
-            action[lbl] = pi.matrix.mul(m.rho(ctx.middle.labels[mid_idx])).mul(section)
-        return Module(ctx.quotient, quo_mid.dim, action), pi.matrix
+        mats = conjugate(pi.matrix, [m.rho(ctx.middle.labels[mid_idx]) for mid_idx in ctx.data["keep"]], section)
+        return Module(ctx.quotient, quo_mid.dim, dict(zip(ctx.quotient.labels, mats))), pi.matrix
     if which == "p":
         blocks = [m.act(list(r)) for r in ctx.data["ideal"].data]
         K = nullspace(Matrix.vstack(blocks) if blocks else Matrix.zeros(f, 0, m.dim))
@@ -560,10 +557,9 @@ def _module_to_triple(tctx: TriangularContext, m: Module) -> Triple:
         raise ValidationError("idempotent blocks do not fill the module")
     t_mod, proj, section = triangular_tensor(tctx, y)
     # the leading empty block keeps hstack defined for a zero bimodule
-    full = Matrix.hstack([Matrix.zeros(f, x.dim, 0)] + [
-        _restrict_into(Ea, m.rho(tctx.gamma.labels[tctx.n_offset + t]).mul(Eb))
-        for t in range(tctx.n.dim)
-    ])
+    full = _restrict_into(Ea, Matrix.hstack([Matrix.zeros(f, m.dim, 0)] + [
+        m.rho(tctx.gamma.labels[tctx.n_offset + t]).mul(Eb) for t in range(tctx.n.dim)
+    ]))
     fmat = full.mul(section)
     if fmat.mul(proj) != full:
         raise ValidationError("linking data does not descend to the induced tensor module")

@@ -502,15 +502,21 @@ def test_gp_of_one_module_rejects_a_dim_bound(regular_file):
     assert code == 0 and out["dim_bound"] == 4
 
 
-def test_recollement_verify_on_a_context_rejects_a_length_bound(tmp_path):
+@pytest.fixture()
+def gamma0_files(tmp_path):
     tctx = corpus_load("gamma0")
     x = tmp_path / "x.json"
     x.write_text(dump_json(module_to_json(simple_module(tctx.a, "eu"))))
     y = tmp_path / "y.json"
     y.write_text(dump_json(module_to_json(regular_module(tctx.b))))
+    return str(x), str(y)
+
+
+def test_recollement_verify_on_a_context_rejects_a_length_bound(gamma0_files):
+    x, y = gamma0_files
     _assert_unread_flag_rejected(
         ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
-         "--x", str(x), "--y", str(y), "--length-bound", "5"),
+         "--x", x, "--y", y, "--length-bound", "5"),
         "--length-bound",
     )
 
@@ -518,6 +524,36 @@ def test_recollement_verify_on_a_context_rejects_a_length_bound(tmp_path):
 def test_algebra_triangular_on_a_context_rejects_a_length_bound():
     _assert_unread_flag_rejected(
         ("algebra", "triangular", "--context", "gamma0", "--length-bound", "5"), "--length-bound"
+    )
+
+
+@pytest.mark.parametrize("flag, value", [("--top", "a2"), ("--bottom", "nosuchalgebra"), ("--bimodule", "nosuchfile.json")])
+def test_algebra_triangular_on_a_context_rejects_the_gluing_inputs(flag, value):
+    # The --context branch never reads --top, --bottom or --bimodule, so even
+    # an unknown algebra there was accepted with exit 0.
+    _assert_unread_flag_rejected(("algebra", "triangular", "--context", "gamma0", flag, value), flag)
+    code, out = cli("algebra", "triangular", "--context", "gamma0", "--top", "a2", "--bottom", "nosuchalgebra")
+    assert code == 3 and out["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("flag", ["--algebra", "--e", "--module"])
+def test_recollement_verify_on_a_context_rejects_the_idempotent_inputs(flag, gamma0_files, regular_file):
+    x, y = gamma0_files
+    value = {"--algebra": "a2", "--e": "e1", "--module": regular_file}[flag]
+    _assert_unread_flag_rejected(
+        ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
+         "--x", x, "--y", y, flag, value),
+        flag,
+    )
+
+
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_recollement_verify_without_a_context_rejects_the_triangular_inputs(flag, gamma0_files, regular_file):
+    value = gamma0_files[flag == "--y"]
+    _assert_unread_flag_rejected(
+        ("recollement", "verify", "--statement", "thm_idempotent_ideal", "--algebra", "a2", "--e", "e1",
+         "--module", regular_file, flag, value),
+        flag,
     )
 
 

@@ -631,6 +631,36 @@ def test_fp_small_shapes_match_generic(field):
         assert exactlinalg._rref_fp(m) == exactlinalg._generic_rref(m) == rref(m)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13], ids=lambda p: f"F{p}")
+def test_packed_product_reduces_through_the_residue_table(p):
+    # The packed sum holds each unreduced entry in a byte; the field's table
+    # reduces it.  Inner dimensions run up to the byte bound (all-(p-1)
+    # factors reach k·(p-1)², the largest byte) and one past it.
+    field = FieldSpec("prime", p)
+    bound = 255 // (p - 1) ** 2
+    rng = random.Random(p)
+    for inner in sorted({1, bound // 2 or 1, bound, bound + 1}):
+        pairs = [(_top_matrix(field, 3, inner), _top_matrix(field, inner, 5))]
+        pairs += [(_fp_matrix(field, 6, inner, rng, d), _fp_matrix(field, inner, 7, rng, d)) for d in (0.3, 0.7, 1.0)]
+        for a, b in pairs:
+            with mock.patch.object(exactlinalg, "_sparse_mul", wraps=exactlinalg._sparse_mul) as sparse:
+                product = a.mul(b)
+            assert sparse.called is (inner > bound)
+            assert product == exactlinalg._generic_mul(a, b)
+            assert all(type(x) is int for row in product.data for x in row)
+
+
+@pytest.mark.parametrize("field", [F17, MERSENNE], ids=lambda f: f"F{f.p}")
+def test_packed_product_of_inner_dimension_zero(field):
+    # Past p = 13 no nonempty inner dimension packs, but k = 0 does, for every p.
+    for nrows, ncols in [(2, 3), (0, 3), (2, 0)]:
+        a, b = Matrix(field, [[]] * nrows, nrows, 0), Matrix(field, [], 0, ncols)
+        with mock.patch.object(exactlinalg, "_sparse_mul", wraps=exactlinalg._sparse_mul) as sparse:
+            product = a.mul(b)
+        assert not sparse.called
+        assert product == exactlinalg._generic_mul(a, b) == Matrix.zeros(field, nrows, ncols)
+
+
 @pytest.mark.parametrize("field", [F3, F5, F7, F17, MERSENNE], ids=lambda f: f"F{f.p}")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fp_rref_matches_generic(field, seed):

@@ -34,6 +34,7 @@ from silting_forge.algebra import (
     ValidationError,
     compile_quiver_algebra,
     derive_algebra,
+    opposite_algebra,
 )
 from silting_forge import exactlinalg
 from silting_forge.exactlinalg import Matrix, invert, nullspace, rank, reduce_mod_row_space, row_space_basis
@@ -46,12 +47,14 @@ from silting_forge.modules import (
     _check_commutes,
     ar_translate,
     cokernel,
+    conjugate,
     decompose,
     direct_sum,
     enumerate_indecomposables,
     ext_dim,
     hom_coordinates,
     hom_dim,
+    hom_module,
     hom_space,
     indecomposable_iso,
     indecomposable_projectives,
@@ -65,6 +68,7 @@ from silting_forge.modules import (
     quotient_module,
     regular_module,
     resolution,
+    restrict,
     right_add_approximation,
     simple_module,
     submodule,
@@ -73,7 +77,7 @@ from silting_forge.modules import (
     validate_module,
     zero_module,
 )
-from silting_forge.recollement import random_probe_modules
+from silting_forge.recollement import _col_basis, _layer_module, idempotent_recollement, random_probe_modules
 
 
 @pytest.fixture
@@ -235,6 +239,22 @@ class TestValidationMatchesReference:
             assert any(f"·rho({x}) != " in msg for msg in pairs)
         assert ["unit does not act as the identity"] in lists
         assert sum(v[0].startswith("action keys") for v in lists if v) == 2
+
+    @pytest.mark.parametrize("cells", [1, 200, 1 << 12])
+    def test_violations_match_the_reference_in_label_blocks(self, monkeypatch, cells):
+        # Each product of the check covers as many labels as fit in
+        # _BATCH_CELLS entries: one label at a time, uneven runs, or all.
+        from silting_forge import modules
+
+        monkeypatch.setattr(modules, "_BATCH_CELLS", cells)
+        alg = compile_quiver_algebra(quiver_a3_rel(F3))
+        valid = [regular_module(alg)] + _indecomposables(alg)
+        found = 0
+        for dim, action in _broken_actions(alg, valid, random.Random(3)):
+            expected = _reference_violations(alg, dim, action)
+            assert _reported_violations(alg, dim, action) == expected
+            found += len(expected)
+        assert found > 20
 
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
     def test_act_matches_the_term_by_term_sum(self, field):
@@ -1274,3 +1294,193 @@ def test_hom_defaults_are_looked_up_when_called(monkeypatch, a2):
     assert calls == [(m, m)]
     assert gorenstein._g_epic(identity, SimpleNamespace(modules=[m]), [need])
     assert calls == [(m, m), (m, m)]
+
+
+# ---------------------------------------------------------------------------
+# The batched constructions against their per-label references: two products
+# per conjugation, one solve per restriction
+# ---------------------------------------------------------------------------
+
+
+def _reference_restrict(basis, mats):
+    """One solve per matrix, as ``submodule`` and ``_layer_module`` were
+    written: the restrictions, or the index of the first matrix that moves a
+    column out of the span."""
+    out = []
+    for i, mat in enumerate(mats):
+        x = exactlinalg.solve(basis, mat.mul(basis))
+        if x is None:
+            return i
+        out.append(x)
+    return out
+
+
+def _reference_conjugate(left, mats, right):
+    """Two products per matrix."""
+    return [left.mul(mat).mul(right) for mat in mats]
+
+
+def _reference_hom_module_action(basis, alg, moves, on_values):
+    """One coordinate solve per label, each on its own moved basis."""
+    return {
+        lbl: hom_coordinates(basis, [moves[lbl].mul(b.matrix) if on_values else b.matrix.mul(moves[lbl]) for b in basis])
+        for lbl in alg.labels
+    }
+
+
+def _batch_algebras(field):
+    a2 = compile_quiver_algebra(quiver_a2(field))
+    return [
+        a2,
+        compile_quiver_algebra(quiver_a3_rel(field)),
+        compile_quiver_algebra(quiver_dual_numbers(field)),
+        derive_algebra(a2, "tensor", b=a2)[0],
+    ]
+
+
+def _batch_pool(alg, rng):
+    """The zero module, the indecomposables of dimension <= 3, and random
+    probes written in a random basis."""
+    f = alg.field
+    indecs = [mod for mod in _indecomposables(alg) if mod.dim <= 3]
+    probes = [_conjugate(p, _unimodular(p.dim, f, rng)) for p in random_probe_modules(alg, 3, seed=5)]
+    return [zero_module(alg)] + indecs + probes
+
+
+def _column_bases(mod, rng):
+    """Independent column sets of ``mod``: rad·M, e_v·M for each vertex, the
+    kernel and the image of each endomorphism in the Hom basis, M itself,
+    nothing, and one or two random columns.  Some are submodules, some not."""
+    f, n = mod.algebra.field, mod.dim
+    out = [mod.radical_columns(), Matrix.identity(f, n), Matrix.zeros(f, n, 0)]
+    out += [_col_basis(mod.act(vec)) for _, vec in mod.algebra.idempotents]
+    for h in hom_space(mod, mod):
+        out += [nullspace(h.matrix), _col_basis(h.matrix)]
+    for k in (1, 2):
+        cols = Matrix(f, [[f.random(rng) for _ in range(k)] for _ in range(n)], n, k)
+        if n and rank(cols) == k:
+            out.append(cols)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_submodules_and_quotients_match_the_per_label_reference(field):
+    rng = random.Random(23)
+    stable = unstable = later_label = 0
+    for alg in _batch_algebras(field):
+        labels = alg.labels
+        for mod in _batch_pool(alg, rng):
+            mats = [mod.action[lbl] for lbl in labels]
+            for cols in _column_bases(mod, rng):
+                expected = _reference_restrict(cols, mats)
+                if isinstance(expected, int):
+                    # Unstable columns: the batched solve fails, and the error
+                    # names the label that the label-by-label solves hit first.
+                    with pytest.raises(ValidationError) as err:
+                        submodule(mod, cols)
+                    assert str(err.value) == f"columns are not stable under the action of {labels[expected]!r}"
+                    unstable += 1
+                    later_label += expected > 0
+                    continue
+                sub, inc = submodule(mod, cols)
+                assert [sub.action[lbl] for lbl in labels] == expected
+                assert inc.matrix == cols
+                quo, proj = quotient_module(mod, cols)
+                section = exactlinalg.solve(proj.matrix, Matrix.identity(field, quo.dim))
+                assert [quo.action[lbl] for lbl in labels] == _reference_conjugate(proj.matrix, mats, section)
+                stable += 1
+    assert stable > 100 and unstable > 20 and later_label > 5
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_adapted_actions_and_hom_modules_match_the_per_label_reference(field):
+    rng = random.Random(29)
+    for alg in _batch_algebras(field):
+        reg = regular_module(alg)
+        right = {lbl: alg.right_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)}
+        opposite = opposite_algebra(alg)
+        nonzero = 0
+        for mod in _batch_pool(alg, rng):
+            if mod.dim:
+                ad = mod.adapted()
+                seeds = alg.generating_set().seeds
+                expected = _reference_conjugate(ad.to_adapted, [mod.act(vec) for _, vec, _ in seeds], ad.from_adapted)
+                assert [ad.action[name] for name, _, _ in seeds] == expected
+            # Hom(M, A) over A^op (moves on the values) and Hom(A, M) over A
+            # (moves on the arguments), as ar_translate and the r functor use them
+            for basis, over, on_values in [
+                (hom_space(mod, reg), opposite, True),
+                (hom_space(reg, mod), alg, False),
+            ]:
+                got = hom_module(basis, over, right, on_values=on_values)
+                if basis:
+                    assert got.action == _reference_hom_module_action(basis, over, right, on_values)
+                    nonzero += 1
+                else:
+                    assert got.dim == 0
+        assert nonzero > 4
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1 << 12])
+def test_hom_modules_match_the_reference_in_label_runs(monkeypatch, cells):
+    # hom_module takes as many labels per product and solve as keep the
+    # moved maps within _BATCH_CELLS entries: one, uneven runs, or all.
+    from silting_forge import modules
+
+    monkeypatch.setattr(modules, "_BATCH_CELLS", cells)
+    rng = random.Random(41)
+    for alg in _batch_algebras(F3):
+        reg = regular_module(alg)
+        right = {lbl: alg.right_mult_matrix(alg.basis_vector(i)) for i, lbl in enumerate(alg.labels)}
+        for mod in [reg] + _batch_pool(alg, rng):
+            for basis, over, on_values in [
+                (hom_space(mod, reg), opposite_algebra(alg), True),
+                (hom_space(reg, mod), alg, False),
+            ]:
+                if basis:
+                    got = hom_module(basis, over, right, on_values=on_values).action
+                    assert got == _reference_hom_module_action(basis, over, right, on_values)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_tensor_and_layer_modules_match_the_per_label_reference(field):
+    rng = random.Random(37)
+    for alg in _batch_algebras(field):
+        ctx = idempotent_recollement(alg, [alg.idempotents[0][0]])
+        corner_rows = [list(r) for r in ctx.data["corner_rows"].data]
+        bimodules = [(Bimodule.regular(alg), _batch_pool(alg, rng))]
+        bimodules.append((ctx.data["l_bimodule"], [zero_module(ctx.corner), regular_module(ctx.corner)]))
+        for bimodule, pool in bimodules:
+            nonzero = 0
+            for y in pool:
+                t, info = tensor_over_algebra(bimodule, y)
+                if t.dim:
+                    ident = Matrix.identity(field, y.dim)
+                    bigs = [bimodule.left_action[lbl].kron(ident) for lbl in alg.labels]
+                    expected = _reference_conjugate(info["projection"], bigs, info["section"])
+                    assert [t.action[lbl] for lbl in alg.labels] == expected
+                    nonzero += 1
+            assert nonzero
+        for mod in _batch_pool(alg, rng):
+            # e·M over the corner algebra, as the e functor builds it
+            E = _col_basis(mod.act(ctx.data["evec"]))
+            mats = [mod.act(r) for r in corner_rows]
+            layer = _layer_module(E, ctx.corner, mats)
+            assert [layer.action[lbl] for lbl in ctx.corner.labels] == _reference_restrict(E, mats)
+            # e·M under all of A: a failing restriction fails both ways
+            mats = [mod.action[lbl] for lbl in alg.labels]
+            if isinstance(_reference_restrict(E, mats), int):
+                with pytest.raises(ValidationError, match="columns fall outside the subspace"):
+                    _layer_module(E, alg, mats)
+            else:
+                assert [_layer_module(E, alg, mats).action[lbl] for lbl in alg.labels] == _reference_restrict(E, mats)
+
+
+def test_conjugate_and_restrict_keep_shapes_at_zero_dimensions():
+    f = F3
+    left, right = Matrix.zeros(f, 0, 2), Matrix.zeros(f, 3, 4)
+    assert conjugate(left, [Matrix.zeros(f, 2, 3)] * 2, right) == [Matrix.zeros(f, 0, 4)] * 2
+    assert conjugate(left, [], right) == []
+    basis = Matrix.zeros(f, 3, 0)
+    assert restrict(basis, [Matrix.identity(f, 3)] * 2) == [Matrix.zeros(f, 0, 0)] * 2
+    assert restrict(Matrix.zeros(f, 0, 0), [Matrix.zeros(f, 0, 0)]) == [Matrix.zeros(f, 0, 0)]
