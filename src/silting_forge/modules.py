@@ -278,14 +278,19 @@ def regular_module(alg: Algebra) -> Module:
 
 
 def conjugate(left: Matrix, mats: list[Matrix], right: Matrix) -> list[Matrix]:
-    """left·M·right for every M in ``mats`` (all of one shape), with two
-    products: left·[M_1|...|M_k], then its blocks stacked,
-    [left·M_1;...;left·M_k], times right."""
+    """left·M·right for every M in ``mats`` (all of one shape)."""
     if not mats:
         return []
-    f, p, m, k = left.field, left.nrows, mats[0].ncols, len(mats)
-    side = left.mul(Matrix.hstack(mats)).data
-    stacked = Matrix._wrap(f, [row[j * m : (j + 1) * m] for j in range(k) for row in side], k * p, m)
+    return _conjugate_side(left, Matrix.hstack(mats), len(mats), right)
+
+
+def _conjugate_side(left: Matrix, side: Matrix, k: int, right: Matrix) -> list[Matrix]:
+    """left·M_j·right for each of the k blocks of side = [M_1|...|M_k], with
+    two products: left·side, then its blocks stacked,
+    [left·M_1;...;left·M_k], times right."""
+    f, p, m = left.field, left.nrows, side.ncols // k
+    moved = left.mul(side).data
+    stacked = Matrix._wrap(f, [row[j * m : (j + 1) * m] for j in range(k) for row in moved], k * p, m)
     full = stacked.mul(right).data
     return [Matrix._wrap(f, full[j * p : (j + 1) * p], p, right.ncols) for j in range(k)]
 
@@ -316,7 +321,9 @@ def submodule(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
         lbl = next(lbl for lbl in labels if solve(cols, m.action[lbl].mul(cols)) is None)
         raise ValidationError(f"columns are not stable under the action of {lbl!r}")
     sub = Module(m.algebra, k, dict(zip(labels, mats)))
-    return sub, ModuleMap(sub, m, cols)
+    # The solve in restrict makes cols·X_l = rho_l·cols exact for every label,
+    # so the inclusion commutes with the action by construction.
+    return sub, ModuleMap(sub, m, cols, check=False)
 
 
 def quotient_module(m: Module, cols: Matrix) -> tuple[Module, ModuleMap]:
@@ -423,11 +430,17 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
                 if any(row):
                     rows.append(row)
     null = nullspace(Matrix(f, rows, len(rows), len(positions)))
-    adapted = [Matrix.zeros(f, n.dim, m.dim) for _ in range(null.ncols)]
+    k = null.ncols
+    if not k:
+        return []
+    # The adapted solutions side by side, [H_1|...|H_k]: solution j fills
+    # columns j·dim m onwards.
+    side = Matrix.zeros(f, n.dim, k * m.dim)
     for (r, c), coords in zip(positions, null.data):
-        for h, x in zip(adapted, coords):
-            h.data[r][c] = x
-    mats = conjugate(an.from_adapted, adapted, am.to_adapted)
+        row = side.data[r]
+        for j, x in enumerate(coords):
+            row[j * m.dim + c] = x
+    mats = _conjugate_side(an.from_adapted, side, k, am.to_adapted)
     _check_commutes(m, n, mats)
     return [ModuleMap(m, n, mat, check=False) for mat in mats]
 

@@ -8,8 +8,14 @@ only sits inside its own class.  This module provides:
 
 * :func:`d_sigma_contains` / :func:`gen_contains` -- the two membership tests,
 * :func:`silting_check` -- a certificate comparing the classes for a module
-  with a chosen (or automatically minimal) presentation,
-* :func:`enumerate_silting` -- exhaustive enumeration over a finite field,
+  with a chosen (or automatically minimal) presentation; the verdict itself
+  comes from :func:`_certificate`, the one verdict ladder,
+* :func:`enumerate_silting` -- exhaustive enumeration over a finite field.
+  It gathers τ, the minimal presentation and the probe sweep once per rigid
+  indecomposable T_i and reads each candidate ⊕T_i off them: Hom out of a
+  block-diagonal presentation is block diagonal, Gen(⊕T_i) is spanned by
+  the images of the Hom(T_i, -), Hom(t, τt) = ⊕Hom(T_i, τT_j), kernel-top
+  multiplicities add, and Hom(P_v, t) = e_v t,
 * :func:`tensor_silting` -- the induced presentation of an outer tensor
   product over a tensor-product algebra, with a comparison report.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, nullspace, rank
+from .exactlinalg import Matrix, nullspace, rank, row_space_basis
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
 from .modules import (
     Module,
@@ -32,6 +38,7 @@ from .modules import (
     direct_sum,
     enumerate_indecomposables,
     hom_dim,
+    hom_space,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
@@ -40,6 +47,7 @@ from .modules import (
     quotient_module,
     right_add_approximation,
     tensor_over_field,
+    zero_module,
 )
 
 #: Static justification recorded in every certificate: the membership class of
@@ -231,6 +239,10 @@ class SiltingCertificate:
         }
 
 
+_SUPPLIED_PRESENTATION = "presentation: supplied"
+_SUPPLIED_PROBES = "probe sweep: supplied probe list"
+
+
 def _resolve_presentation(t: Module, sigma, notes: list) -> Presentation:
     if sigma is None or (isinstance(sigma, str) and sigma.upper() == "AUTO"):
         notes.append("presentation: automatic minimal")
@@ -242,7 +254,7 @@ def _resolve_presentation(t: Module, sigma, notes: list) -> Presentation:
         )
     if pres.cokernel is not t and is_isomorphic(pres.cokernel, t) is None:
         raise ValidationError("supplied presentation does not present the given module")
-    notes.append("presentation: supplied")
+    notes.append(_SUPPLIED_PRESENTATION)
     return pres
 
 
@@ -260,36 +272,44 @@ def _resolve_probes(alg: Algebra, probe, dim_bound: int, notes: list) -> list:
             raise DomainError("probe enumeration requires a finite field")
         notes.append(f"probe sweep: all indecomposables of dimension <= {probe}")
         return enumerate_indecomposables(alg, probe)
-    notes.append("probe sweep: supplied probe list")
+    notes.append(_SUPPLIED_PROBES)
     return list(probe)
 
 
-def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) -> SiltingCertificate:
-    """Compare the generation class of ``t`` with the class of its presentation.
+def _certificate(
+    t: Module,
+    pres: Presentation,
+    notes: list,
+    sweep: list | None,
+    hom_to_translate: int,
+    mults: dict[str, int],
+    hom_vanish: bool,
+    classes_t: int | None,
+) -> SiltingCertificate:
+    """The verdict ladder: the one place a verdict is decided from evidence.
 
-    Runs, in order: the self-membership gate (the module must lie in its own
-    presentation class), the probe sweep comparing both memberships on every
-    probe, and the rigidity certificate (Hom into the translate vanishes, the
-    kernel complement misses the module, and the class count fills the vertex
-    count).  A probe mismatch against an otherwise complete certificate is a
-    contradiction and yields ``undecided``; a mismatch alone is decisive.
+    ``sweep`` holds (dim, dimension vector, in D_sigma, in Gen t) per probe,
+    or is None when ``t`` lies outside its own presentation class.
+    ``hom_to_translate`` is dim Hom(t, tau t); ``mults`` the kernel-top
+    multiplicities of the presentation map; ``hom_vanish`` whether Hom(P_v, t)
+    is zero at every vertex v of positive multiplicity; ``classes_t`` the
+    number of isoclasses of summands of ``t``, None when the decomposition
+    was undecided.  A probe mismatch against an otherwise complete rigidity
+    certificate is a contradiction and yields ``undecided``; a mismatch
+    alone is decisive.
     """
     alg = t.algebra
-    notes: list = [COPRODUCT_NOTE]
-    pres = _resolve_presentation(t, sigma, notes)
-    probe_list = _resolve_probes(alg, probe, dim_bound, notes)
-
-    in_d = d_sigma_contains(pres, t)
     probes: list = []
     mismatch: dict | None = None
-    if in_d:
-        for idx, mprobe in enumerate(probe_list):
-            dm = d_sigma_contains(pres, mprobe)
-            gm = gen_contains(t, mprobe)
+    if sweep is None:
+        notes.append("probe sweep skipped: module outside its own presentation class")
+        mismatch = {"witness": "presented module", "in_d_sigma": False, "in_gen": True}
+    else:
+        for idx, (dim, dvec, dm, gm) in enumerate(sweep):
             rec = {
                 "index": idx,
-                "dim": mprobe.dim,
-                "dimension_vector": mprobe.dimension_vector(),
+                "dim": dim,
+                "dimension_vector": dvec,
                 "in_d_sigma": dm,
                 "in_gen": gm,
                 "agree": dm == gm,
@@ -297,27 +317,11 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
             probes.append(rec)
             if dm != gm and mismatch is None:
                 mismatch = {k: rec[k] for k in ("index", "dim", "dimension_vector", "in_d_sigma", "in_gen")}
-    else:
-        notes.append("probe sweep skipped: module outside its own presentation class")
-        mismatch = {"witness": "presented module", "in_d_sigma": False, "in_gen": True}
-
-    # Rigidity certificate.
-    taut = ar_translate(t)
-    hom_to_translate = hom_dim(t, taut)
-    tau_rigid = hom_to_translate == 0
-    mults = kernel_top_multiplicities(pres.map)
-    projs = indecomposable_projectives(alg)
-    comp_parts = [(p, lbl) for p, lbl in projs if mults[lbl] > 0]
-    hom_vanish = all(hom_dim(p, t) == 0 for p, _ in comp_parts)
-    tau_undecided = False
-    classes_t: int | None
-    try:
-        classes_t = 0 if t.dim == 0 else len(decompose(t))
-    except UndecidedError:
-        classes_t = None
-        tau_undecided = True
+    if classes_t is None:
         notes.append("decomposition undecided; class count unavailable")
-    classes_q = len(comp_parts)
+
+    tau_rigid = hom_to_translate == 0
+    classes_q = sum(1 for lbl, _ in alg.idempotents if mults[lbl] > 0)
     nverts = len(alg.idempotents)
     count_ok = classes_t is not None and classes_t + classes_q == nverts
     tau_certified = tau_rigid and hom_vanish and count_ok
@@ -331,7 +335,7 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
         "hom_to_translate_dim": hom_to_translate,
     }
 
-    if not in_d:
+    if sweep is None:
         verdict = "not_silting"
     elif mismatch is not None:
         if tau_certified:
@@ -339,7 +343,7 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
             notes.append("probe mismatch conflicts with a complete rigidity certificate")
         else:
             verdict = "not_silting"
-    elif tau_undecided:
+    elif classes_t is None:
         verdict = "undecided"
     elif tau_certified:
         verdict = "silting"
@@ -363,47 +367,170 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     )
 
 
+def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) -> SiltingCertificate:
+    """Compare the generation class of ``t`` with the class of its presentation.
+
+    Gathers the evidence: the self-membership gate (the module must lie in
+    its own presentation class), the probe sweep comparing both memberships
+    on every probe, and the rigidity certificate (Hom into the translate
+    vanishes, the kernel complement misses the module, and the class count
+    fills the vertex count).  :func:`_certificate` then decides the verdict;
+    :func:`enumerate_silting` gathers the same evidence from per-summand
+    facts and goes through the same ladder.
+    """
+    alg = t.algebra
+    notes: list = [COPRODUCT_NOTE]
+    pres = _resolve_presentation(t, sigma, notes)
+    probe_list = _resolve_probes(alg, probe, dim_bound, notes)
+    sweep = None
+    if d_sigma_contains(pres, t):
+        sweep = [
+            (u.dim, u.dimension_vector(), d_sigma_contains(pres, u), gen_contains(t, u)) for u in probe_list
+        ]
+    hom_to_translate = hom_dim(t, ar_translate(t))
+    mults = kernel_top_multiplicities(pres.map)
+    hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
+    try:
+        classes_t = 0 if t.dim == 0 else len(decompose(t))
+    except UndecidedError:
+        classes_t = None
+    return _certificate(t, pres, notes, sweep, hom_to_translate, mults, hom_vanish, classes_t)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration.
 # ---------------------------------------------------------------------------
 
 
+def _image_rows(x: Module, u: Module) -> Matrix:
+    """Canonical row basis of the sum of the images of all maps x -> u.
+
+    The evaluation map x^(dim Hom(x, u)) -> u has this image, so u lies in
+    Gen x exactly when its rank is dim u; for x = ⊕x_i the image is the sum
+    of the images of the x_i."""
+    rows = [list(col) for h in hom_space(x, u) for col in zip(*h.matrix.data)]
+    return row_space_basis(rows, u.algebra.field, u.dim)
+
+
+def _projective_to_zero(q: Module) -> Presentation:
+    """The presentation Q -> 0 of the zero module."""
+    f = q.algebra.field
+    z = zero_module(q.algebra)
+    return Presentation(
+        kind="projective",
+        map=ModuleMap(q, z, Matrix.zeros(f, 0, q.dim), check=False),
+        cokernel=z,
+        coker_map=ModuleMap(z, z, Matrix.zeros(f, 0, 0), check=False),
+    )
+
+
+@dataclass
+class _Summand:
+    """What :func:`enumerate_silting` reads of one rigid indecomposable T_i,
+    gathered once per call: the probes are U_1, ..., U_K."""
+
+    sigma: Presentation  # minimal presentation of T_i
+    dims: list[int]      # dim e_v T_i, in idempotent order
+    mults: list[int]     # kernel-top multiplicities of sigma, in idempotent order
+    onto: list[bool]     # Hom(sigma, U_k) onto, per probe
+    images: list[Matrix]  # _image_rows(T_i, U_k), per probe
+
+
 def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[SiltingCertificate]:
     """All silting classes with indecomposable summands of dim <= ``dim_bound``.
 
-    Candidates are sums of pairwise-compatible rigid indecomposables whose
-    unsupported vertices supply the projective complement; each surviving
-    candidate is verified by :func:`silting_check` and only ``silting``
-    verdicts are returned, in deterministic order.
+    Candidates are sums t = ⊕T_i of pairwise-compatible rigid indecomposables
+    (Hom(T_i, tau T_j) = 0) whose unsupported vertices v supply the
+    projective complement Q_v, with as many summands as vertices; their
+    presentation is the sum of the minimal presentations sigma_i and of the
+    Q_v -> 0, which is isomorphic to the minimal presentation of t padded by
+    the complement.  Every fact the certificate needs is computed once per
+    call for each T_i, and per candidate from exact identities:
+
+    * Hom(sigma, M) is block diagonal, so it is onto iff every sigma_i block
+      is onto at M and e_v M = 0 at every complement vertex v;
+    * M lies in Gen t iff the images of the Hom(T_i, M) span M;
+    * Hom(t, tau t) = ⊕ Hom(T_i, tau T_j);
+    * kernel-top multiplicities add over the blocks;
+    * Hom(P_v, t) = e_v t, read off the dimension vectors;
+    * t has one isoclass of summands per T_i, since the pool members are
+      pairwise non-isomorphic indecomposables.
+
+    Each candidate goes through the verdict ladder of :func:`silting_check`;
+    only ``silting`` verdicts are returned, in deterministic order.  The
+    probes are the pool unless ``probe`` lists others.
     """
     if alg.field.kind != "prime":
         raise DomainError("enumeration requires a finite field")
+    f = alg.field
+    labels = [lbl for lbl, _ in alg.idempotents]
+    nverts = len(labels)
     pool = enumerate_indecomposables(alg, dim_bound)
-    projs = indecomposable_projectives(alg)
-    nverts = len(alg.idempotents)
     translates = [ar_translate(m) for m in pool]
     rigid = [i for i, m in enumerate(pool) if hom_dim(m, translates[i]) == 0]
     probe_list = list(probe) if probe is not None else pool
+    probe_dims = [(u.dim, u.dimension_vector()) for u in probe_list]
+
+    summands: list[_Summand] = []
+    for i in rigid:
+        sigma = minimal_projective_presentation(pool[i])
+        kernel_tops = kernel_top_multiplicities(sigma.map)
+        summands.append(
+            _Summand(
+                sigma=sigma,
+                dims=list(pool[i].dimension_vector().values()),
+                mults=[kernel_tops[lbl] for lbl in labels],
+                onto=[_hom_restriction_surjective(sigma.map, u) for u in probe_list],
+                images=[_image_rows(pool[i], u) for u in probe_list],
+            )
+        )
+    # hom_tau[a][b] = dim Hom(T_a, tau T_b), zero on the diagonal by rigidity;
+    # onto_at[a][b] says whether Hom(sigma_a, T_b) is onto.
+    hom_tau = [
+        [0 if a == b else hom_dim(pool[i], translates[j]) for b, j in enumerate(rigid)]
+        for a, i in enumerate(rigid)
+    ]
+    if probe is None:
+        onto_at = [[s.onto[j] for j in rigid] for s in summands]
+    else:
+        onto_at = [[_hom_restriction_surjective(s.sigma.map, pool[j]) for j in rigid] for s in summands]
+    to_zero = [_projective_to_zero(q) for q, _ in indecomposable_projectives(alg)]
+
     results: list[SiltingCertificate] = []
-    for r in range(0, nverts + 1):
-        for combo in itertools.combinations(rigid, r):
-            if any(
-                hom_dim(pool[i], translates[j]) != 0
-                for i in combo
-                for j in combo
-                if i != j
-            ):
+    for r in range(nverts + 1):
+        for combo in itertools.combinations(range(len(summands)), r):
+            if any(hom_tau[a][b] for a in combo for b in combo):
                 continue
-            parts = [pool[i] for i in combo]
-            t, _, _ = direct_sum(parts, algebra=alg)
-            supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
-            comp = [(p, lbl) for p, lbl in projs if lbl not in supported]
-            if len(combo) + len(comp) != nverts:
+            parts = [summands[a] for a in combo]
+            dims = [sum(s.dims[v] for s in parts) for v in range(nverts)]
+            comp = [v for v in range(nverts) if dims[v] == 0]
+            if r + len(comp) != nverts:
                 continue
-            if any(hom_dim(p, t) > 0 for p, _ in comp):
-                continue
-            pres = presentation_with_complement(t, [p for p, _ in comp])
-            cert = silting_check(t, pres, probe=probe_list)
+            # The Q_v -> 0 blocks present 0, so the cokernel is the direct sum
+            # of the parts.
+            pres = direct_sum_presentation([s.sigma for s in parts] + [to_zero[v] for v in comp], algebra=alg)
+            sweep = None
+            # At t itself the Q_v -> 0 blocks are onto: e_v t = 0.
+            if all(onto_at[a][b] for a in combo for b in combo):
+                sweep = []
+                for k, (dim, dvec) in enumerate(probe_dims):
+                    in_d = all(s.onto[k] for s in parts) and all(dvec[labels[v]] == 0 for v in comp)
+                    spans = [row for s in parts for row in s.images[k].data]
+                    in_gen = row_space_basis(spans, f, dim).nrows == dim
+                    sweep.append((dim, dvec, in_d, in_gen))
+            # The kernel of Q_v -> 0 is Q_v, whose top is the simple at v.
+            mults = {lbl: sum(s.mults[v] for s in parts) + int(v in comp) for v, lbl in enumerate(labels)}
+            hom_vanish = all(dims[v] == 0 for v, lbl in enumerate(labels) if mults[lbl] > 0)
+            cert = _certificate(
+                pres.cokernel,
+                pres,
+                [COPRODUCT_NOTE, _SUPPLIED_PRESENTATION, _SUPPLIED_PROBES],
+                sweep,
+                sum(hom_tau[a][b] for a in combo for b in combo),
+                mults,
+                hom_vanish,
+                r,
+            )
             if cert.verdict == "silting":
                 results.append(cert)
     return results

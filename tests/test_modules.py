@@ -1393,6 +1393,23 @@ def test_submodules_and_quotients_match_the_per_label_reference(field):
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_kernel_inclusions_pass_the_checked_constructor(field):
+    # submodule builds its inclusion unchecked, trusting the solve in
+    # restrict; the checked constructor must accept every such inclusion.
+    rng = random.Random(43)
+    checked = 0
+    for alg in _batch_algebras(field):
+        pool = _batch_pool(alg, rng)
+        for x, y in itertools.product(pool, repeat=2):
+            for h in hom_space(x, y)[:2]:
+                sub, inc = kernel(h)
+                ModuleMap(sub, x, inc.matrix)
+                assert h.matrix.mul(inc.matrix).is_zero()
+                checked += sub.dim > 0
+    assert checked > 20
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
 def test_adapted_actions_and_hom_modules_match_the_per_label_reference(field):
     rng = random.Random(29)
     for alg in _batch_algebras(field):

@@ -1,18 +1,24 @@
 """Two-term membership classes, certificates, enumeration, tensor transport."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import F2, QQ, quiver_a2, quiver_dual_numbers, quiver_kxk
 
 from silting_forge.algebra import ValidationError, compile_quiver_algebra, derive_algebra
-from silting_forge.exactlinalg import Matrix
+from silting_forge.exactlinalg import Matrix, row_space_basis
+from silting_forge.io import algebra_from_json, corpus_load
 from silting_forge.modules import (
     ModuleMap,
     Presentation,
+    ar_translate,
     direct_sum,
     enumerate_indecomposables,
+    hom_dim,
     indecomposable_projectives,
+    is_isomorphic,
     minimal_projective_presentation,
     regular_module,
     simple_module,
@@ -21,6 +27,8 @@ from silting_forge.modules import (
 from silting_forge.silting import (
     SiltingCertificate,
     _hom_restriction_surjective,
+    _image_rows,
+    _projective_to_zero,
     d_sigma_contains,
     direct_sum_presentation,
     enumerate_silting,
@@ -31,6 +39,10 @@ from silting_forge.silting import (
     silting_check,
     tensor_silting,
 )
+
+
+F2_JSON = {"kind": "prime", "p": 2}
+F3_JSON = {"kind": "prime", "p": 3}
 
 
 def projectives_by_label(alg):
@@ -234,6 +246,142 @@ def test_enumerate_classes_fill_vertex_count(a2):
             cert.support["module_classes"] + cert.support["complement_classes"]
             == cert.support["vertex_count"]
         )
+
+
+def _reference_enumerate(alg, dim_bound, probe=None):
+    """The subset scan that enumerate_silting replaced: every candidate gets
+    a full silting_check against the minimal presentation of the sum padded
+    by its projective complement."""
+    pool = enumerate_indecomposables(alg, dim_bound)
+    projs = indecomposable_projectives(alg)
+    nverts = len(alg.idempotents)
+    translates = [ar_translate(m) for m in pool]
+    rigid = [i for i, m in enumerate(pool) if hom_dim(m, translates[i]) == 0]
+    probe_list = list(probe) if probe is not None else pool
+    results = []
+    for r in range(nverts + 1):
+        for combo in itertools.combinations(rigid, r):
+            if any(hom_dim(pool[i], translates[j]) for i in combo for j in combo if i != j):
+                continue
+            t, _, _ = direct_sum([pool[i] for i in combo], algebra=alg)
+            supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
+            comp = [p for p, lbl in projs if lbl not in supported]
+            if len(combo) + len(comp) != nverts or any(hom_dim(p, t) for p in comp):
+                continue
+            cert = silting_check(t, presentation_with_complement(t, comp), probe=probe_list)
+            if cert.verdict == "silting":
+                results.append(cert)
+    return results
+
+
+def _from_json(vertices, arrows, field=F2_JSON, relations=()):
+    return algebra_from_json(
+        {
+            "field": field,
+            "quiver": {
+                "vertices": vertices,
+                "arrows": [{"name": f"a{k}", "source": s, "target": t} for k, (s, t) in enumerate(arrows)],
+            },
+            "relations": list(relations),
+        }
+    )
+
+
+def _linear(n, field=F2_JSON):
+    """1 -> 2 -> ... -> n, no relations."""
+    return _from_json([str(i) for i in range(1, n + 1)], [(str(i), str(i + 1)) for i in range(1, n)], field)
+
+
+def _d4():
+    """D_4 with its three arms pointing at the centre 0."""
+    return _from_json(["0", "1", "2", "3"], [("1", "0"), ("2", "0"), ("3", "0")])
+
+
+def _f3_a2xa2():
+    a2 = _linear(2, F3_JSON)
+    return derive_algebra(a2, "tensor", b=a2)[0]
+
+
+_A3REL_F3 = {
+    "field": F3_JSON,
+    "quiver": {
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"name": "a", "source": "1", "target": "2"}, {"name": "b", "source": "2", "target": "3"}],
+    },
+    "relations": [[{"coeff": "1", "path": ["a", "b"]}]],
+}
+
+_REFERENCE_CASES = {
+    "a2": (lambda: corpus_load("a2"), 3),
+    "a3rel": (lambda: corpus_load("a3rel"), 3),
+    "dualnum": (lambda: corpus_load("dualnum"), 3),
+    "kxk": (lambda: corpus_load("kxk"), 3),
+    "a2xa2": (lambda: corpus_load("a2xa2"), 3),
+    "F3-a2": (lambda: _linear(2, F3_JSON), 3),
+    "F3-a3": (lambda: _linear(3, F3_JSON), 3),
+    "F3-a3rel": (lambda: algebra_from_json(_A3REL_F3), 3),
+    "F3-a2xa2": (_f3_a2xa2, 2),
+}
+
+
+def _assert_same_enumeration(got, want):
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    assert [c.module.encode() for c in got] == [c.module.encode() for c in want]
+    for cert, ref in zip(got, want):
+        assert cert.presentation.cokernel is cert.module
+        assert is_isomorphic(cert.presentation.cokernel, ref.module) is not None
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_enumeration_matches_the_subset_scan_reference(case):
+    make, bound = _REFERENCE_CASES[case]
+    alg = make()
+    _assert_same_enumeration(enumerate_silting(alg, bound), _reference_enumerate(alg, bound))
+
+
+def test_enumeration_matches_the_reference_with_supplied_probes(a3rel):
+    # Probes other than the pool: every indecomposable up to dimension 3 and
+    # the regular module, against a pool bounded by dimension 2.
+    probes = enumerate_indecomposables(a3rel, 3) + [regular_module(a3rel)]
+    got = enumerate_silting(a3rel, 2, probe=probes)
+    _assert_same_enumeration(got, _reference_enumerate(a3rel, 2, probe=probes))
+    assert got and all(len(c.probes) == len(probes) for c in got)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3rel", "dualnum", "kxk"])
+def test_membership_tests_are_additive_over_summands(name):
+    alg = corpus_load(name)
+    pool = enumerate_indecomposables(alg, 3)
+    projs = indecomposable_projectives(alg)
+    sigmas = [minimal_projective_presentation(m) for m in pool]
+    outcomes = set()
+    for i, j in itertools.combinations_with_replacement(range(len(pool)), 2):
+        q, lbl = projs[(i + j) % len(projs)]
+        to_zero = _projective_to_zero(q)
+        summed = direct_sum_presentation([sigmas[i], sigmas[j], to_zero], algebra=alg)
+        t = direct_sum([pool[i], pool[j]], algebra=alg)[0]
+        for m in pool:
+            vanishes = m.dimension_vector()[lbl] == 0
+            assert d_sigma_contains(to_zero, m) == vanishes
+            blocks = d_sigma_contains(sigmas[i], m) and d_sigma_contains(sigmas[j], m) and vanishes
+            assert d_sigma_contains(summed, m) == blocks
+            spans = _image_rows(pool[i], m).data + _image_rows(pool[j], m).data
+            in_gen = gen_contains(t, m)
+            assert in_gen == (row_space_basis(spans, alg.field, m.dim).nrows == m.dim)
+            outcomes.add((blocks, in_gen))
+    assert len(outcomes) > 1
+
+
+def test_silting_counts_are_catalan_and_d4():
+    # Hereditary algebras: support tau-tilting modules are clusters, C_(n+1)
+    # for linear A_n and 50 for D_4, whose indecomposable of dimension 5 a
+    # bound of 4 leaves out.
+    for n, count in ((2, 5), (3, 14), (4, 42)):
+        assert len(enumerate_silting(_linear(n), n)) == count
+    d4 = _d4()
+    assert len(enumerate_silting(d4, 5)) == 50
+    assert len(enumerate_silting(d4, 4)) == 42
+    assert len(enumerate_silting(corpus_load("a2xa2"), 4)) == 46
 
 
 # ---------------------------------------------------------------------------
