@@ -53,11 +53,14 @@ PATH_BUDGET = 200_000
 def memoized(fn):
     """Derive ``fn(owner, *args, **kwargs)`` once per owner and arguments.
 
-    The value lives in ``owner._memo`` for the owner's lifetime; a separately
-    built equal owner derives its own.  Defaults are bound first, so ``f(a)``
-    and ``f(a, default)`` share an entry; arguments must be hashable.  Owners
-    are immutable, so ``fn`` must read no global that something mutates.  The
-    value is shared by every caller, and no caller may mutate it.
+    The value lives in ``owner._memo`` for the owner's lifetime.  Modules are
+    interned by content over one algebra object, so a module built again with
+    equal content is the same owner and reads the same values; a separately
+    built equal algebra, and every module over it, derives its own.  Defaults
+    are bound first, so ``f(a)`` and ``f(a, default)`` share an entry;
+    arguments must be hashable.  Owners are immutable, so ``fn`` must read no
+    global that something mutates.  The value is shared by every caller, and
+    no caller may mutate it.
     """
     signature = inspect.signature(fn)
     bare = (fn, *(p.default for p in list(signature.parameters.values())[1:]))

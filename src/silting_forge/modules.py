@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, memoized, opposite_algebra, same_algebra
@@ -48,9 +49,32 @@ _BATCH_CELLS = 1 << 12        # entries a product over a run of labels keeps wit
 
 
 class Module:
-    """A left module given by one action matrix per algebra basis element."""
+    """A left module given by one action matrix per algebra basis element.
+
+    Modules are interned by content: building a module whose algebra object,
+    dimension and action matrices equal those of a live module returns that
+    module, already validated and with everything memoized on it.  New content
+    is validated in full before it enters the table; invalid content raises
+    on every attempt and is never stored.  The table holds its modules weakly,
+    so a module leaves it when nothing else refers to it.
+
+    A module is immutable: nothing may change its attributes, its action dict
+    or the matrices in it after construction, nor the matrices passed in as
+    ``action``, which the module keeps without a copy.  Every holder of equal
+    content shares the one object, so a change would reach them all.
+    """
+
+    def __new__(cls, algebra: Algebra, dim: int, action: dict[str, Matrix]):
+        key = _content_key(algebra, dim, action)
+        self = _INTERNED.get(key)  # None also for a key of None
+        if self is None:
+            self = super().__new__(cls)
+            self._key = key
+        return self
 
     def __init__(self, algebra: Algebra, dim: int, action: dict[str, Matrix]):
+        if hasattr(self, "_memo"):
+            return  # interned: validated when it was first built
         self.algebra = algebra
         self.dim = dim
         self.action = dict(action)
@@ -61,6 +85,9 @@ class Module:
                 violations=violations,
             )
         self._memo: dict = {}
+        if self._key is not None:
+            _INTERNED[self._key] = self
+        del self._key
 
     def _violations(self) -> list[str]:
         a, f, n = self.algebra, self.algebra.field, self.dim
@@ -166,6 +193,35 @@ class Module:
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra.provenance} algebra of dim {self.algebra.dim})"
+
+
+# Live modules by content key.  A module refers to its algebra, so while its
+# entry lives no other algebra can take over the id in its key.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Module]" = weakref.WeakValueDictionary()
+
+
+def _content_key(algebra: Algebra, dim: int, action: dict[str, Matrix]) -> tuple | None:
+    """(id(algebra), dim, the action rows in label order): bytes over F_p for
+    p < 256, else tuples.  None when the labels or shapes are wrong or an
+    entry does not fit a byte, so such input is validated and not interned."""
+    labels = algebra.labels
+    if len(action) != len(labels):
+        return None
+    try:
+        mats = [action[lbl] for lbl in labels]
+    except KeyError:
+        return None
+    if any(m.nrows != dim or m.ncols != dim for m in mats):
+        return None
+    p = algebra.field.p
+    if p is not None and p < 256:
+        try:
+            content = b"".join([bytes(row) for m in mats for row in m.data])
+        except (TypeError, ValueError):
+            return None
+    else:
+        content = tuple([tuple(row) for m in mats for row in m.data])
+    return id(algebra), dim, content
 
 
 @dataclass
@@ -757,12 +813,19 @@ def _hom_to_regular_as_op_module(p: Module) -> tuple[Module, list[ModuleMap]]:
 
 def ar_translate(m: Module) -> Module:
     """tau(m) = D Tr(m) via the minimal projective presentation."""
+    return translate_with_presentation(m)[0]
+
+
+def translate_with_presentation(m: Module) -> tuple[Module, Presentation]:
+    """(tau(m), the minimal projective presentation tau was built from), for
+    callers that need both.  The presentation refers to ``m``, so it is
+    handed back rather than memoized on ``m``."""
     alg = m.algebra
     pres = minimal_projective_presentation(m)
     hom0, basis0 = _hom_to_regular_as_op_module(pres.map.target)
     hom1, basis1 = _hom_to_regular_as_op_module(pres.map.source)
     if hom1.dim == 0:
-        return zero_module(alg)
+        return zero_module(alg), pres
     # Hom(sigma, A): Hom(P_0, A) -> Hom(P_1, A), f -> f ∘ sigma
     if hom0.dim == 0:
         tr = hom1
@@ -772,7 +835,7 @@ def ar_translate(m: Module) -> Module:
     # dual over the opposite: left A-module with rho(b) = rho_Tr(b)^T
     action = {lbl: tr.action[lbl].transpose() for lbl in tr.algebra.labels}
     # tr.algebra is A^op with the same labels as A
-    return Module(alg, tr.dim, action)
+    return Module(alg, tr.dim, action), pres
 
 
 # ---------------------------------------------------------------------------

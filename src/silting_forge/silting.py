@@ -47,6 +47,7 @@ from .modules import (
     quotient_module,
     right_add_approximation,
     tensor_over_field,
+    translate_with_presentation,
     zero_module,
 )
 
@@ -466,14 +467,19 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
     labels = [lbl for lbl, _ in alg.idempotents]
     nverts = len(labels)
     pool = enumerate_indecomposables(alg, dim_bound)
-    translates = [ar_translate(m) for m in pool]
+    # tau T and the minimal presentation it was built from, once per member
+    translates, sigmas = [], []
+    for m in pool:
+        tau, sigma = translate_with_presentation(m)
+        translates.append(tau)
+        sigmas.append(sigma)
     rigid = [i for i, m in enumerate(pool) if hom_dim(m, translates[i]) == 0]
     probe_list = list(probe) if probe is not None else pool
     probe_dims = [(u.dim, u.dimension_vector()) for u in probe_list]
 
     summands: list[_Summand] = []
     for i in rigid:
-        sigma = minimal_projective_presentation(pool[i])
+        sigma = sigmas[i]
         kernel_tops = kernel_top_multiplicities(sigma.map)
         summands.append(
             _Summand(

@@ -16,6 +16,16 @@ F3 = FieldSpec("prime", 3)
 QQ = FieldSpec("rational")
 
 
+def permuted_actions(m):
+    """The action matrices of ``m`` with its basis cycled one place,
+    e_i -> e_(i+1 mod dim): a fixed basis change, not the identity once
+    dim > 1.  Modules are interned by content, so a module built from these
+    is new, with nothing memoized on it, unless the cycle fixes every action
+    matrix or such a module is alive already."""
+    shift = [(i + 1) % m.dim for i in range(m.dim)]
+    return {lbl: Matrix(a.field, [[a.data[r][c] for c in shift] for r in shift]) for lbl, a in m.action.items()}
+
+
 def quiver_a2(field=F2, bound=8):
     """1 --a--> 2, no relations: basis {e1, e2, a}."""
     return QuiverPresentation(["1", "2"], [Arrow("a", "1", "2")], [], field, bound)

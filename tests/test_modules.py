@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     F2,
     F3,
     QQ,
+    permuted_actions,
     quiver_a2,
     quiver_a3_rel,
     quiver_dual_numbers,
@@ -36,8 +38,8 @@ from silting_forge.algebra import (
     derive_algebra,
     opposite_algebra,
 )
-from silting_forge import exactlinalg
-from silting_forge.exactlinalg import Matrix, invert, nullspace, rank, reduce_mod_row_space, row_space_basis
+from silting_forge import exactlinalg, modules
+from silting_forge.exactlinalg import FieldSpec, Matrix, invert, nullspace, rank, reduce_mod_row_space, row_space_basis
 from silting_forge.gorenstein import gorenstein_report, gp_classification
 from silting_forge.io import CORPUS_DIR, corpus_load
 from silting_forge.modules import (
@@ -244,8 +246,6 @@ class TestValidationMatchesReference:
     def test_violations_match_the_reference_in_label_blocks(self, monkeypatch, cells):
         # Each product of the check covers as many labels as fit in
         # _BATCH_CELLS entries: one label at a time, uneven runs, or all.
-        from silting_forge import modules
-
         monkeypatch.setattr(modules, "_BATCH_CELLS", cells)
         alg = compile_quiver_algebra(quiver_a3_rel(F3))
         valid = [regular_module(alg)] + _indecomposables(alg)
@@ -266,6 +266,113 @@ class TestValidationMatchesReference:
         for mod in [regular_module(alg)] + _indecomposables(alg):
             for vec in vectors:
                 assert mod.act(vec) == _reference_act(alg, mod.dim, mod.action, vec)
+
+
+def _rebuilt(m):
+    """The action matrices of ``m`` as new Matrix objects of equal content."""
+    return {lbl: Matrix(a.field, a.data) for lbl, a in m.action.items()}
+
+
+def _counted_violations(monkeypatch) -> list:
+    """The dimension of every module validated from now on."""
+    calls = []
+    original = Module._violations
+
+    def counted(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(Module, "_violations", counted)
+    return calls
+
+
+class TestInterning:
+    def test_equal_actions_over_one_algebra_give_one_module_validated_once(self, monkeypatch):
+        alg = compile_quiver_algebra(quiver_a3_rel(F3))
+        reg = regular_module(alg)
+        calls = _counted_violations(monkeypatch)
+        assert Module(alg, reg.dim, _rebuilt(reg)) is reg and calls == []
+        action = permuted_actions(reg)
+        assert isinstance(modules._content_key(alg, reg.dim, action)[2], bytes)
+        cold = Module(alg, reg.dim, action)
+        assert cold is not reg and calls == [reg.dim]
+        # Every construction of equal content returns it, with its memos.
+        cold.adapted()
+        for again in [
+            Module(alg, reg.dim, permuted_actions(reg)),
+            validate_module(alg, _rebuilt(cold)),
+            submodule(cold, Matrix.identity(F3, cold.dim))[0],
+            quotient_module(cold, Matrix.zeros(F3, cold.dim, 0))[0],
+            direct_sum([cold])[0],
+        ]:
+            assert again is cold
+        assert calls == [reg.dim]
+        assert (Module.adapted.__wrapped__,) in cold._memo
+
+    def test_a_separately_built_equal_algebra_gets_its_own_modules(self):
+        a, b = compile_quiver_algebra(quiver_a3_rel(F3)), compile_quiver_algebra(quiver_a3_rel(F3))
+        assert a is not b and a.content_hash() == b.content_hash()
+        ma = regular_module(a)
+        mb = Module(b, ma.dim, _rebuilt(ma))
+        assert mb is not ma and mb.algebra is b
+        ma.adapted()
+        assert (Module.adapted.__wrapped__,) not in mb._memo
+        assert mb.adapted() is not ma.adapted()
+
+    def test_invalid_input_raises_every_time_and_is_never_stored(self, monkeypatch):
+        alg = compile_quiver_algebra(quiver_a3_rel(F3))
+        reg = regular_module(alg)
+        e1 = alg.labels[0]
+        bad_unit = dict(_rebuilt(reg), **{e1: Matrix.zeros(F3, reg.dim, reg.dim)})
+        bad_keys = {lbl: a for lbl, a in reg.action.items() if lbl != e1}
+        bad_shape = {lbl: Matrix.identity(F3, reg.dim + 1) for lbl in alg.labels}
+        calls = _counted_violations(monkeypatch)
+        for action in (bad_keys, bad_shape, bad_unit):
+            for _ in range(3):
+                with pytest.raises(ValidationError) as err:
+                    Module(alg, reg.dim, action)
+        assert len(calls) == 9
+        assert modules._content_key(alg, reg.dim, bad_keys) is None
+        assert modules._content_key(alg, reg.dim, bad_shape) is None
+        # The last error's traceback still holds the rejected object.
+        key = modules._content_key(alg, reg.dim, bad_unit)
+        assert err.value and key is not None and key not in modules._INTERNED
+
+    def test_a_dropped_module_leaves_the_table_without_the_collector(self):
+        alg = compile_quiver_algebra(quiver_a3_rel(F3))
+        reg = regular_module(alg)
+        gc.collect()
+        gc.disable()
+        try:
+            action = permuted_actions(reg)
+            key = modules._content_key(alg, reg.dim, action)
+            m = Module(alg, reg.dim, action)
+            m.adapted()
+            hom_space(m, reg)
+            assert modules._INTERNED.get(key) is m
+            ref = weakref.ref(m)
+            del m
+            alive = ref() is not None
+            stored = key in modules._INTERNED
+        finally:
+            gc.enable()
+        assert not alive and not stored
+
+    @pytest.mark.parametrize("field", [FieldSpec("prime", 257), QQ], ids=["F257", "Q"])
+    def test_larger_fields_intern_through_the_tuple_key(self, field):
+        alg = compile_quiver_algebra(quiver_a2(field))
+        reg = regular_module(alg)
+        n, labels = reg.dim, alg.labels
+        # The regular module in a basis scaled by 256, so an entry leaves a byte.
+        scale = Matrix(field, [[field.coerce(256 if i == j == 0 else int(i == j)) for j in range(n)] for i in range(n)])
+        action = dict(zip(labels, conjugate(invert(scale), [reg.action[lbl] for lbl in labels], scale)))
+        key = modules._content_key(alg, n, action)
+        assert isinstance(key[2], tuple)
+        big = field.coerce(256)
+        assert any(x in (big, field.inv(big)) for row in key[2] for x in row)
+        m = Module(alg, n, action)
+        assert m is not reg
+        assert Module(alg, n, {lbl: Matrix(field, a.data) for lbl, a in action.items()}) is m
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +1069,10 @@ def test_decompose_leaves_nothing_for_the_cyclic_collector(corpus_id):
     alg = corpus_load(corpus_id)
     reg = regular_module(alg)
     decompose(reg)  # warms the algebra's memo
-    fresh = Module(alg, reg.dim, dict(reg.action))
+    # Modules are interned by content: a rebuilt reg would be reg itself,
+    # decomposed already, so the copy enters in a permuted basis.
+    fresh = Module(alg, reg.dim, permuted_actions(reg))
+    assert not fresh._memo
     gc.collect()
     gc.disable()
     try:
@@ -1277,7 +1387,7 @@ def test_hom_defaults_are_looked_up_when_called(monkeypatch, a2):
     (as a tracer installs one) sees every Hom solve they make."""
     from types import SimpleNamespace
 
-    from silting_forge import gorenstein, modules
+    from silting_forge import gorenstein
 
     calls = []
     original = modules.hom_space
@@ -1442,8 +1552,6 @@ def test_adapted_actions_and_hom_modules_match_the_per_label_reference(field):
 def test_hom_modules_match_the_reference_in_label_runs(monkeypatch, cells):
     # hom_module takes as many labels per product and solve as keep the
     # moved maps within _BATCH_CELLS entries: one, uneven runs, or all.
-    from silting_forge import modules
-
     monkeypatch.setattr(modules, "_BATCH_CELLS", cells)
     rng = random.Random(41)
     for alg in _batch_algebras(F3):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F2, F3, QQ
+from conftest import F2, F3, QQ, permuted_actions
 from silting_forge import polynomials
 from silting_forge.exactlinalg import FieldSpec, Matrix, invert
 from silting_forge.io import CORPUS_DIR, algebra_from_json, corpus_load
@@ -195,10 +195,10 @@ def _unimodular_copy(m, rng):
     return Module(m.algebra, n, {lbl: p_inv.mul(a).mul(p) for lbl, a in m.action.items()})
 
 
-def _decomposition(m):
-    """Part encodings, multiplicities and splitting matrices of a fresh copy
-    of ``m`` (a new object, so nothing memoized is reused)."""
-    fresh = Module(m.algebra, m.dim, m.action)
+def _decomposition(algebra, dim, action):
+    """Part encodings, multiplicities and splitting matrices of a module built
+    from its matrices."""
+    fresh = Module(algebra, dim, action)
     return [
         (part.encode(), mult, [(inj.matrix.to_lists(), proj.matrix.to_lists()) for inj, proj in maps])
         for part, mult, maps in decompose(fresh)
@@ -210,10 +210,17 @@ def test_decompositions_match_the_sympy_reference(monkeypatch):
     t = _gamma0_five_three()
     assert t.dimension_vector() == {"a.eu": 5, "b.ev": 3} and hom_dim(t, t) == 15
     rng = random.Random(4)
-    modules = [t, _unimodular_copy(t, rng)] + [_unimodular_copy(m, rng) for m in _q_probes()]
-    runs = {}
+    # Each run builds every module anew from these matrices and drops it after.
+    # Modules are interned by content, so a module alive across the runs would
+    # reach the second one decomposed already.  t stays alive, so every module
+    # enters in a permuted basis.
+    modules = [
+        (m.algebra, m.dim, permuted_actions(m))
+        for m in [t, _unimodular_copy(t, rng)] + [_unimodular_copy(m, rng) for m in _q_probes()]
+    ]
+    runs, degrees = {}, {}
     for name, factorizer in (("in-house", factor), ("sympy", _sympy_factor)):
-        calls = []
+        calls = degrees[name] = []
 
         def counted(coeffs, field, factorizer=factorizer, calls=calls):
             calls.append(len(coeffs) - 1)
@@ -223,8 +230,11 @@ def test_decompositions_match_the_sympy_reference(monkeypatch):
             if name == "in-house":
                 patch.setitem(sys.modules, "sympy", None)
             patch.setattr(polynomials, "factor", counted)
-            runs[name] = [_decomposition(m) for m in modules]
+            runs[name] = [_decomposition(*spec) for spec in modules]
         assert calls, f"the {name} run never factored"
+    # Both runs factored the same polynomials: neither read a decomposition
+    # that the other had memoized.
+    assert degrees["in-house"] == degrees["sympy"]
     assert runs["in-house"] == runs["sympy"]
     assert [(part.dim, mult) for part, mult, _ in decompose(t)] == [(1, 2), (2, 1), (4, 1)]
 

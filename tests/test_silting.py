@@ -9,6 +9,7 @@ from conftest import F2, QQ, quiver_a2, quiver_dual_numbers, quiver_kxk
 
 from silting_forge.algebra import ValidationError, compile_quiver_algebra, derive_algebra
 from silting_forge.exactlinalg import Matrix, row_space_basis
+from silting_forge import modules, silting
 from silting_forge.io import algebra_from_json, corpus_load
 from silting_forge.modules import (
     ModuleMap,
@@ -384,6 +385,52 @@ def test_silting_counts_are_catalan_and_d4():
     assert len(enumerate_silting(corpus_load("a2xa2"), 4)) == 46
 
 
+def test_enumeration_presents_each_pool_member_once(monkeypatch):
+    # tau T and the minimal presentation of T come from one call per member.
+    alg = _f3_a2xa2()
+    pool = enumerate_indecomposables(alg, 2)
+    calls = []
+    original = modules.minimal_projective_presentation
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(modules, "minimal_projective_presentation", counted)
+    monkeypatch.setattr(silting, "minimal_projective_presentation", counted)
+    assert len(enumerate_silting(alg, 2)) == 24
+    assert len(calls) == len(pool) == 8
+    assert all(c is m for c, m in zip(calls, pool))
+
+
+@pytest.mark.parametrize(
+    "name, bound, count", [("a2", 3, 5), ("a3rel", 3, 12), ("dualnum", 3, 2), ("kxk", 3, 4), ("a2xa2", 4, 46)]
+)
+def test_semibricks_count_the_silting_modules(name, bound, count):
+    # Asai (Semibricks, IMRN 2020): support tau-tilting modules are in
+    # bijection with the left-finite semibricks, sets of bricks (End = k)
+    # with no nonzero maps between any two; over these tau-tilting finite
+    # algebras every semibrick is left-finite.  Their bricks have dimension
+    # at most the bound.
+    alg = corpus_load(name)
+    bricks = [m for m in enumerate_indecomposables(alg, bound) if hom_dim(m, m) == 1]
+    apart = {
+        (a, b)
+        for a, b in itertools.combinations(range(len(bricks)), 2)
+        if hom_dim(bricks[a], bricks[b]) == 0 and hom_dim(bricks[b], bricks[a]) == 0
+    }
+
+    def extensions(chosen, start):
+        # the semibricks that extend ``chosen`` by bricks from ``start`` on
+        return 1 + sum(
+            extensions(chosen + [b], b + 1)
+            for b in range(start, len(bricks))
+            if all((a, b) in apart for a in chosen)
+        )
+
+    assert extensions([], 0) == len(enumerate_silting(alg, bound)) == count
+
+
 # ---------------------------------------------------------------------------
 # Tensor transport.
 # ---------------------------------------------------------------------------
@@ -432,6 +479,26 @@ def test_tensor_degenerate_presentation_is_flagged(tensor_setup):
     assert report["termwise_cokernel_dim"] != report["tensor_module_dim"]
     # The totalized presentation still presents the tensor module.
     assert pres.cokernel.dim == report["tensor_module_dim"]
+
+
+def test_tensor_modules_lie_in_the_direct_enumeration_exactly_when_silting():
+    # The tensor suite's modules against the silting modules enumerated over
+    # the tensor algebra itself: a tensor module is isomorphic to one of them
+    # exactly when its existential verdict is silting.  Only pair (4, 4) is not.
+    alg, tensor_alg = corpus_load("a2"), corpus_load("a2xa2")
+    direct = [c.module for c in enumerate_silting(tensor_alg, 4)]
+    assert len(direct) == 46
+    certs = enumerate_silting(alg, 3)
+    outside = []
+    for (i, ci), (j, cj) in itertools.product(enumerate(certs), repeat=2):
+        ts, _, _, report = tensor_silting(
+            ci.module, ci.presentation, cj.module, cj.presentation, tensor_alg=tensor_alg, dim_bound=2
+        )
+        listed = any(is_isomorphic(ts, m) is not None for m in direct)
+        assert listed == (report["existential_verdict"] == "silting")
+        if not listed:
+            outside.append((i, j))
+    assert outside == [(4, 4)]
 
 
 def test_tensor_probe_membership_recorded(tensor_setup):
