@@ -19,7 +19,7 @@ inspectable:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
 from .exactlinalg import Matrix, rank
@@ -200,7 +200,12 @@ def is_gorenstein_projective(m: Module, report: GorensteinReport | None = None) 
 
 @dataclass
 class GpClassification:
-    """Indecomposable GP modules within a dimension bound, in canonical order."""
+    """Indecomposable GP modules within a dimension bound, in canonical order.
+
+    The relative evidence that depends only on the list (proper presentations,
+    relative generation, the candidate tables of the approximation search) is
+    memoized in ``_memo`` for the classification's lifetime; a copy made with
+    :func:`dataclasses.replace` starts with an empty memo."""
 
     algebra: Algebra
     dim_bound: int
@@ -208,6 +213,7 @@ class GpClassification:
     complete: bool
     report: GorensteinReport
     notes: tuple
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -337,7 +343,15 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
 
 def proper_gp_presentation(m: Module, gp: GpClassification) -> Presentation:
     """Two-term relative presentation G_1 -> G_0 -> m -> 0 from iterated
-    right approximations, certified relatively exact."""
+    right approximations, certified relatively exact.
+
+    The presentation is memoized on ``gp`` per module: every caller gets the
+    same object, and no caller may mutate it."""
+    return _proper_gp_presentation(gp, m)
+
+
+@memoized
+def _proper_gp_presentation(gp: GpClassification, m: Module) -> Presentation:
     (phi0, _), (_, d1) = itertools.islice(resolution(m, lambda x: right_gp_approximation(x, gp)), 2)
     pres = Presentation(
         kind="gorenstein_projective",
@@ -443,8 +457,14 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     """Whether ``m`` admits a relatively epic surjection from Add(t).
 
     The canonical right Add(t)-approximation is universal: any relative epi
-    from Add(t) factors through it, so testing it is complete.
+    from Add(t) factors through it, so testing it is complete.  The answer is
+    memoized on ``gp`` per (t, m): it is shared, and no caller may mutate it.
     """
+    return _gen_g_contains(gp, t, m)
+
+
+@memoized
+def _gen_g_contains(gp: GpClassification, t: Module, m: Module) -> bool:
     if not gp.complete:
         raise ValidationError("relative generation needs a complete classification")
     ev = right_add_approximation(t, m)
@@ -511,6 +531,92 @@ def _in_add(q: Module, parts: list[Module]) -> bool:
     return True
 
 
+@dataclass(eq=False)
+class _Candidate:
+    """One screened candidate p -> T_0 of a left approximation search.
+
+    ``middle_dim`` and ``end_dim`` are the dimensions of T_0 and of the
+    cokernel; ``phi`` and ``cmap`` (the cokernel map) are kept only when the
+    cokernel lies in Add(t).  G-exactness and the restrictions onto Hom(-, U)
+    are computed on first use and kept."""
+
+    combo: tuple
+    middle_dim: int
+    end_dim: int
+    in_add: bool
+    phi: ModuleMap | None = None
+    cmap: ModuleMap | None = None
+    _g_exact: bool | None = None
+    _restricts: dict = dc_field(default_factory=dict)
+
+    def g_exact(self, gp: GpClassification) -> bool:
+        if self._g_exact is None:
+            self._g_exact = bool(is_g_exact((self.phi, self.cmap), gp))
+        return self._g_exact
+
+    def restricts(self, u: Module) -> bool:
+        """Whether Hom(T_0, U) -> Hom(p, U), precomposition with phi, is onto."""
+        if u not in self._restricts:
+            self._restricts[u] = _hom_restriction_surjective(self.phi, u)
+        return self._restricts[u]
+
+
+class _ApproximationTable:
+    """The part of a left approximation search for p into Add(t) that does
+    not depend on the presentation: the candidates in search order, cut at
+    ``budget``, each screened when a search first reaches it.
+
+    A screened candidate (:class:`_Candidate`) records T_0, phi, the
+    cokernel, whether the cokernel lies in Add(t), whether (phi, cokernel
+    map) is G-exact and, per probe U, whether phi restricts onto Hom(-, U);
+    the last two are computed when a search first asks.  Screening only
+    extends the table, so every search reads the same entries in the same
+    order."""
+
+    def __init__(self, p: Module, t: Module, budget: int, transport=None):
+        self.p, self.transport = p, transport
+        self.parts = _add_parts(t)
+        self.columns: list[tuple[Module, Matrix]] = [
+            (part, h.matrix) for part in self.parts for h in hom_space(p, part)
+        ]
+        candidates: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for size in range(1, len(self.columns) + 1):
+            for combo in itertools.combinations(range(len(self.columns)), size):
+                middle_dim = sum(self.columns[j][0].dim for j in combo)
+                candidates.append((middle_dim, combo))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        self.total = len(candidates)
+        self.candidates = candidates[: max(budget, 0)]
+        self.screened: list[_Candidate] = []
+
+    def __iter__(self):
+        for i, (_, combo) in enumerate(self.candidates):
+            if i == len(self.screened):
+                self.screened.append(self._screen(combo))
+            yield self.screened[i]
+
+    def _screen(self, combo: tuple) -> _Candidate:
+        p = self.p
+        alg = p.algebra
+        if combo:
+            t0, _, _ = direct_sum([self.columns[j][0] for j in combo], algebra=alg)
+            phi = ModuleMap(p, t0, Matrix.vstack([self.columns[j][1] for j in combo]))
+        else:
+            t0 = zero_module(alg)
+            phi = ModuleMap(p, t0, Matrix.zeros(alg.field, 0, p.dim))
+        coker, cmap = cokernel(phi)
+        if not _in_add(coker, self.parts):
+            return _Candidate(combo, t0.dim, coker.dim, False)
+        if self.transport is not None:
+            phi, cmap = self.transport(phi), self.transport(cmap)
+        return _Candidate(combo, t0.dim, coker.dim, True, phi, cmap)
+
+
+@memoized
+def _approximation_table(gp: GpClassification, p: Module, t: Module, budget: int) -> _ApproximationTable:
+    return _ApproximationTable(p, t, budget)
+
+
 def left_approximation_sequence(
     p: Module,
     t: Module,
@@ -537,63 +643,49 @@ def left_approximation_sequence(
     before it.  At most ``budget`` candidates are tried.  A miss returns
     ``found=False`` with the bound; a miss after candidates were dropped at
     the budget raises :class:`UndecidedError`.
+
+    Without a transport, the evidence that does not involve theta (each
+    candidate's cokernel, its membership in Add(t), its G-exactness and its
+    restrictions onto the probes) is memoized on ``gp`` per (p, t, budget);
+    only the two tests that read theta, T_0 in its class and which probes
+    are in it, run on every call.
     """
-    alg = p.algebra
-    f = alg.field
+    f = p.algebra.field
     if class_probes is None:
         probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
         class_probes = [u for u in probe if d_theta_contains(theta, u)]
-    parts = _add_parts(t)
-    columns: list[tuple[Module, Matrix]] = []
-    for part in parts:
-        for h in hom_space(p, part):
-            columns.append((part, h.matrix))
-
-    candidates: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    for size in range(1, len(columns) + 1):
-        for combo in itertools.combinations(range(len(columns)), size):
-            middle_dim = sum(columns[j][0].dim for j in combo)
-            candidates.append((middle_dim, combo))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    budget = min(len(candidates), budget)
-
-    for middle_dim, combo in candidates[:budget]:
-        if combo:
-            t0, _, _ = direct_sum([columns[j][0] for j in combo], algebra=alg)
-            phi = ModuleMap(p, t0, Matrix.vstack([columns[j][1] for j in combo]))
-        else:
-            t0 = zero_module(alg)
-            phi = ModuleMap(p, t0, Matrix.zeros(f, 0, p.dim))
-        coker, cmap = cokernel(phi)
-        if not _in_add(coker, parts):
+    if transport is None:
+        table = _approximation_table(gp, p, t, budget)
+    else:
+        table = _ApproximationTable(p, t, budget, transport)
+    bound = len(table.candidates)
+    for cand in table:
+        if not cand.in_add:
             continue
-        if transport is not None:
-            phi, cmap = transport(phi), transport(cmap)
         # A left approximation must land inside the class it approximates to.
-        if not d_theta_contains(theta, phi.target):
+        if not d_theta_contains(theta, cand.phi.target):
             continue
-        if not is_g_exact((phi, cmap), gp):
+        if not cand.g_exact(gp):
             continue
-        # Hom(T_0, U) -> Hom(p, U), precomposition with phi, onto for U in class.
-        if not all(_hom_restriction_surjective(phi, u) for u in class_probes):
+        if not all(cand.restricts(u) for u in class_probes):
             continue
         return LeftApproximationSequence(
             found=True,
             gp_module=p,
-            phi=phi,
-            psi=cmap,
+            phi=cand.phi,
+            psi=cand.cmap,
             probes_checked=len(class_probes),
-            search_bound=budget,
+            search_bound=bound,
             detail={
-                "middle_dim": t0.dim,
-                "end_dim": coker.dim,
-                "columns_used": list(combo),
+                "middle_dim": cand.middle_dim,
+                "end_dim": cand.end_dim,
+                "columns_used": list(cand.combo),
             },
         )
-    if budget < len(candidates):
+    if bound < table.total:
         raise UndecidedError(
-            f"left approximation search stopped at its budget of {budget} "
-            f"of {len(candidates)} candidates without a sequence"
+            f"left approximation search stopped at its budget of {bound} "
+            f"of {table.total} candidates without a sequence"
         )
     return LeftApproximationSequence(
         found=False,
@@ -601,8 +693,8 @@ def left_approximation_sequence(
         phi=None,
         psi=None,
         probes_checked=len(class_probes),
-        search_bound=budget,
-        detail={"candidates_tried": budget},
+        search_bound=bound,
+        detail={"candidates_tried": bound},
     )
 
 
@@ -766,12 +858,17 @@ def find_gorenstein_silting_presentation(
     Candidates are the automatic proper presentation padded with ``G -> 0``
     blocks over subsets of listed GP modules having no maps into ``t``, in
     deterministic order; the first candidate whose certificate verdict is
-    ``gorenstein_silting`` wins, otherwise ``None``.
+    ``gorenstein_silting`` wins, otherwise ``None``.  ``budget`` caps both
+    the number of padded presentations tried and each approximation search
+    inside their checks; a miss after presentations were dropped at the
+    budget raises :class:`UndecidedError`.
     """
     alg = t.algebra
     base = proper_gp_presentation(t, gp)
     eligible = [g for g in gp.modules if hom_dim(g, t) == 0]
-    for mask in range(2 ** len(eligible)):
+    total = 2 ** len(eligible)
+    bound = min(total, max(budget, 0))
+    for mask in range(bound):
         blocks = [base] + [
             zero_target_presentation(eligible[j], alg)
             for j in range(len(eligible))
@@ -781,4 +878,9 @@ def find_gorenstein_silting_presentation(
         cert = gorenstein_silting_check(t, theta, gp, probe, budget)
         if cert.verdict == "gorenstein_silting":
             return theta, cert
+    if bound < total:
+        raise UndecidedError(
+            f"presentation search stopped at its budget of {bound} "
+            f"of {total} padded presentations without a certificate"
+        )
     return None

@@ -1,5 +1,8 @@
 """Self-injective dimension reports, GP classification, relative machinery."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from conftest import F2, quiver_a2, quiver_a3_rel, quiver_dual_numbers
@@ -11,7 +14,9 @@ from silting_forge.algebra import (
     ValidationError,
     compile_quiver_algebra,
 )
+from silting_forge import gorenstein
 from silting_forge.exactlinalg import Matrix
+from silting_forge.io import corpus_load
 from silting_forge.modules import (
     ModuleMap,
     Presentation,
@@ -501,3 +506,102 @@ def test_zero_target_presentation_class(gp_dual):
     # Class = modules receiving no maps from the regular module = zero only.
     assert not d_theta_contains(theta, k)
     assert d_theta_contains(theta, zero_module(alg))
+
+
+def test_padded_presentation_search_is_cut_off_by_the_budget():
+    # The zero module over a2 is certified only by the last of its four
+    # padded presentations; every approximation search into the zero module
+    # has one candidate, so the budget cuts only the padded search.
+    alg = corpus_load("a2")
+    gp = gp_classification(alg)
+    z = zero_module(alg)
+    with pytest.raises(UndecidedError, match="budget of 3 of 4 padded presentations"):
+        find_gorenstein_silting_presentation(z, gp, budget=3)
+    theta, cert = find_gorenstein_silting_presentation(z, gp, budget=4)
+    assert cert.verdict == "gorenstein_silting"
+    assert theta.map.source.dim == 3
+
+
+# ---------------------------------------------------------------------------
+# Relative evidence memoized on the classification.
+# ---------------------------------------------------------------------------
+
+
+def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
+    # Over a2 the simple S(e1) fails against its automatic presentation and
+    # is certified by the next padded one, so the search checks two
+    # presentations and the AUTO check repeats the first of them.
+    alg = corpus_load("a2")
+    gp = dataclasses.replace(gp_classification(alg))
+    t = simple_module(alg, "e1")
+    calls = {name: [] for name in ("cokernel", "is_g_exact", "right_add_approximation")}
+    for name, seen in calls.items():
+        original = getattr(gorenstein, name)
+
+        def counted(*args, _original=original, _seen=seen):
+            _seen.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(gorenstein, name, counted)
+    theta, cert = find_gorenstein_silting_presentation(t, gp)
+    assert theta is not proper_gp_presentation(t, gp) and cert.verdict == "gorenstein_silting"
+    after_search = {name: len(seen) for name, seen in calls.items()}
+    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "not"
+    assert {name: len(seen) for name, seen in calls.items()} == after_search
+
+    tables = [v for v in gp._memo.values() if isinstance(v, gorenstein._ApproximationTable)]
+    screened = [c for table in tables for c in table.screened]
+    assert len(tables) == len(gp.modules) and screened
+    # One cokernel per candidate, one G-exactness test per candidate that
+    # reached it (plus the certificate of t's proper presentation), and one
+    # relative generation test per probe.
+    assert len(calls["cokernel"]) == len(screened)
+    assert len(calls["is_g_exact"]) == 1 + sum(c._g_exact is not None for c in screened)
+    probes = enumerate_indecomposables(alg, gp.dim_bound)
+    assert [u for _, u in calls["right_add_approximation"]] == probes
+
+
+def _memo_reference_cases():
+    gamma0 = corpus_load("gamma0")
+    for alg in (corpus_load("a2"), corpus_load("dualnum"), gamma0.a, gamma0.b):
+        pool = enumerate_indecomposables(alg, 2)
+        modules = [zero_module(alg)] + [
+            direct_sum([pool[i] for i in combo], algebra=alg)[0]
+            for r in (1, 2)
+            for combo in itertools.combinations(range(len(pool)), r)
+        ]
+        yield gp_classification(alg), modules
+
+
+def test_memoized_relative_evidence_matches_a_cold_classification():
+    def evidence(gp, t, cold):
+        fresh = (lambda: dataclasses.replace(gp)) if cold else (lambda: gp)
+        theta = proper_gp_presentation(t, fresh())
+        found = find_gorenstein_silting_presentation(t, fresh())
+        return (
+            gorenstein_silting_check(t, "AUTO", fresh()).to_json(),
+            [left_approximation_sequence(g, t, theta, fresh()).to_json() for g in gp.modules],
+            None if found is None else found[1].to_json(),
+        )
+
+    for gp, modules in _memo_reference_cases():
+        for t in modules:
+            warm = [evidence(gp, t, cold=False) for _ in range(2)]
+            assert warm[0] == warm[1] == evidence(gp, t, cold=True)
+
+
+def test_a_warm_memo_does_not_answer_a_smaller_budget(gp_a2):
+    alg, gp = gp_a2
+    projs = {lbl: p for p, lbl in indecomposable_projectives(alg)}
+    t = direct_sum([simple_module(alg, "e1"), projs["e1"]], algebra=alg)[0]
+    theta = proper_gp_presentation(t, gp)
+    assert left_approximation_sequence(projs["e2"], t, theta, gp).found
+    assert gorenstein_silting_check(t, theta, gp).verdict == "gorenstein_silting"
+    assert find_gorenstein_silting_presentation(t, gp) is not None
+    for _ in range(2):
+        with pytest.raises(UndecidedError, match="budget"):
+            left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
+        with pytest.raises(UndecidedError, match="budget"):
+            gorenstein_silting_check(t, theta, gp, budget=1)
+        with pytest.raises(UndecidedError, match="budget"):
+            find_gorenstein_silting_presentation(t, gp, budget=1)
