@@ -23,10 +23,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import gorenstein as gmod
-from . import recollement as rmod
-from . import suites as smod
-from .algebra import DomainError, ValidationError, build_triangular, derive_algebra
+from . import SUITES
+from .algebra import (
+    APPROXIMATION_SEARCH_BUDGET,
+    DomainError,
+    ValidationError,
+    build_triangular,
+    derive_algebra,
+)
 from .io import (
     algebra_from_json,
     bimodule_from_json,
@@ -53,7 +57,9 @@ from .modules import (
     hom_space,
     is_isomorphic,
 )
-from .silting import enumerate_silting, presentation_from_map, silting_check, tensor_silting
+
+# The silting, gorenstein, recollement and suites layers are imported by the
+# handlers that run them, so a one-query process compiles only what it uses.
 
 
 class UsageError(Exception):
@@ -85,7 +91,7 @@ _SHARED_FLAGS = {
     "--dim-bound": {"type": _at_least(0)},
     "--length-bound": {"type": _at_least(0)},
     "--seed": {"type": int, "default": 0},
-    "--budget": {"type": _at_least(1), "default": gmod.APPROXIMATION_SEARCH_BUDGET},
+    "--budget": {"type": _at_least(1), "default": APPROXIMATION_SEARCH_BUDGET},
 }
 
 
@@ -155,7 +161,7 @@ def _build_parser() -> _Parser:
     gorenstein = sub.add_parser("gorenstein").add_subparsers(dest="command")
     p = _leaf(gorenstein, "report", "--length-bound")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_at_least(1), default=10)
     # No parser default for --dim-bound: the handler tells "given" from
     # "defaulted", because the --module branch reads no bound.
     p = _leaf(gorenstein, "gp", "--length-bound", "--dim-bound")
@@ -187,7 +193,7 @@ def _build_parser() -> _Parser:
 
     theorems = sub.add_parser("theorems").add_subparsers(dest="command")
     p = _leaf(theorems, "run", "--seed", "--budget")
-    p.add_argument("--suite", required=True, choices=list(smod.SUITES))
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--context", default=None)
 
     corpus = sub.add_parser("corpus").add_subparsers(dest="command")
@@ -227,6 +233,8 @@ def _load_presentation(flag: str, t: Module):
     checked."""
     if flag.lower() == "auto":
         return "AUTO"
+    from .silting import presentation_from_map
+
     alg = t.algebra
     data = read_json_file(flag)
     for key in ("source", "target", "matrix"):
@@ -306,6 +314,8 @@ def _handle_algebra(args):
         out["derived"] = {"kind": kind, "base_hash": base.content_hash()}
         return out, 0
     if args.command == "triangular":
+        from .recollement import triangular_hypotheses
+
         if args.context:
             for value, flag in [(args.length_bound, "--length-bound"), (args.top, "--top"),
                                 (args.bottom, "--bottom"), (args.bimodule, "--bimodule")]:
@@ -325,7 +335,7 @@ def _handle_algebra(args):
             "bottom": _algebra_summary(tctx.b),
             "bimodule_dim": tctx.n.dim,
             "triangular": _algebra_summary(tctx.gamma),
-            "hypotheses": rmod.triangular_hypotheses(tctx),
+            "hypotheses": triangular_hypotheses(tctx),
         }
         return out, 0
     raise UsageError("algebra needs a subcommand: build, derive, triangular")
@@ -379,6 +389,8 @@ def _handle_module(args):
 
 
 def _handle_silting(args):
+    from .silting import enumerate_silting, silting_check, tensor_silting
+
     if args.command == "check":
         alg, t = _load_module(args.algebra, args.module, length_bound=args.length_bound)
         sigma = _load_presentation(args.presentation, t)
@@ -404,6 +416,8 @@ def _handle_silting(args):
 
 
 def _handle_gorenstein(args):
+    from . import gorenstein as gmod
+
     if args.command == "report":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
         report = gmod.gorenstein_report(alg, bound=args.bound)
@@ -437,6 +451,8 @@ def _handle_gorenstein(args):
 
 
 def _handle_recollement(args):
+    from . import recollement as rmod
+
     if args.command == "build":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
         ctx = rmod.idempotent_recollement(alg, _idempotent_labels(args.e))
@@ -498,7 +514,9 @@ def _handle_recollement(args):
 
 def _handle_theorems(args):
     if args.command == "run":
-        report = smod.run_suite(args.suite, args.context, args.seed, args.budget)
+        from .suites import run_suite
+
+        report = run_suite(args.suite, args.context, args.seed, args.budget)
         return report, _exit_from_verdict(report["verdict"])
     raise UsageError("theorems needs the run subcommand")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
 from .exactlinalg import Matrix, rank
-from .algebra import Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
+from .algebra import APPROXIMATION_SEARCH_BUDGET, Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
@@ -54,9 +54,6 @@ from .silting import (
 )
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
-
-#: Default cap on the subset search inside :func:`left_approximation_sequence`.
-APPROXIMATION_SEARCH_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------

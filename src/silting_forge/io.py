@@ -177,9 +177,9 @@ def module_from_json(data: dict, algebra: Algebra) -> Module:
     if isinstance(ref, str):
         if len(ref) == 64 and ref != algebra.content_hash():
             raise ValidationError("module file references a different algebra hash")
-        entry = _entry_by_id(ref)
-        if entry is not None and entry.kind == "algebra":
-            loaded = corpus_load(ref)
+        files = _corpus_files()
+        if ref in files and files[ref][1]["kind"] == "algebra":
+            loaded = _load_entry(files, ref)
             if loaded.content_hash() != algebra.content_hash():
                 raise ValidationError(
                     f"module file is over corpus algebra {ref!r}, not the supplied one"
@@ -251,40 +251,41 @@ def _user_corpus_dir() -> Path | None:
     return Path(root) / "corpus"
 
 
-def _scan(directory: Path) -> list[CorpusEntry]:
-    entries = []
+def _scan(directory: Path) -> list[tuple[Path, dict]]:
+    """Every corpus file in ``directory``, read and parsed, in path order."""
+    files = []
     if not directory.is_dir():
-        return entries
+        return files
     for path in sorted(directory.glob("*.json")):
         data = read_json_file(str(path))
         if "id" not in data or "kind" not in data or "payload" not in data:
             raise ValidationError(f"corpus file {path} needs id, kind, payload")
-        entries.append(
-            CorpusEntry(
-                id=data["id"],
-                kind=data["kind"],
-                path=str(path),
-                content_hash=content_hash(data["payload"]),
-            )
-        )
-    return entries
+        files.append((path, data))
+    return files
+
+
+def _corpus_files() -> dict[str, tuple[Path, dict]]:
+    """Each corpus id's file and parsed content, from one read of each
+    directory; a bundled id hides a user-added one."""
+    files = {}
+    user_dir = _user_corpus_dir()
+    for directory in (CORPUS_DIR,) if user_dir is None else (CORPUS_DIR, user_dir):
+        for path, data in _scan(directory):
+            files.setdefault(data["id"], (path, data))
+    return files
 
 
 def corpus_entries() -> list[CorpusEntry]:
-    """Bundled entries first, then user-added ones, both sorted by id."""
-    bundled = _scan(CORPUS_DIR)
-    user_dir = _user_corpus_dir()
-    user = _scan(user_dir) if user_dir is not None else []
-    bundled_ids = {e.id for e in bundled}
-    merged = bundled + [e for e in user if e.id not in bundled_ids]
-    return sorted(merged, key=lambda e: e.id)
-
-
-def _entry_by_id(entry_id: str) -> CorpusEntry | None:
-    for entry in corpus_entries():
-        if entry.id == entry_id:
-            return entry
-    return None
+    """Every corpus entry, with its content hash, sorted by id."""
+    return [
+        CorpusEntry(
+            id=entry_id,
+            kind=data["kind"],
+            path=str(path),
+            content_hash=content_hash(data["payload"]),
+        )
+        for entry_id, (path, data) in sorted(_corpus_files().items())
+    ]
 
 
 def corpus_load(entry_id: str):
@@ -293,33 +294,38 @@ def corpus_load(entry_id: str):
     Algebra payloads are either quiver definitions or derivations
     ``{"derive": {"kind": ..., ...}}`` over other corpus ids.
     """
-    entry = _entry_by_id(entry_id)
-    if entry is None:
+    return _load_entry(_corpus_files(), entry_id)
+
+
+def _load_entry(files: dict, entry_id: str):
+    """:func:`corpus_load` over the files of one directory read."""
+    if entry_id not in files:
         raise ValidationError(f"no corpus entry named {entry_id!r}")
-    payload = read_json_file(entry.path)["payload"]
-    if entry.kind == "algebra":
+    _, data = files[entry_id]
+    payload = data["payload"]
+    if data["kind"] == "algebra":
         if "derive" in payload:
             recipe = payload["derive"]
             kind = recipe.get("kind")
             if kind == "tensor":
-                left = corpus_load(recipe["left"])
-                right = corpus_load(recipe["right"])
+                left = _load_entry(files, recipe["left"])
+                right = _load_entry(files, recipe["right"])
                 derived, _ = derive_algebra(left, "tensor", b=right)
                 return derived
             if kind in ("corner", "quotient_idempotent_ideal"):
-                base = corpus_load(recipe["base"])
+                base = _load_entry(files, recipe["base"])
                 derived, _ = derive_algebra(base, kind, e=list(recipe["e"]))
                 return derived
             if kind == "opposite":
-                base = corpus_load(recipe["base"])
+                base = _load_entry(files, recipe["base"])
                 derived, _ = derive_algebra(base, "opposite")
                 return derived
             raise ValidationError(f"unknown derivation kind {kind!r}")
         return algebra_from_json(payload)
-    if entry.kind == "context":
+    if data["kind"] == "context":
         return context_from_json(payload)
     raise ValidationError(
-        f"corpus entry {entry_id!r} has kind {entry.kind!r}; load it with the "
+        f"corpus entry {entry_id!r} has kind {data['kind']!r}; load it with the "
         "matching algebra supplied"
     )
 
@@ -340,7 +346,7 @@ def corpus_add(source_path: str, entry_id: str, kind: str) -> CorpusEntry:
         algebra_from_json(payload)
     if kind == "context":
         context_from_json(payload)
-    if _entry_by_id(entry_id) is not None:
+    if entry_id in _corpus_files():
         raise ValidationError(f"corpus id {entry_id!r} already exists")
     user_dir.mkdir(parents=True, exist_ok=True)
     target = user_dir / f"{entry_id}.json"
@@ -358,9 +364,9 @@ def resolve_algebra(ref: str, *, length_bound: int | None = None) -> Algebra:
         if "payload" in data:
             data = data["payload"]
         return algebra_from_json(data, length_bound=length_bound)
-    entry = _entry_by_id(ref)
-    if entry is not None:
-        loaded = corpus_load(ref)
+    files = _corpus_files()
+    if ref in files:
+        loaded = _load_entry(files, ref)
         if not isinstance(loaded, Algebra):
             raise ValidationError(f"corpus entry {ref!r} is not an algebra")
         return loaded
@@ -374,9 +380,9 @@ def resolve_context(ref: str) -> TriangularContext:
         if "payload" in data:
             data = data["payload"]
         return context_from_json(data)
-    entry = _entry_by_id(ref)
-    if entry is not None:
-        loaded = corpus_load(ref)
+    files = _corpus_files()
+    if ref in files:
+        loaded = _load_entry(files, ref)
         if not isinstance(loaded, TriangularContext):
             raise ValidationError(f"corpus entry {ref!r} is not a context")
         return loaded

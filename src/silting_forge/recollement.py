@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 from .algebra import (
+    APPROXIMATION_SEARCH_BUDGET,
     Algebra,
     Bimodule,
     DomainError,
@@ -35,7 +36,6 @@ from .algebra import (
 )
 from .exactlinalg import Matrix, nullspace, row_space_basis, solve
 from .gorenstein import (
-    APPROXIMATION_SEARCH_BUDGET,
     d_theta_contains,
     find_gorenstein_silting_presentation,
     gen_g_contains,

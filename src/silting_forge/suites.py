@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import ValidationError
-from .gorenstein import APPROXIMATION_SEARCH_BUDGET
+from . import SUITES
+from .algebra import APPROXIMATION_SEARCH_BUDGET, ValidationError
 from .io import corpus_load, resolve_context
 from .modules import (
     direct_sum,
@@ -22,8 +22,6 @@ from .modules import (
 )
 from .recollement import idempotent_recollement, verify_transfer
 from .silting import enumerate_silting, tensor_silting
-
-SUITES = ("idempotent", "tensor", "gluing", "all")
 
 
 def _aggregate(rows):

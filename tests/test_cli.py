@@ -11,11 +11,18 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import silting_forge
 import silting_forge.gorenstein as gmod
+import silting_forge.io as siomod
+import silting_forge.suites as smod
 from silting_forge.cli import _build_parser, run
 from silting_forge.exactlinalg import Matrix
 from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
@@ -567,6 +574,7 @@ def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
         ("module", "enumerate", "--algebra", "a2", "--length-bound", "-1"),
         ("recollement", "verify", "--statement", "thm_idempotent_ideal", "--algebra", "a2",
          "--e", "e1", "--probe", "-1"),
+        ("gorenstein", "report", "--algebra", "a2", "--bound", "0"),
     ]
     for argv in rejected:
         code, out = cli(*argv)
@@ -576,3 +584,98 @@ def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
     assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
     code, out = cli("module", "enumerate", "--algebra", "a2", "--dim-bound", "0")
     assert code == 0 and out["count"] == 0
+
+
+def test_the_budget_default_and_the_suite_names_have_one_source():
+    leaves = dict(_leaf_parsers())
+    budgets = {
+        name: parser.get_default("budget")
+        for name, parser in leaves.items()
+        if "--budget" in {o for a in parser._actions for o in a.option_strings}
+    }
+    assert budgets == dict.fromkeys(
+        ["gorenstein check", "recollement verify", "theorems run"], gmod.APPROXIMATION_SEARCH_BUDGET
+    )
+    suite = next(a for a in leaves["theorems run"]._actions if "--suite" in a.option_strings)
+    assert tuple(suite.choices) == smod.SUITES
+    code, out = cli("theorems", "run", "--suite", "bogus")
+    assert code == 3 and out["error"]["type"] == "usage"
+
+
+# ---------------------------------------------------------------------------
+# corpus lookups and cold processes
+# ---------------------------------------------------------------------------
+
+
+def test_a_lookup_chain_reads_the_corpus_once_and_hashes_nothing(monkeypatch, tmp_path):
+    monkeypatch.delenv("SILTING_FORGE_CACHE", raising=False)
+    scans, hashes = [], []
+    scan, content_hash = siomod._scan, siomod.content_hash
+    monkeypatch.setattr(siomod, "_scan", lambda d: scans.append(d) or scan(d))
+    monkeypatch.setattr(siomod, "content_hash", lambda obj: hashes.append(obj) or content_hash(obj))
+
+    def reads_and_hashes(*argv):
+        scans.clear()
+        hashes.clear()
+        code, out = cli(*argv)
+        assert code == 0, argv
+        return len(scans), len(hashes), out
+
+    module = tmp_path / "m.json"
+    for algebra in ("a2xa2", "a2"):
+        module.write_text(dump_json(module_to_json(regular_module(corpus_load(algebra)), algebra)))
+        # One read for resolve_algebra and one for the module file's
+        # advisory algebra name (module_from_json loads that algebra again).
+        assert reads_and_hashes("module", "tau", "--algebra", algebra, "--module", str(module))[:2] == (2, 0)
+    assert reads_and_hashes("silting", "check", "--algebra", "a2", "--module", str(module))[:2] == (2, 0)
+    reads, hashed, out = reads_and_hashes("corpus", "list")
+    assert (reads, hashed) == (1, len(out["entries"]))
+
+
+_SRC = str(Path(silting_forge.__file__).resolve().parent.parent)
+_BASE = {"silting_forge", "silting_forge.exactlinalg", "silting_forge.algebra", "silting_forge.modules",
+         "silting_forge.io"}
+_SILTING = _BASE | {"silting_forge.silting"}
+_GORENSTEIN = _SILTING | {"silting_forge.gorenstein"}
+_RECOLLEMENT = _GORENSTEIN | {"silting_forge.recollement"}
+
+
+def _cold(*args: str) -> tuple[int, str, set]:
+    """Exit code, stdout and the ``silting_forge`` modules imported by a
+    fresh ``python`` process started with ``args``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, check=False
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, proc.stdout, {n for n in names if n.split(".")[0] == "silting_forge"}
+
+
+def test_importing_the_cli_loads_no_command_layer():
+    code, _, loaded = _cold("-c", "import silting_forge.cli")
+    assert code == 0
+    assert loaded == _BASE | {"silting_forge.cli"}
+
+
+def test_each_command_group_runs_cold_on_the_layers_it_uses(regular_file):
+    # polynomials is absent throughout: no CLI command factors a polynomial.
+    cases = [
+        (("algebra", "derive", "--base", "a2", "--kind", "tensor", "--right", "a2"), _BASE),
+        (("algebra", "triangular", "--context", "gamma0"), _RECOLLEMENT),
+        (("module", "tau", "--algebra", "a2", "--module", regular_file), _BASE),
+        (("silting", "check", "--algebra", "a2", "--module", regular_file), _SILTING),
+        (("gorenstein", "report", "--algebra", "dualnum"), _GORENSTEIN),
+        (("recollement", "build", "--algebra", "a2", "--e", "e2"), _RECOLLEMENT),
+        (("theorems", "run", "--suite", "idempotent"), _RECOLLEMENT | {"silting_forge.suites"}),
+        (("corpus", "list"), _BASE),
+    ]
+    for argv, layers in cases:
+        code, stdout, loaded = _cold("-m", "silting_forge.cli", *argv)
+        assert (code, stdout) == cli_raw(*argv), argv
+        assert code == 0, argv
+        assert loaded == layers, argv
