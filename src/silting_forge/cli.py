@@ -222,15 +222,15 @@ def _algebra_summary(alg) -> dict:
 def _load_module(args_algebra: str, module_path: str, *, length_bound=None):
     alg = resolve_algebra(args_algebra, length_bound=length_bound)
     data = read_json_file(module_path)
-    return alg, module_from_json(data, alg)
+    return alg, module_from_json(data, alg, args_algebra)
 
 
-def _load_presentation(flag: str, t: Module):
+def _load_presentation(flag: str, t: Module, algebra_ref: str):
     """'auto' or a two-term map file over the same algebra.
 
     A map file supplies source and target modules, which must be projective,
     and the matrix; the cokernel must be isomorphic to the module being
-    checked."""
+    checked.  ``algebra_ref`` is the ``--algebra`` value ``t`` is over."""
     if flag.lower() == "auto":
         return "AUTO"
     from .silting import presentation_from_map
@@ -240,8 +240,8 @@ def _load_presentation(flag: str, t: Module):
     for key in ("source", "target", "matrix"):
         if key not in data:
             raise ValidationError("presentation file needs source, target, matrix")
-    src = module_from_json(data["source"], alg)
-    tgt = module_from_json(data["target"], alg)
+    src = module_from_json(data["source"], alg, algebra_ref)
+    tgt = module_from_json(data["target"], alg, algebra_ref)
     mat = matrix_from_json(alg.field, data["matrix"], tgt.dim, src.dim)
     fmap = ModuleMap(src, tgt, mat)
     pres = presentation_from_map(fmap)
@@ -346,7 +346,7 @@ def _handle_module(args):
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
         data = read_json_file(args.module)
         try:
-            m = module_from_json(data, alg)
+            m = module_from_json(data, alg, args.algebra)
         except ValidationError as exc:
             return {"valid": False, "reason": str(exc)}, 1
         return {
@@ -356,8 +356,8 @@ def _handle_module(args):
         }, 0
     if args.command == "hom":
         alg = resolve_algebra(args.algebra, length_bound=args.length_bound)
-        src = module_from_json(read_json_file(args.source), alg)
-        tgt = module_from_json(read_json_file(args.target), alg)
+        src = module_from_json(read_json_file(args.source), alg, args.algebra)
+        tgt = module_from_json(read_json_file(args.target), alg, args.algebra)
         basis = hom_space(src, tgt)
         return {"dim": len(basis)}, 0
     if args.command == "tau":
@@ -393,7 +393,7 @@ def _handle_silting(args):
 
     if args.command == "check":
         alg, t = _load_module(args.algebra, args.module, length_bound=args.length_bound)
-        sigma = _load_presentation(args.presentation, t)
+        sigma = _load_presentation(args.presentation, t, args.algebra)
         cert = silting_check(t, sigma, dim_bound=args.dim_bound)
         return cert.to_json(), _exit_from_verdict(cert.verdict)
     if args.command == "enumerate":
@@ -407,8 +407,8 @@ def _handle_silting(args):
     if args.command == "tensor":
         left_alg, t = _load_module(args.left, args.left_module, length_bound=args.length_bound)
         right_alg, s = _load_module(args.right, args.right_module, length_bound=args.length_bound)
-        sigma = _load_presentation(args.left_presentation, t)
-        eta = _load_presentation(args.right_presentation, s)
+        sigma = _load_presentation(args.left_presentation, t, args.left)
+        eta = _load_presentation(args.right_presentation, s, args.right)
         ts, pres, cert, report = tensor_silting(t, sigma, s, eta, dim_bound=args.dim_bound)
         out = {"certificate": cert.to_json(), "report": report}
         return out, _exit_from_verdict(cert.verdict)
@@ -434,7 +434,7 @@ def _handle_gorenstein(args):
                 "notes": list(gp.notes),
             }, 0
         _reject_unread(args.dim_bound, "--dim-bound", "--module")
-        m = module_from_json(read_json_file(args.module), alg)
+        m = module_from_json(read_json_file(args.module), alg, args.algebra)
         cert = gmod.is_gorenstein_projective(m)
         return cert.to_json(), (0 if cert.holds else 1)
     if args.command == "check":
@@ -469,7 +469,7 @@ def _handle_recollement(args):
             source_alg = ctx.corner
         else:
             source_alg = ctx.middle
-        m = module_from_json(read_json_file(args.module), source_alg)
+        m = module_from_json(read_json_file(args.module), source_alg, args.algebra if source_alg is alg else None)
         image = rmod.apply_functor(ctx, which, m)
         return {
             "functor": which,
@@ -502,7 +502,7 @@ def _handle_recollement(args):
             if args.module is None:
                 raise ValidationError("idempotent statements need --module")
             if statement == "lemma_q_transfer":
-                t = module_from_json(read_json_file(args.module), ctx.middle)
+                t = module_from_json(read_json_file(args.module), ctx.middle, args.algebra)
             else:
                 if ctx.quotient is None:
                     raise ValidationError("quotient layer is degenerate")

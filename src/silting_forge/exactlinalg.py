@@ -633,3 +633,45 @@ def quotient_map(basis: Matrix, width: int) -> tuple[Matrix, list[int]]:
         for i, j in enumerate(keep):
             proj.data[i][lead] = f.neg(row[j])
     return proj, keep
+
+
+# ---------------------------------------------------------------------------
+# Polynomials of a square matrix, as coefficient lists in ascending degree.
+# ---------------------------------------------------------------------------
+
+
+def min_poly(mat: Matrix) -> list:
+    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1]."""
+    f = mat.field
+    d = mat.nrows
+    if d == 0:
+        return [f.one()]
+    powers = [Matrix.identity(f, d)]
+    flat_rows = []
+    while True:
+        vec = [powers[-1].data[i][j] for i in range(d) for j in range(d)]
+        span = row_space_basis(flat_rows, f, d * d)
+        if not any(reduce_mod_row_space(vec, span)):
+            break
+        flat_rows.append(vec)
+        powers.append(powers[-1].mul(mat))
+    k = len(flat_rows)
+    A = Matrix(f, [[flat_rows[t][i] for t in range(k)] for i in range(d * d)], d * d, k)
+    b = Matrix.column(f, [powers[k].data[i][j] for i in range(d) for j in range(d)])
+    x = solve(A, b)
+    coeffs = [f.neg(x.data[t][0]) for t in range(k)]
+    coeffs.append(f.one())
+    return coeffs
+
+
+def eval_poly(coeffs: list, mat: Matrix) -> Matrix:
+    """The polynomial ``coeffs`` evaluated at ``mat``."""
+    f = mat.field
+    d = mat.nrows
+    out = Matrix.zeros(f, d, d)
+    power = Matrix.identity(f, d)
+    for c in coeffs:
+        if c != 0:
+            out = out + power.scale(c)
+        power = power.mul(mat)
+    return out

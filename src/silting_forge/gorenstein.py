@@ -288,12 +288,12 @@ def _triangular_gp_classification(ctx, dim_bound: int, report: GorensteinReport 
 # ---------------------------------------------------------------------------
 
 
-def _g_epic(components, gp: GpClassification, needs: Iterable[int], hom=None) -> bool:
+def _g_epic(components, gp: GpClassification, needs: Iterable[int]) -> bool:
     """Whether Hom(G, phi) is surjective for every listed G, for phi given by
-    its ``components`` and ``hom`` as in :func:`postcompose_rank`, given
-    ``needs``, the dimensions of Hom(G, target) in the order of ``gp.modules``."""
+    its ``components`` as in :func:`postcompose_rank`, given ``needs``, the
+    dimensions of Hom(G, target) in the order of ``gp.modules``."""
     for g, need in zip(gp.modules, needs):
-        if need and postcompose_rank(g, components, hom) != need:
+        if need and postcompose_rank(g, components) != need:
             return False
     return True
 
@@ -315,15 +315,12 @@ def right_gp_approximation(m: Module, gp: GpClassification) -> ModuleMap:
     homs = [hom_space(g, m) for g in gp.modules]
     needs = [len(basis) for basis in homs]
     components = [(g, h.matrix) for g, basis in zip(gp.modules, homs) for h in basis]
-    # Hom(G_j, G_k) for the G_j tested and the G_k among the components
-    used = [g for g, need in zip(gp.modules, needs) if need]
-    table = {(id(g), id(x)): hom_space(g, x) for g in used for x in used}
 
     def matrix(parts):
         return Matrix.hstack([h for _, h in parts]) if parts else Matrix.zeros(f, m.dim, 0)
 
     def acceptable(parts):
-        return rank(matrix(parts)) == m.dim and _g_epic(parts, gp, needs, lambda g, x: table[id(g), id(x)])
+        return rank(matrix(parts)) == m.dim and _g_epic(parts, gp, needs)
 
     if not acceptable(components):
         raise ValidationError("evaluation map fails to approximate; classification incomplete?")
@@ -400,10 +397,9 @@ def is_g_exact(seq: tuple[ModuleMap, ModuleMap], gp: GpClassification) -> GExact
     if rank(fmap.matrix) != mid_kernel:
         raise ValidationError("sequence is not exact in the ordinary sense (homology at the middle)")
     for j, g in enumerate(gp.modules):
-        mid = hom_space(g, gmap.source)
         rank_f = postcompose_rank(g, [(fmap.source, fmap.matrix)])
-        rank_g = postcompose_rank(g, [(gmap.source, gmap.matrix)], hom=lambda _g, _x: mid)
-        hom_mid = len(mid)
+        rank_g = postcompose_rank(g, [(gmap.source, gmap.matrix)])
+        hom_mid = hom_dim(g, gmap.source)
         hom_end = hom_dim(g, gmap.target)
         if rank_g != hom_end:
             return GExactness(

@@ -165,22 +165,28 @@ def module_to_json(m: Module, algebra_id: str | None = None) -> dict:
     }
 
 
-def module_from_json(data: dict, algebra: Algebra) -> Module:
+def module_from_json(data: dict, algebra: Algebra, algebra_ref: str | None = None) -> Module:
     """Module file ``{"algebra": "<id>", "dim": n, "action": {label: matrix}}``.
 
-    The ``algebra`` field is advisory; when it names a corpus entry or equals
-    a content hash it must match the supplied algebra.
+    The ``algebra`` field is advisory; when it has the shape of a content hash
+    (:meth:`Algebra.content_hash`) or names a corpus algebra, it must match
+    the supplied algebra.  ``algebra_ref`` is the reference the caller passed
+    to :func:`resolve_algebra` for ``algebra``: a file that names that same
+    corpus id is not checked by loading the corpus algebra again.
     """
     if "dim" not in data or "action" not in data:
         raise ValidationError("module file needs 'dim' and 'action'")
     ref = data.get("algebra")
+    if ref == algebra_ref and isinstance(ref, str) and not os.path.exists(ref):
+        ref = None  # the corpus id ``algebra`` was resolved from
     if isinstance(ref, str):
-        if len(ref) == 64 and ref != algebra.content_hash():
-            raise ValidationError("module file references a different algebra hash")
-        files = _corpus_files()
-        if ref in files and files[ref][1]["kind"] == "algebra":
-            loaded = _load_entry(files, ref)
-            if loaded.content_hash() != algebra.content_hash():
+        own = algebra.content_hash()
+        if len(ref) == len(own) and set(ref) <= set("0123456789abcdef"):
+            if ref != own:
+                raise ValidationError("module file references a different algebra hash")
+        else:
+            files = _corpus_files()
+            if ref in files and files[ref][1]["kind"] == "algebra" and _load_entry(files, ref).content_hash() != own:
                 raise ValidationError(
                     f"module file is over corpus algebra {ref!r}, not the supplied one"
                 )

@@ -23,7 +23,9 @@ from .exactlinalg import (
     FieldSpec,
     Matrix,
     combine,
+    eval_poly,
     invert,
+    min_poly,
     nullspace,
     quotient_map,
     rank,
@@ -201,9 +203,9 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, Module]" = weakref.WeakValueDicti
 
 
 def _content_key(algebra: Algebra, dim: int, action: dict[str, Matrix]) -> tuple | None:
-    """(id(algebra), dim, the action rows in label order): bytes over F_p for
-    p < 256, else tuples.  None when the labels or shapes are wrong or an
-    entry does not fit a byte, so such input is validated and not interned."""
+    """(id(algebra), dim, the action matrices in label order packed by
+    :func:`_packed`).  None when the labels or shapes are wrong or an entry
+    does not fit a byte, so such input is validated and not interned."""
     labels = algebra.labels
     if len(action) != len(labels):
         return None
@@ -213,15 +215,19 @@ def _content_key(algebra: Algebra, dim: int, action: dict[str, Matrix]) -> tuple
         return None
     if any(m.nrows != dim or m.ncols != dim for m in mats):
         return None
-    p = algebra.field.p
+    try:
+        return id(algebra), dim, _packed(algebra.field.p, mats)
+    except (TypeError, ValueError):
+        return None
+
+
+def _packed(p: int | None, mats: list[Matrix]) -> bytes | tuple:
+    """The rows of ``mats`` in order: one bytes object over F_p for p < 256,
+    else a tuple of tuples.  Raises TypeError or ValueError when an entry
+    does not fit a byte."""
     if p is not None and p < 256:
-        try:
-            content = b"".join([bytes(row) for m in mats for row in m.data])
-        except (TypeError, ValueError):
-            return None
-    else:
-        content = tuple([tuple(row) for m in mats for row in m.data])
-    return id(algebra), dim, content
+        return b"".join([bytes(row) for m in mats for row in m.data])
+    return tuple([tuple(row) for m in mats for row in m.data])
 
 
 @dataclass
@@ -444,6 +450,44 @@ def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Mod
 def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     """Deterministic basis of Hom(m, n).
 
+    The basis is solved and certified once per live pair: ``m`` keeps it,
+    packed, in a table weakly keyed by ``n``.  A packed entry does not refer
+    to ``n``, so it dies with either module.  Every call returns fresh maps
+    over fresh matrices, which no other caller holds.
+    """
+    k, entries = _hom_entry(m, n)
+    if not k:
+        return []
+    f, p, q = m.algebra.field, n.dim, m.dim
+    if isinstance(entries, bytes):
+        rows = [list(entries[s : s + q]) for s in range(0, k * p * q, q)]
+    else:
+        rows = [list(row) for row in entries]
+    return [ModuleMap(m, n, Matrix._wrap(f, rows[j * p : (j + 1) * p], p, q), check=False) for j in range(k)]
+
+
+def hom_dim(m: Module, n: Module) -> int:
+    """dim Hom(m, n), read off the memo without building maps."""
+    return _hom_entry(m, n)[0]
+
+
+def _hom_entry(m: Module, n: Module) -> tuple[int, bytes | tuple]:
+    """dim Hom(m, n) and the rows of its basis matrices, packed by
+    :func:`_packed` so that the tables add little to peak memory: a 5×5
+    matrix over F_2 takes 25 bytes packed and about 2 KB as a :class:`Matrix`."""
+    table = m._memo.get(_hom_entry)
+    if table is None:
+        table = m._memo[_hom_entry] = weakref.WeakKeyDictionary()
+    entry = table.get(n)
+    if entry is None:
+        mats = _hom_matrices(m, n)
+        entry = table[n] = (len(mats), _packed(m.algebra.field.p, mats))
+    return entry
+
+
+def _hom_matrices(m: Module, n: Module) -> list[Matrix]:
+    """Solve for a basis of Hom(m, n), certified by :func:`_check_commutes`.
+
     Solved in idempotent-adapted coordinates: the idempotent conditions say
     the unknown matrix is block diagonal along the vertex decomposition, and
     only the radical generators contribute genuine linear equations (they
@@ -498,7 +542,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
             row[j * m.dim + c] = x
     mats = _conjugate_side(an.from_adapted, side, k, am.to_adapted)
     _check_commutes(m, n, mats)
-    return [ModuleMap(m, n, mat, check=False) for mat in mats]
+    return mats
 
 
 def _check_commutes(m: Module, n: Module, mats: list[Matrix]) -> None:
@@ -519,10 +563,6 @@ def _check_commutes(m: Module, n: Module, mats: list[Matrix]) -> None:
                 raise ValidationError(f"map does not commute with the action of {lbl!r}")
 
 
-def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_space(m, n))
-
-
 def _flat(mat: Matrix) -> list:
     return [x for row in mat.data for x in row]
 
@@ -536,18 +576,17 @@ def precompose_rank(phi: ModuleMap, u: Module) -> int:
     return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
 
 
-def postcompose_rank(g: Module, components, hom=None) -> int:
+def postcompose_rank(g: Module, components) -> int:
     """Rank of Hom(g, phi): Hom(g, ⊕X_k) -> Hom(g, Y), h |-> phi∘h, for phi
     given by its ``components``: pairs of X_k and the column block M_k of phi
     on X_k (a plain map is one component).  As Hom(g, ⊕X_k) = ⊕Hom(g, X_k),
-    the image is spanned by M_k·h over h in ``hom(g, X_k)``, called once per
-    distinct X_k; ``hom`` is :func:`hom_space` unless given, looked up at
-    call time.  The map is onto when the rank is ``hom_dim(g, Y)``."""
-    hom = hom or hom_space
+    the image is spanned by M_k·h over h in ``hom_space(g, X_k)``, called
+    once per distinct X_k.  The map is onto when the rank is
+    ``hom_dim(g, Y)``."""
     groups: dict[int, tuple[Module, list[Matrix]]] = {}
     for x, block in components:
         groups.setdefault(id(x), (x, []))[1].append(block)
-    rows = [_flat(block.mul(h.matrix)) for x, blocks in groups.values() for h in hom(g, x) for block in blocks]
+    rows = [_flat(block.mul(h.matrix)) for x, blocks in groups.values() for h in hom_space(g, x) for block in blocks]
     return row_space_basis(rows, g.algebra.field, len(rows[0]) if rows else 0).nrows
 
 
@@ -927,42 +966,6 @@ def right_add_approximation(x: Module, m: Module) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-def _min_poly(mat: Matrix) -> list:
-    """Monic minimal polynomial coefficients [c_0, ..., c_{k-1}, 1]."""
-    f = mat.field
-    d = mat.nrows
-    if d == 0:
-        return [f.one()]
-    powers = [Matrix.identity(f, d)]
-    flat_rows = []
-    while True:
-        vec = [powers[-1].data[i][j] for i in range(d) for j in range(d)]
-        span = row_space_basis(flat_rows, f, d * d)
-        if not any(reduce_mod_row_space(vec, span)):
-            break
-        flat_rows.append(vec)
-        powers.append(powers[-1].mul(mat))
-    k = len(flat_rows)
-    A = Matrix(f, [[flat_rows[t][i] for t in range(k)] for i in range(d * d)], d * d, k)
-    b = Matrix.column(f, [powers[k].data[i][j] for i in range(d) for j in range(d)])
-    x = solve(A, b)
-    coeffs = [f.neg(x.data[t][0]) for t in range(k)]
-    coeffs.append(f.one())
-    return coeffs
-
-
-def _eval_poly(coeffs: list, mat: Matrix) -> Matrix:
-    f = mat.field
-    d = mat.nrows
-    out = Matrix.zeros(f, d, d)
-    power = Matrix.identity(f, d)
-    for c in coeffs:
-        if c != 0:
-            out = out + power.scale(c)
-        power = power.mul(mat)
-    return out
-
-
 def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
     """If the endomorphism's minimal polynomial has >= 2 coprime primary
     parts g and h, return column bases of ker g(e) and ker h(e), which split
@@ -972,14 +975,14 @@ def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] |
     from .polynomials import factor, mul, power
 
     f = m.algebra.field
-    factors = factor(_min_poly(emat), f)
+    factors = factor(min_poly(emat), f)
     if len(factors) < 2:
         return None
     g = power(*factors[0], f)
     h = [f.one()]
     for fac, mult in factors[1:]:
         h = mul(h, power(fac, mult, f), f)
-    kg, kh = nullspace(_eval_poly(g, emat)), nullspace(_eval_poly(h, emat))
+    kg, kh = nullspace(eval_poly(g, emat)), nullspace(eval_poly(h, emat))
     if not kg.ncols or not kh.ncols or kg.ncols + kh.ncols != m.dim:
         raise ValidationError("coprime factors of a minimal polynomial failed to split the module")
     return kg, kh

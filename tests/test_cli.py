@@ -23,9 +23,11 @@ import silting_forge
 import silting_forge.gorenstein as gmod
 import silting_forge.io as siomod
 import silting_forge.suites as smod
+from conftest import F3, quiver_a2
+from silting_forge.algebra import ValidationError, compile_quiver_algebra
 from silting_forge.cli import _build_parser, run
 from silting_forge.exactlinalg import Matrix
-from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
+from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_from_json, module_to_json
 from silting_forge.modules import (
     minimal_projective_presentation,
     regular_module,
@@ -609,27 +611,52 @@ def test_the_budget_default_and_the_suite_names_have_one_source():
 
 def test_a_lookup_chain_reads_the_corpus_once_and_hashes_nothing(monkeypatch, tmp_path):
     monkeypatch.delenv("SILTING_FORGE_CACHE", raising=False)
-    scans, hashes = [], []
-    scan, content_hash = siomod._scan, siomod.content_hash
+    scans, hashes, compiles = [], [], []
+    scan, content_hash, compile_quiver = siomod._scan, siomod.content_hash, siomod.compile_quiver_algebra
     monkeypatch.setattr(siomod, "_scan", lambda d: scans.append(d) or scan(d))
     monkeypatch.setattr(siomod, "content_hash", lambda obj: hashes.append(obj) or content_hash(obj))
+    monkeypatch.setattr(siomod, "compile_quiver_algebra", lambda q: compiles.append(q) or compile_quiver(q))
 
     def reads_and_hashes(*argv):
         scans.clear()
         hashes.clear()
+        compiles.clear()
         code, out = cli(*argv)
         assert code == 0, argv
         return len(scans), len(hashes), out
 
     module = tmp_path / "m.json"
-    for algebra in ("a2xa2", "a2"):
+    for algebra, quivers in (("a2xa2", 2), ("a2", 1)):
         module.write_text(dump_json(module_to_json(regular_module(corpus_load(algebra)), algebra)))
-        # One read for resolve_algebra and one for the module file's
-        # advisory algebra name (module_from_json loads that algebra again).
-        assert reads_and_hashes("module", "tau", "--algebra", algebra, "--module", str(module))[:2] == (2, 0)
-    assert reads_and_hashes("silting", "check", "--algebra", "a2", "--module", str(module))[:2] == (2, 0)
+        # The module file names the corpus id that resolve_algebra just read,
+        # so module_from_json neither reads the corpus nor loads that algebra.
+        assert reads_and_hashes("module", "tau", "--algebra", algebra, "--module", str(module))[:2] == (1, 0)
+        assert len(compiles) == quivers
+    assert reads_and_hashes("silting", "check", "--algebra", "a2", "--module", str(module))[:2] == (1, 0)
     reads, hashed, out = reads_and_hashes("corpus", "list")
     assert (reads, hashed) == (1, len(out["entries"]))
+
+
+def test_a_module_file_over_another_corpus_algebra_is_still_refused(tmp_path):
+    module = tmp_path / "m.json"
+    module.write_text(dump_json(module_to_json(regular_module(corpus_load("a2")), "a2")))
+    assert cli("silting", "check", "--algebra", "a2", "--module", str(module))[0] == 0
+    code, out = cli("silting", "check", "--algebra", "a3rel", "--module", str(module))
+    assert code == 3 and "corpus algebra 'a2'" in out["error"]["message"]
+
+
+def test_a_content_hash_ref_names_the_algebra_it_was_written_over():
+    a2_f3 = compile_quiver_algebra(quiver_a2(F3))
+    over_f2 = module_to_json(regular_module(corpus_load("a2")))  # refers to the F_2 content hash
+    assert over_f2["algebra"] != a2_f3.content_hash()
+    with pytest.raises(ValidationError, match="different algebra hash"):
+        module_from_json(over_f2, a2_f3)
+    assert module_from_json(module_to_json(regular_module(a2_f3)), a2_f3) is regular_module(a2_f3)
+
+
+def test_a_ref_shaped_like_no_hash_and_naming_no_corpus_entry_is_advisory(a2):
+    data = module_to_json(regular_module(a2), "0" * 64)
+    assert module_from_json(data, a2) is regular_module(a2)
 
 
 _SRC = str(Path(silting_forge.__file__).resolve().parent.parent)

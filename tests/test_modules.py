@@ -692,15 +692,37 @@ class TestIsomorphism:
             "reports = run_suite('all', seed=11)['suites']\n"
             "print(json.dumps({name: dump_json(report) for name, report in reports.items()}))\n"
         )
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        golden = {
-            name: (root / "tests" / "golden" / f"suite_{name}_seed11.json").read_text(encoding="utf-8")
-            for name in ("idempotent", "tensor", "gluing")
-        }
-        assert json.loads(run.stdout) == golden
+        assert _run_reporting(script) == _golden_suites()
+
+    def test_suite_reports_do_not_depend_on_the_order_they_run_in(self):
+        # A suite reads the memos (Hom tables, End rings, GP classifications)
+        # that the suites before it filled; the benchmark shuffles the order.
+        script = (
+            "import json\n"
+            "from silting_forge.io import dump_json\n"
+            "from silting_forge.suites import run_suite\n"
+            "names = ('gluing', 'tensor', 'idempotent')\n"
+            "print(json.dumps({name: dump_json(run_suite(name, seed=11)) for name in names}))\n"
+        )
+        assert _run_reporting(script) == _golden_suites()
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_reporting(script: str) -> dict:
+    """The JSON ``script`` prints, run in a fresh interpreter over ``src``."""
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def _golden_suites() -> dict:
+    return {
+        name: (_ROOT / "tests" / "golden" / f"suite_{name}_seed11.json").read_text(encoding="utf-8")
+        for name in ("idempotent", "tensor", "gluing")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1259,6 +1281,40 @@ def test_hom_space_matches_the_per_position_reference(field):
         assert nonzero > len(pool)
 
 
+def test_a_repeated_hom_space_reads_the_first_solve(monkeypatch, a3rel):
+    solves = []
+    solve = modules._hom_matrices
+    monkeypatch.setattr(modules, "_hom_matrices", lambda m, n: solves.append((m, n)) or solve(m, n))
+    m = regular_module(a3rel)
+    n = Module(a3rel, m.dim, permuted_actions(m))
+    first = hom_space(m, n)
+    again = hom_space(m, n)
+    assert first and [h.matrix for h in again] == [h.matrix for h in first]
+    assert all(h.source is m and h.target is n for h in again)
+    assert all(h.matrix is not g.matrix for h, g in zip(again, first))  # fresh, not shared
+    assert hom_dim(m, n) == len(first)
+    assert solves == [(m, n)]
+
+
+def test_the_hom_table_keeps_no_target_alive(a3rel):
+    m = regular_module(a3rel)
+    n = Module(a3rel, m.dim, permuted_actions(m))
+    assert len(hom_space(m, n)) == 5
+    table = m._memo[modules._hom_entry]
+    assert list(table.keys()) == [n]
+    gone = weakref.ref(n)
+    del n
+    gc.collect()
+    assert gone() is None
+    assert len(table) == 0
+
+
+def test_hom_dim_is_the_length_of_the_hom_basis(a3rel):
+    pool = [zero_module(a3rel)] + _indecomposables(a3rel)
+    for x, y in itertools.product(pool, repeat=2):
+        assert hom_dim(x, y) == len(hom_space(x, y)) == len(modules._hom_matrices(x, y))
+
+
 def _first_failing_label(m, n, mats):
     """The label a map-by-map, label-by-label check names first, or None."""
     for mat in mats:
@@ -1382,9 +1438,10 @@ def test_component_rank_matches_the_assembled_direct_sum(field):
 
 
 def test_hom_defaults_are_looked_up_when_called(monkeypatch, a2):
-    """Without ``hom=``, ``postcompose_rank`` and ``gorenstein._g_epic`` read
+    """``postcompose_rank`` and ``gorenstein._g_epic`` read
     ``modules.hom_space`` when called, so a wrapper installed after import
-    (as a tracer installs one) sees every Hom solve they make."""
+    (as a tracer installs one) sees every Hom basis they ask for, whether
+    it is solved or read from the memo."""
     from types import SimpleNamespace
 
     from silting_forge import gorenstein
