@@ -33,6 +33,7 @@ from .modules import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    evaluation_image,
     ext_dim,
     global_dimension,
     hom_cohomology_dim,
@@ -41,17 +42,13 @@ from .modules import (
     indecomposable_iso,
     is_isomorphic,
     postcompose_rank,
+    precompose_onto,
     projective_dimension,
     regular_module,
     resolution,
-    right_add_approximation,
     zero_module,
 )
-from .silting import (
-    COPRODUCT_NOTE,
-    _hom_restriction_surjective,
-    direct_sum_presentation,
-)
+from .silting import COPRODUCT_NOTE, direct_sum_presentation
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
 
@@ -449,9 +446,13 @@ def gext_dim(m: Module, n: Module, i: int, gp: GpClassification) -> int:
 def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     """Whether ``m`` admits a relatively epic surjection from Add(t).
 
-    The canonical right Add(t)-approximation is universal: any relative epi
-    from Add(t) factors through it, so testing it is complete.  The answer is
-    memoized on ``gp`` per (t, m): it is shared, and no caller may mutate it.
+    Every map t -> m is a combination of the Hom(t, m) basis, so the
+    evaluation map out of t^(dim Hom(t, m)) is universal: any relative epi
+    from Add(t) factors through it.  It is tested without being built: it is
+    onto when :func:`~.modules.evaluation_image` spans m, and relatively epic
+    when, for every listed G, the basis maps composed with the maps G -> t
+    span Hom(G, m).  The answer is memoized on ``gp`` per (t, m): it is
+    shared, and no caller may mutate it.
     """
     return _gen_g_contains(gp, t, m)
 
@@ -460,9 +461,9 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
 def _gen_g_contains(gp: GpClassification, t: Module, m: Module) -> bool:
     if not gp.complete:
         raise ValidationError("relative generation needs a complete classification")
-    ev = right_add_approximation(t, m)
-    blocks = [(t, ev.matrix.submatrix(range(m.dim), range(c, c + t.dim))) for c in range(0, ev.source.dim, t.dim or 1)]
-    return ev.is_surjective() and _g_epic(blocks, gp, (hom_dim(g, m) for g in gp.modules))
+    if evaluation_image(t, m).nrows != m.dim:
+        return False
+    return _g_epic([(t, h.matrix) for h in hom_space(t, m)], gp, (hom_dim(g, m) for g in gp.modules))
 
 
 def d_theta_contains(theta: Presentation, m: Module) -> bool:
@@ -471,7 +472,7 @@ def d_theta_contains(theta: Presentation, m: Module) -> bool:
         raise ValidationError("membership test needs a gorenstein_projective-kind presentation")
     if not same_algebra(theta.map.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
-    return _hom_restriction_surjective(theta.map, m)
+    return precompose_onto(theta.map, m)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +551,7 @@ class _Candidate:
     def restricts(self, u: Module) -> bool:
         """Whether Hom(T_0, U) -> Hom(p, U), precomposition with phi, is onto."""
         if u not in self._restricts:
-            self._restricts[u] = _hom_restriction_surjective(self.phi, u)
+            self._restricts[u] = precompose_onto(self.phi, u)
         return self._restricts[u]
 
 

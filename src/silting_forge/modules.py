@@ -567,13 +567,25 @@ def _flat(mat: Matrix) -> list:
     return [x for row in mat.data for x in row]
 
 
-def precompose_rank(phi: ModuleMap, u: Module) -> int:
-    """Rank of Hom(phi, u): Hom(target, u) -> Hom(source, u), h |-> h∘phi.
-
-    The composites lie in Hom(source, u), so the map is onto exactly when the
-    rank equals ``hom_dim(phi.source, u)``."""
+def precompose_onto(phi: ModuleMap, u: Module) -> bool:
+    """Whether Hom(phi, u): Hom(target, u) -> Hom(source, u), h |-> h∘phi, is
+    onto: the composites lie in Hom(source, u), so it is onto exactly when
+    they span ``hom_dim(phi.source, u)`` dimensions."""
+    need = hom_dim(phi.source, u)
+    if not need:
+        return True
     rows = [_flat(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
-    return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
+    return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows == need
+
+
+def evaluation_image(x: Module, u: Module) -> Matrix:
+    """Canonical row basis of the sum of the images of all maps x -> u.
+
+    It is the image of the evaluation map x^(dim Hom(x, u)) -> u, through
+    which every map x -> u factors, so u lies in Gen x exactly when it has
+    dim u rows; for x = ⊕x_i it is the sum of the images of the x_i."""
+    rows = [list(col) for h in hom_space(x, u) for col in zip(*h.matrix.data)]
+    return row_space_basis(rows, u.algebra.field, u.dim)
 
 
 def postcompose_rank(g: Module, components) -> int:
@@ -942,23 +954,6 @@ def tensor_over_field(m: Module, s: Module, tensor_alg: Algebra | None = None) -
         for j, lb in enumerate(B.labels):
             action[f"{la}(x){lb}"] = m.action[la].kron(s.action[lb])
     return Module(tensor_alg, m.dim * s.dim, action)
-
-
-# ---------------------------------------------------------------------------
-# Approximations
-# ---------------------------------------------------------------------------
-
-
-def right_add_approximation(x: Module, m: Module) -> ModuleMap:
-    """Evaluation map x^{dim Hom(x, m)} -> m; right Add(x)-approximation."""
-    basis = hom_space(x, m)
-    parts = [x] * len(basis)
-    source, _, _ = direct_sum(parts, algebra=x.algebra)
-    f = x.algebra.field
-    if not basis:
-        return ModuleMap(source, m, Matrix.zeros(f, m.dim, 0), check=False)
-    matrix = Matrix.hstack([b.matrix for b in basis])
-    return ModuleMap(source, m, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ module together with a presentation is *silting* when that class coincides
 with the class of quotients of finite sums of the module, *partial* when it
 only sits inside its own class.  This module provides:
 
-* :func:`d_sigma_contains` / :func:`gen_contains` -- the two membership tests,
+* :func:`d_sigma_contains` / :func:`gen_contains` -- the two membership
+  tests, checked wrappers of :func:`~.modules.precompose_onto` (Hom(sigma, M)
+  onto) and :func:`~.modules.evaluation_image` (the images of all maps
+  T -> M span M),
 * :func:`silting_check` -- a certificate comparing the classes for a module
   with a chosen (or automatically minimal) presentation; the verdict itself
   comes from :func:`_certificate`, the one verdict ladder,
@@ -37,15 +40,14 @@ from .modules import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    evaluation_image,
     hom_dim,
-    hom_space,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
     minimal_projective_presentation,
-    precompose_rank,
+    precompose_onto,
     quotient_module,
-    right_add_approximation,
     tensor_over_field,
     translate_with_presentation,
     zero_module,
@@ -67,12 +69,6 @@ VERDICTS = ("silting", "partial_silting_only", "not_silting", "undecided")
 # ---------------------------------------------------------------------------
 # Membership tests.
 # ---------------------------------------------------------------------------
-
-
-def _hom_restriction_surjective(smap: ModuleMap, m: Module) -> bool:
-    """Whether composing with ``smap`` maps Hom(target, m) onto Hom(source, m)."""
-    need = hom_dim(smap.source, m)
-    return need == 0 or precompose_rank(smap, m) == need
 
 
 def _presentation_map(sigma) -> ModuleMap:
@@ -98,14 +94,14 @@ def d_sigma_contains(sigma, m: Module) -> bool:
     smap = _presentation_map(sigma)
     if not same_algebra(smap.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
-    return _hom_restriction_surjective(smap, m)
+    return precompose_onto(smap, m)
 
 
 def gen_contains(t: Module, m: Module) -> bool:
     """Whether ``m`` is a quotient of a finite direct sum of copies of ``t``."""
     if not same_algebra(t.algebra, m.algebra):
         raise ValidationError("generation test needs modules over the same algebra")
-    return right_add_approximation(t, m).is_surjective()
+    return evaluation_image(t, m).nrows == m.dim
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +399,6 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
 # ---------------------------------------------------------------------------
 
 
-def _image_rows(x: Module, u: Module) -> Matrix:
-    """Canonical row basis of the sum of the images of all maps x -> u.
-
-    The evaluation map x^(dim Hom(x, u)) -> u has this image, so u lies in
-    Gen x exactly when its rank is dim u; for x = ⊕x_i the image is the sum
-    of the images of the x_i."""
-    rows = [list(col) for h in hom_space(x, u) for col in zip(*h.matrix.data)]
-    return row_space_basis(rows, u.algebra.field, u.dim)
-
-
 def _projective_to_zero(q: Module) -> Presentation:
     """The presentation Q -> 0 of the zero module."""
     f = q.algebra.field
@@ -434,7 +420,7 @@ class _Summand:
     dims: list[int]      # dim e_v T_i, in idempotent order
     mults: list[int]     # kernel-top multiplicities of sigma, in idempotent order
     onto: list[bool]     # Hom(sigma, U_k) onto, per probe
-    images: list[Matrix]  # _image_rows(T_i, U_k), per probe
+    images: list[Matrix]  # evaluation_image(T_i, U_k), per probe
 
 
 def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[SiltingCertificate]:
@@ -486,8 +472,8 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
                 sigma=sigma,
                 dims=list(pool[i].dimension_vector().values()),
                 mults=[kernel_tops[lbl] for lbl in labels],
-                onto=[_hom_restriction_surjective(sigma.map, u) for u in probe_list],
-                images=[_image_rows(pool[i], u) for u in probe_list],
+                onto=[precompose_onto(sigma.map, u) for u in probe_list],
+                images=[evaluation_image(pool[i], u) for u in probe_list],
             )
         )
     # hom_tau[a][b] = dim Hom(T_a, tau T_b), zero on the diagonal by rigidity;
@@ -499,7 +485,7 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
     if probe is None:
         onto_at = [[s.onto[j] for j in rigid] for s in summands]
     else:
-        onto_at = [[_hom_restriction_surjective(s.sigma.map, pool[j]) for j in rigid] for s in summands]
+        onto_at = [[precompose_onto(s.sigma.map, pool[j]) for j in rigid] for s in summands]
     to_zero = [_projective_to_zero(q) for q, _ in indecomposable_projectives(alg)]
 
     results: list[SiltingCertificate] = []
@@ -614,7 +600,7 @@ def tensor_silting(
     # Gen(ts) for every probe; it is skipped only when ts lies outside its
     # own presentation class.
     swept = cert.probes or [
-        {"in_d_sigma": _hom_restriction_surjective(total, u), "in_gen": gen_contains(ts, u)}
+        {"in_d_sigma": precompose_onto(total, u), "in_gen": gen_contains(ts, u)}
         for u in probe_list
     ]
     membership = []
@@ -624,7 +610,7 @@ def tensor_silting(
                 "index": idx,
                 "dim": u.dim,
                 "dimension_vector": u.dimension_vector(),
-                "in_d_termwise": _hom_restriction_surjective(termwise, u),
+                "in_d_termwise": precompose_onto(termwise, u),
                 "in_d_totalized": rec["in_d_sigma"],
                 "in_gen": rec["in_gen"],
             }

@@ -1,7 +1,7 @@
 """The package's imports: the third-party ones match its declared
 dependencies, every name imported at module level is used there, no module
-keeps a module-level cache, and every function the benchmark tracer wraps
-exists."""
+imports a private name of a sibling, no module keeps a module-level cache,
+and every function the benchmark tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -61,6 +61,32 @@ def test_no_unused_module_level_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _private_sibling_imports(source: str) -> set[str]:
+    """Underscore names imported, at any depth, from a sibling module."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_private_import_check_sees_relative_imports_only():
+    source = "from .a import b, _c\nfrom os import _exit\ndef f():\n    from .d import _e\n"
+    assert _private_sibling_imports(source) == {"a._c", "d._e"}
+
+
+def test_no_module_imports_a_private_sibling_name():
+    # a name a sibling needs is part of its owner's public interface
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := _private_sibling_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def _empty_module_containers(source: str) -> set[str]:

@@ -534,7 +534,7 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
     alg = corpus_load("a2")
     gp = dataclasses.replace(gp_classification(alg))
     t = simple_module(alg, "e1")
-    calls = {name: [] for name in ("cokernel", "is_g_exact", "right_add_approximation")}
+    calls = {name: [] for name in ("cokernel", "is_g_exact", "evaluation_image")}
     for name, seen in calls.items():
         original = getattr(gorenstein, name)
 
@@ -558,7 +558,7 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
     assert len(calls["cokernel"]) == len(screened)
     assert len(calls["is_g_exact"]) == 1 + sum(c._g_exact is not None for c in screened)
     probes = enumerate_indecomposables(alg, gp.dim_bound)
-    assert [u for _, u in calls["right_add_approximation"]] == probes
+    assert [u for _, u in calls["evaluation_image"]] == probes
 
 
 def _memo_reference_cases():

@@ -53,6 +53,7 @@ from silting_forge.modules import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    evaluation_image,
     ext_dim,
     hom_coordinates,
     hom_dim,
@@ -65,13 +66,12 @@ from silting_forge.modules import (
     kernel,
     minimal_projective_presentation,
     postcompose_rank,
-    precompose_rank,
+    precompose_onto,
     projective_cover,
     quotient_module,
     regular_module,
     resolution,
     restrict,
-    right_add_approximation,
     simple_module,
     submodule,
     tensor_over_algebra,
@@ -949,34 +949,69 @@ class TestTensor:
 
 
 # ---------------------------------------------------------------------------
-# Approximations
+# Membership primitives against the modules they avoid building
 # ---------------------------------------------------------------------------
 
 
-class TestApproximation:
-    def test_evaluation_from_projective_generator_is_surjective(self, a2):
-        reg = regular_module(a2)
-        for mod in enumerate_indecomposables(a2, 2):
-            ap = right_add_approximation(reg, mod)
-            assert ap.is_surjective()
+def _membership_algebra(name):
+    if name == "a3rel-F3":
+        return compile_quiver_algebra(quiver_a3_rel(F3))
+    return corpus_load(name)
 
-    def test_approximation_with_no_homs_is_zero_from_zero(self, a2):
-        S1 = simple_module(a2, "e1")
-        S2 = simple_module(a2, "e2")
-        ap = right_add_approximation(S1, S2)
-        assert ap.source.dim == 0 and ap.matrix.ncols == 0
 
-    def test_every_hom_factors_through_the_approximation(self, a2, dual):
-        for alg in (a2, dual):
-            pool = enumerate_indecomposables(alg, 2)
-            for x in pool:
-                for m in pool:
-                    ap = right_add_approximation(x, m)
-                    for h in hom_space(x, m):
-                        from silting_forge.exactlinalg import solve
+def _evaluation_map(x, u):
+    """The evaluation map x^(dim Hom(x, u)) -> u, built as a checked module map."""
+    basis = hom_space(x, u)
+    source = direct_sum([x] * len(basis), algebra=x.algebra)[0]
+    mat = Matrix.hstack([h.matrix for h in basis]) if basis else Matrix.zeros(x.algebra.field, u.dim, 0)
+    return ModuleMap(source, u, mat)
 
-                        lift = solve(ap.matrix, h.matrix)
-                        assert lift is not None
+
+@pytest.mark.parametrize("name", ["a2", "a3rel", "dualnum", "kxk", "a3rel-F3"])
+def test_membership_primitives_match_built_references(name):
+    from silting_forge.gorenstein import gen_g_contains
+    from silting_forge.silting import gen_contains
+
+    alg = _membership_algebra(name)
+    f = alg.field
+    gp = gp_classification(alg)
+    pool = enumerate_indecomposables(alg, 3)
+    sources = pool + [direct_sum([x, y], algebra=alg)[0] for x, y in itertools.combinations(pool, 2)]
+    reg = regular_module(alg)
+    assert all(evaluation_image(reg, u).nrows == u.dim for u in pool)
+    seen = set()
+    maps = [minimal_projective_presentation(m).map for m in pool]
+    for x in sources:
+        for u in pool:
+            ev = _evaluation_map(x, u)
+            maps.append(ev)
+            # every map x -> u factors through the evaluation map, so its
+            # columns lie in the evaluation image
+            image = evaluation_image(x, u)
+            assert image.nrows == rank(ev.matrix)
+            for h in _all_maps(x, u):
+                assert all(not any(reduce_mod_row_space(list(col), image)) for col in zip(*h.matrix.data))
+            onto = ev.is_surjective()
+            assert gen_contains(x, u) == onto
+            relative = onto and all(
+                _onto_by_span(
+                    [ev.matrix.mul(h.matrix) for h in hom_space(g, ev.source)],
+                    hom_space(g, u), f, u.dim * g.dim,
+                )
+                for g in gp.modules
+            )
+            assert gen_g_contains(x, u, gp) == relative
+            seen.add(("gen", onto, relative))
+    for phi in maps:
+        for u in pool:
+            onto = _onto_by_span(
+                [h.matrix.mul(phi.matrix) for h in hom_space(phi.target, u)],
+                hom_space(phi.source, u), f, u.dim * phi.source.dim,
+            )
+            assert precompose_onto(phi, u) == onto
+            seen.add(("pre", onto))
+    assert {("pre", True), ("pre", False)} <= seen
+    assert {key[:2] for key in seen if key[0] == "gen"} == {("gen", True), ("gen", False)}
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1206,7 @@ def test_induced_hom_ranks_match_span_criterion(field):
                 [h.matrix.mul(phi.matrix) for h in hom_space(phi.target, u)],
                 hom_space(phi.source, u), field, u.dim * phi.source.dim,
             )
-            assert (precompose_rank(phi, u) == hom_dim(phi.source, u)) == onto
+            assert precompose_onto(phi, u) == onto
             seen.add(("pre", onto))
             onto = _onto_by_span(
                 [phi.matrix.mul(h.matrix) for h in hom_space(u, phi.source)],

@@ -17,18 +17,18 @@ from silting_forge.modules import (
     ar_translate,
     direct_sum,
     enumerate_indecomposables,
+    evaluation_image,
     hom_dim,
     indecomposable_projectives,
     is_isomorphic,
     minimal_projective_presentation,
+    precompose_onto,
     regular_module,
     simple_module,
     zero_module,
 )
 from silting_forge.silting import (
     SiltingCertificate,
-    _hom_restriction_surjective,
-    _image_rows,
     _projective_to_zero,
     d_sigma_contains,
     direct_sum_presentation,
@@ -366,7 +366,7 @@ def test_membership_tests_are_additive_over_summands(name):
             assert d_sigma_contains(to_zero, m) == vanishes
             blocks = d_sigma_contains(sigmas[i], m) and d_sigma_contains(sigmas[j], m) and vanishes
             assert d_sigma_contains(summed, m) == blocks
-            spans = _image_rows(pool[i], m).data + _image_rows(pool[j], m).data
+            spans = evaluation_image(pool[i], m).data + evaluation_image(pool[j], m).data
             in_gen = gen_contains(t, m)
             assert in_gen == (row_space_basis(spans, alg.field, m.dim).nrows == m.dim)
             outcomes.add((blocks, in_gen))
@@ -512,7 +512,7 @@ def test_tensor_probe_membership_recorded(tensor_setup):
         assert len(report["probe_membership"]) == len(probes)
         for rec, u in zip(report["probe_membership"], probes):
             assert set(rec) >= {"in_d_termwise", "in_d_totalized", "in_gen"}
-            assert rec["in_d_totalized"] == _hom_restriction_surjective(pres.map, u)
+            assert rec["in_d_totalized"] == precompose_onto(pres.map, u)
             assert rec["in_gen"] == gen_contains(ts, u)
 
 
