@@ -146,28 +146,24 @@ def direct_sum_presentation(parts: list[Presentation], algebra: Algebra | None =
     )
 
 
-def presentation_with_complement(t: Module, complement: list[Module]) -> Presentation:
-    """Minimal presentation of ``t`` summed with ``Q -> 0`` for each complement."""
-    base = minimal_projective_presentation(t)
-    if not complement:
-        return base
-    alg = t.algebra
-    f = alg.field
-    for q in complement:
-        if not is_projective(q):
-            raise ValidationError("complement summands must be projective")
-    qhat, _, _ = direct_sum(list(complement), algebra=alg)
-    p1, _, _ = direct_sum([base.map.source, qhat], algebra=alg)
-    mat = Matrix.hstack([base.map.matrix, Matrix.zeros(f, base.map.target.dim, qhat.dim)])
-    certs = dict(base.certificates)
-    certs["complement_summands"] = len(complement)
+def _projective_to_zero(q: Module) -> Presentation:
+    """The presentation Q -> 0 of the zero module."""
+    f = q.algebra.field
+    z = zero_module(q.algebra)
     return Presentation(
         kind="projective",
-        map=ModuleMap(p1, base.map.target, mat),
-        cokernel=base.cokernel,
-        coker_map=base.coker_map,
-        certificates=certs,
+        map=ModuleMap(q, z, Matrix.zeros(f, 0, q.dim), check=False),
+        cokernel=z,
+        coker_map=ModuleMap(z, z, Matrix.zeros(f, 0, 0), check=False),
     )
+
+
+def presentation_with_complement(t: Module, complement: list[Module]) -> Presentation:
+    """Minimal presentation of ``t`` summed with ``Q -> 0`` for each complement."""
+    if not all(is_projective(q) for q in complement):
+        raise ValidationError("complement summands must be projective")
+    parts = [minimal_projective_presentation(t)] + [_projective_to_zero(q) for q in complement]
+    return direct_sum_presentation(parts, algebra=t.algebra)
 
 
 def kernel_top_multiplicities(smap: ModuleMap) -> dict[str, int]:
@@ -397,18 +393,6 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
 # ---------------------------------------------------------------------------
 # Enumeration.
 # ---------------------------------------------------------------------------
-
-
-def _projective_to_zero(q: Module) -> Presentation:
-    """The presentation Q -> 0 of the zero module."""
-    f = q.algebra.field
-    z = zero_module(q.algebra)
-    return Presentation(
-        kind="projective",
-        map=ModuleMap(q, z, Matrix.zeros(f, 0, q.dim), check=False),
-        cokernel=z,
-        coker_map=ModuleMap(z, z, Matrix.zeros(f, 0, 0), check=False),
-    )
 
 
 @dataclass
