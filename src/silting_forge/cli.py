@@ -13,7 +13,7 @@ Subcommand tree::
 Every invocation prints one canonical JSON document on standard output and
 exits 0 on PASS/positive verdicts, 1 on FAIL/negative verdicts, 2 on
 undecided outcomes, and 3 on usage errors or malformed inputs.  Output is
-byte-identical across runs for fixed inputs and seed.  A subcommand accepts
+byte-identical across runs for fixed inputs.  A subcommand accepts
 only the shared flags (``_SHARED_FLAGS``) that it reads, and a flag that the
 chosen branch of its handler ignores is a usage error.
 """
@@ -90,7 +90,6 @@ _SHARED_FLAGS = {
     "--field": {"help": "ground field: a prime or Q"},
     "--dim-bound": {"type": _at_least(0)},
     "--length-bound": {"type": _at_least(0)},
-    "--seed": {"type": int, "default": 0},
     "--budget": {"type": _at_least(1), "default": APPROXIMATION_SEARCH_BUDGET},
 }
 
@@ -192,7 +191,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probe", type=_at_least(0), default=None)
 
     theorems = sub.add_parser("theorems").add_subparsers(dest="command")
-    p = _leaf(theorems, "run", "--seed", "--budget")
+    p = _leaf(theorems, "run", "--budget")
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--context", default=None)
 
@@ -516,7 +515,7 @@ def _handle_theorems(args):
     if args.command == "run":
         from .suites import run_suite
 
-        report = run_suite(args.suite, args.context, args.seed, args.budget)
+        report = run_suite(args.suite, args.context, args.budget)
         return report, _exit_from_verdict(report["verdict"])
     raise UsageError("theorems needs the run subcommand")
 

@@ -1,8 +1,8 @@
 """Named verification suites over the bundled corpus.
 
 Each runner returns a JSON-ready report with one row per checked instance and
-an aggregate verdict.  Reports contain no wall-clock data, so a fixed seed
-yields byte-identical output across runs.  A driver that stops undecided
+an aggregate verdict.  Reports contain no wall-clock data, so fixed inputs
+yield byte-identical output across runs.  A driver that stops undecided
 before evaluating any atom gives an UNDECIDED row carrying its reason.
 """
 
@@ -33,7 +33,7 @@ def _aggregate(rows):
     return "PASS"
 
 
-def run_idempotent_suite(seed: int = 0) -> dict:
+def run_idempotent_suite() -> dict:
     """Silting-verdict equality across the idempotent-ideal quotient.
 
     For (a2, e2) and (a3rel, e2): every multiplicity-free sum drawn from the
@@ -67,13 +67,12 @@ def run_idempotent_suite(seed: int = 0) -> dict:
                 rows.append(row)
     return {
         "suite": "idempotent",
-        "seed": seed,
         "rows": rows,
         "verdict": _aggregate(rows),
     }
 
 
-def run_tensor_suite(seed: int = 0) -> dict:
+def run_tensor_suite() -> dict:
     """Tensor products of the two silting lists of a2 over the tensor algebra.
 
     All pairs from the enumerated silting list are transported with the
@@ -122,7 +121,6 @@ def run_tensor_suite(seed: int = 0) -> dict:
         verdict = "UNDECIDED"
     return {
         "suite": "tensor",
-        "seed": seed,
         "pairs": len(rows),
         "silting_count": silting_count,
         "degenerate_termwise_map_flagged": degenerate_flagged,
@@ -139,9 +137,7 @@ def run_tensor_suite(seed: int = 0) -> dict:
     }
 
 
-def run_gluing_suite(
-    context_ref: str | None = None, seed: int = 0, budget: int = APPROXIMATION_SEARCH_BUDGET
-) -> dict:
+def run_gluing_suite(context_ref: str | None = None, budget: int = APPROXIMATION_SEARCH_BUDGET) -> dict:
     """The gluing-theorem grid over the bundled triangular context.
 
     X ranges over multiples of the top simple, Y over sums drawn from the
@@ -187,27 +183,24 @@ def run_gluing_suite(
         rows.append(row)
     return {
         "suite": "gluing",
-        "seed": seed,
         "rows": rows,
         "verdict": _aggregate(rows),
     }
 
 
-def run_suite(
-    name: str, context_ref: str | None = None, seed: int = 0, budget: int = APPROXIMATION_SEARCH_BUDGET
-) -> dict:
+def run_suite(name: str, context_ref: str | None = None, budget: int = APPROXIMATION_SEARCH_BUDGET) -> dict:
     """One named suite, or all three; only the gluing suite reads ``budget``."""
     if name == "idempotent":
-        return run_idempotent_suite(seed=seed)
+        return run_idempotent_suite()
     if name == "tensor":
-        return run_tensor_suite(seed=seed)
+        return run_tensor_suite()
     if name == "gluing":
-        return run_gluing_suite(context_ref=context_ref, seed=seed, budget=budget)
+        return run_gluing_suite(context_ref=context_ref, budget=budget)
     if name == "all":
         reports = {
-            "idempotent": run_idempotent_suite(seed=seed),
-            "tensor": run_tensor_suite(seed=seed),
-            "gluing": run_gluing_suite(context_ref=context_ref, seed=seed, budget=budget),
+            "idempotent": run_idempotent_suite(),
+            "tensor": run_tensor_suite(),
+            "gluing": run_gluing_suite(context_ref=context_ref, budget=budget),
         }
-        return {"suite": "all", "seed": seed, "suites": reports, "verdict": _aggregate(reports.values())}
+        return {"suite": "all", "suites": reports, "verdict": _aggregate(reports.values())}
     raise ValidationError(f"unknown suite {name!r}; have {', '.join(SUITES)}")

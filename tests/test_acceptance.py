@@ -80,7 +80,7 @@ def gamma0():
 
 def _timed_suite(name: str):
     start = time.perf_counter()
-    report = run_suite(name, seed=SEED)
+    report = run_suite(name)
     return report, time.perf_counter() - start
 
 
@@ -390,10 +390,10 @@ def test_criterion_9_deterministic_reports(
         ("tensor", tensor_suite),
         ("gluing", gluing_suite),
     ]:
-        second = run_suite(name, seed=SEED)
+        second = run_suite(name)
         if dump_json(first) != dump_json(second):
             mismatches.append(name)
-        golden = (GOLDEN / f"suite_{name}_seed{SEED}.json").read_text(encoding="utf-8")
+        golden = (GOLDEN / f"suite_{name}.json").read_text(encoding="utf-8")
         if dump_json(first) != golden:
             mismatches.append(f"{name} vs golden file")
     elapsed = time.perf_counter() - start
@@ -402,7 +402,7 @@ def test_criterion_9_deterministic_reports(
         capsys,
         "criterion 9 (deterministic reports)",
         ok,
-        f"suites re-run with fixed seed byte-identical to each other and to "
+        f"suites re-run byte-identical to each other and to "
         f"tests/golden: {'all' if ok else 'mismatches: ' + ', '.join(mismatches)}; "
         f"{elapsed:.1f}s",
     )

@@ -418,8 +418,8 @@ def test_cli_output_is_byte_deterministic(regular_file):
                      "--module", regular_file, "--presentation", "auto")
     assert first[0] == 0
     assert first == second
-    run_a = cli_raw("theorems", "run", "--suite", "idempotent", "--seed", "3")
-    run_b = cli_raw("theorems", "run", "--suite", "idempotent", "--seed", "3")
+    run_a = cli_raw("theorems", "run", "--suite", "idempotent")
+    run_b = cli_raw("theorems", "run", "--suite", "idempotent")
     assert run_a == run_b
 
 
@@ -457,7 +457,7 @@ def _leaf_parsers():
             yield f"{group} {command}", parser
 
 
-SHARED_FLAGS = {"--field", "--dim-bound", "--length-bound", "--seed", "--budget"}
+SHARED_FLAGS = {"--field", "--dim-bound", "--length-bound", "--budget"}
 LENGTH_BOUND_GROUPS = ("algebra", "module", "silting", "gorenstein", "recollement")
 FLAGS_BEYOND_LENGTH_BOUND = {
     "algebra build": {"--field"},
@@ -468,7 +468,7 @@ FLAGS_BEYOND_LENGTH_BOUND = {
     "gorenstein gp": {"--dim-bound"},
     "gorenstein check": {"--budget"},
     "recollement verify": {"--budget"},
-    "theorems run": {"--seed", "--budget"},
+    "theorems run": {"--budget"},
 }
 
 
@@ -483,12 +483,12 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads():
             expected.add("--length-bound")
         assert declared == expected, name
         slots += len(declared)
-    assert slots == 27
+    assert slots == 26
 
 
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(regular_file):
     for argv in [
-        ("silting", "check", "--algebra", "a2", "--module", regular_file, "--seed", "7"),
+        ("silting", "check", "--algebra", "a2", "--module", regular_file, "--budget", "7"),
         ("corpus", "list", "--budget", "5"),
     ]:
         code, out = cli(*argv)

@@ -689,7 +689,7 @@ class TestIsomorphism:
             "sys.modules['sympy'] = None\n"
             "from silting_forge.io import dump_json\n"
             "from silting_forge.suites import run_suite\n"
-            "reports = run_suite('all', seed=11)['suites']\n"
+            "reports = run_suite('all')['suites']\n"
             "print(json.dumps({name: dump_json(report) for name, report in reports.items()}))\n"
         )
         assert _run_reporting(script) == _golden_suites()
@@ -702,7 +702,7 @@ class TestIsomorphism:
             "from silting_forge.io import dump_json\n"
             "from silting_forge.suites import run_suite\n"
             "names = ('gluing', 'tensor', 'idempotent')\n"
-            "print(json.dumps({name: dump_json(run_suite(name, seed=11)) for name in names}))\n"
+            "print(json.dumps({name: dump_json(run_suite(name)) for name in names}))\n"
         )
         assert _run_reporting(script) == _golden_suites()
 
@@ -720,7 +720,7 @@ def _run_reporting(script: str) -> dict:
 
 def _golden_suites() -> dict:
     return {
-        name: (_ROOT / "tests" / "golden" / f"suite_{name}_seed11.json").read_text(encoding="utf-8")
+        name: (_ROOT / "tests" / "golden" / f"suite_{name}.json").read_text(encoding="utf-8")
         for name in ("idempotent", "tensor", "gluing")
     }
 
