@@ -42,13 +42,13 @@ from .modules import (
     indecomposable_iso,
     is_isomorphic,
     postcompose_rank,
-    precompose_onto,
+    precompose_corank,
     projective_dimension,
     regular_module,
     resolution,
     zero_module,
 )
-from .silting import COPRODUCT_NOTE, direct_sum_presentation
+from .silting import COPRODUCT_NOTE, direct_sum_presentation, zero_target_presentation
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
 
@@ -472,7 +472,7 @@ def d_theta_contains(theta: Presentation, m: Module) -> bool:
         raise ValidationError("membership test needs a gorenstein_projective-kind presentation")
     if not same_algebra(theta.map.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
-    return precompose_onto(theta.map, m)
+    return precompose_corank(theta.map, m) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,7 @@ class _Candidate:
     def restricts(self, u: Module) -> bool:
         """Whether Hom(T_0, U) -> Hom(p, U), precomposition with phi, is onto."""
         if u not in self._restricts:
-            self._restricts[u] = precompose_onto(self.phi, u)
+            self._restricts[u] = precompose_corank(self.phi, u) == 0
         return self._restricts[u]
 
 
@@ -829,18 +829,6 @@ def gorenstein_silting_check(
     )
 
 
-def zero_target_presentation(g: Module, alg: Algebra) -> Presentation:
-    """The relative presentation G -> 0 (class = modules with no maps from G)."""
-    z = zero_module(alg)
-    return Presentation(
-        kind="gorenstein_projective",
-        map=ModuleMap(g, z, Matrix.zeros(alg.field, 0, g.dim)),
-        cokernel=z,
-        coker_map=ModuleMap(z, z, Matrix.zeros(alg.field, 0, 0), check=False),
-        certificates={"zero_target": True},
-    )
-
-
 def find_gorenstein_silting_presentation(
     t: Module,
     gp: GpClassification,
@@ -864,7 +852,7 @@ def find_gorenstein_silting_presentation(
     bound = min(total, max(budget, 0))
     for mask in range(bound):
         blocks = [base] + [
-            zero_target_presentation(eligible[j], alg)
+            zero_target_presentation(eligible[j], "gorenstein_projective")
             for j in range(len(eligible))
             if mask & (1 << j)
         ]

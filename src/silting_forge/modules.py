@@ -567,15 +567,24 @@ def _flat(mat: Matrix) -> list:
     return [x for row in mat.data for x in row]
 
 
-def precompose_onto(phi: ModuleMap, u: Module) -> bool:
-    """Whether Hom(phi, u): Hom(target, u) -> Hom(source, u), h |-> h∘phi, is
-    onto: the composites lie in Hom(source, u), so it is onto exactly when
-    they span ``hom_dim(phi.source, u)`` dimensions."""
+def precompose_corank(phi: ModuleMap, u: Module) -> int:
+    """dim coker Hom(phi, u), where Hom(phi, u): Hom(target, u) -> Hom(source,
+    u) is h |-> h∘phi.  The composites lie in Hom(source, u), so the corank is
+    ``hom_dim(phi.source, u)`` less their rank; composites spanning more raise
+    :class:`ValidationError`, as then ``phi`` is no homomorphism.
+
+    It is 0 exactly when u lies in the class of phi.  At a minimal projective
+    presentation phi of M it is dim Hom(u, tau M), by the exact sequence
+    Hom(P_0, u) -> Hom(P_1, u) -> D Hom(u, tau M) -> 0 (Adachi-Iyama-Reiten,
+    Prop. 2.4)."""
     need = hom_dim(phi.source, u)
     if not need:
-        return True
+        return 0
     rows = [_flat(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
-    return row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows == need
+    spanned = row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
+    if spanned > need:
+        raise ValidationError("composites with the map fall outside the Hom space of its source")
+    return need - spanned
 
 
 def evaluation_image(x: Module, u: Module) -> Matrix:
@@ -809,10 +818,10 @@ def hom_cohomology_dim(steps, n: Module, i: int, bound: int | None = None) -> in
     """dim H^i of Hom(X_•, n) for the ``steps`` of a :func:`resolution`, i >= 1.
 
     H^i = dim Hom(X_i, n) - rank δ_{i+1} - rank δ_i, where δ_t: Hom(X_{t-1}, n)
-    -> Hom(X_t, n) precomposes d_t.  Its rank is read from coordinates in the
-    Hom basis of X_t, so a composite outside that span raises
-    :class:`ValidationError`.  Steps are drawn up to X_{i+1} and stop at the
-    first zero term; needing X_t for t > max(bound, 1) raises
+    -> Hom(X_t, n) precomposes d_t, so rank δ_t = dim Hom(X_t, n) less
+    :func:`precompose_corank` of d_t (which raises :class:`ValidationError`
+    when the composites leave Hom(X_t, n)).  Steps are drawn up to X_{i+1} and
+    stop at the first zero term; needing X_t for t > max(bound, 1) raises
     :class:`DomainError`.
     """
     terms: list[Module] = []
@@ -824,21 +833,15 @@ def hom_cohomology_dim(steps, n: Module, i: int, bound: int | None = None) -> in
             break
         if bound is not None and t + 1 > max(bound, 1):
             raise DomainError(f"projective resolution exceeded length bound {bound}")
-    if i >= len(terms):
+    if i >= len(terms) or not hom_dim(terms[i], n):
         return 0
-    bases = {i: hom_space(terms[i], n)}
-    if not bases[i]:
-        return 0
-    bases[i - 1] = hom_space(terms[i - 1], n)
-    bases[i + 1] = hom_space(terms[i + 1], n) if i + 1 < len(terms) else []
 
     def delta_rank(t: int) -> int:
-        src, tgt = bases[t - 1], bases[t]
-        if not src or not tgt:
+        if t >= len(terms):
             return 0
-        return rank(hom_coordinates(tgt, [h.matrix.mul(diffs[t].matrix) for h in src]))
+        return hom_dim(terms[t], n) - precompose_corank(diffs[t], n)
 
-    return len(bases[i]) - delta_rank(i + 1) - delta_rank(i)
+    return hom_dim(terms[i], n) - delta_rank(i + 1) - delta_rank(i)
 
 
 def ext_dim(m: Module, n: Module, i: int, bound: int = 10) -> int:
@@ -864,19 +867,12 @@ def _hom_to_regular_as_op_module(p: Module) -> tuple[Module, list[ModuleMap]]:
 
 def ar_translate(m: Module) -> Module:
     """tau(m) = D Tr(m) via the minimal projective presentation."""
-    return translate_with_presentation(m)[0]
-
-
-def translate_with_presentation(m: Module) -> tuple[Module, Presentation]:
-    """(tau(m), the minimal projective presentation tau was built from), for
-    callers that need both.  The presentation refers to ``m``, so it is
-    handed back rather than memoized on ``m``."""
     alg = m.algebra
     pres = minimal_projective_presentation(m)
     hom0, basis0 = _hom_to_regular_as_op_module(pres.map.target)
     hom1, basis1 = _hom_to_regular_as_op_module(pres.map.source)
     if hom1.dim == 0:
-        return zero_module(alg), pres
+        return zero_module(alg)
     # Hom(sigma, A): Hom(P_0, A) -> Hom(P_1, A), f -> f ∘ sigma
     if hom0.dim == 0:
         tr = hom1
@@ -886,7 +882,7 @@ def translate_with_presentation(m: Module) -> tuple[Module, Presentation]:
     # dual over the opposite: left A-module with rho(b) = rho_Tr(b)^T
     action = {lbl: tr.action[lbl].transpose() for lbl in tr.algebra.labels}
     # tr.algebra is A^op with the same labels as A
-    return Module(alg, tr.dim, action), pres
+    return Module(alg, tr.dim, action)
 
 
 # ---------------------------------------------------------------------------

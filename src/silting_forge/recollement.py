@@ -831,6 +831,9 @@ def _describe(obj) -> dict:
 
 
 def _class_membership(theta: Presentation, m: Module) -> bool:
+    """Whether ``m`` lies in the class of ``theta``: the coproduct-closure leg
+    of the torsion condition is automatic in the finite-dimensional engine,
+    so membership is the remaining condition."""
     if theta.kind == "gorenstein_projective":
         return d_theta_contains(theta, m)
     return d_sigma_contains(theta, m)
@@ -852,7 +855,7 @@ def _existential_silting(t: Module, sigma=None, probe=None):
     attempts.append("AUTO")
     supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
     comp = [p for p, lbl in indecomposable_projectives(t.algebra) if lbl not in supported]
-    if comp and all(hom_dim(p, t) == 0 for p in comp):
+    if comp:
         attempts.append(presentation_with_complement(t, comp))
     certs = [silting_check(t, att, probe=probe) for att in attempts]
     for cert in certs:
@@ -992,12 +995,6 @@ def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe, budget: 
     )
 
 
-def _partial_wrt(theta: Presentation, t: Module) -> bool:
-    # the coproduct-closure leg of the torsion condition is automatic in the
-    # finite-dimensional engine; membership is the remaining condition
-    return _class_membership(theta, t)
-
-
 def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
@@ -1007,10 +1004,10 @@ def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> 
     gpg = gp_classification(tctx, dim_bound=4)
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
-    lhs = _partial_wrt(proper_gp_presentation(t, gpg), t)
-    rhs_x = _partial_wrt(proper_gp_presentation(x, gpa), x)
-    rhs_ny = _partial_wrt(proper_gp_presentation(ny, gpa), ny)
-    rhs_y = _partial_wrt(proper_gp_presentation(y, gpb), y)
+    lhs = _class_membership(proper_gp_presentation(t, gpg), t)
+    rhs_x = _class_membership(proper_gp_presentation(x, gpa), x)
+    rhs_ny = _class_membership(proper_gp_presentation(ny, gpa), ny)
+    rhs_y = _class_membership(proper_gp_presentation(y, gpb), y)
     atoms = {
         "glued_partial": lhs,
         "top_partial": rhs_x,
@@ -1038,9 +1035,9 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> V
     theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y)
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
-    lhs = _partial_wrt(theta, t)
-    rhs_x = _partial_wrt(theta_x, x)
-    rhs_y = _partial_wrt(theta_y, y)
+    lhs = _class_membership(theta, t)
+    rhs_x = _class_membership(theta_x, x)
+    rhs_y = _class_membership(theta_y, y)
     rhs_gen = gen_g_contains(x, ny, gpa)
     atoms = {
         "glued_partial_wrt_glued_presentation": lhs,

@@ -7,18 +7,19 @@ with the class of quotients of finite sums of the module, *partial* when it
 only sits inside its own class.  This module provides:
 
 * :func:`d_sigma_contains` / :func:`gen_contains` -- the two membership
-  tests, checked wrappers of :func:`~.modules.precompose_onto` (Hom(sigma, M)
-  onto) and :func:`~.modules.evaluation_image` (the images of all maps
-  T -> M span M),
+  tests, checked wrappers of :func:`~.modules.precompose_corank` (Hom(sigma,
+  M) onto: corank 0) and :func:`~.modules.evaluation_image` (the images of
+  all maps T -> M span M),
 * :func:`silting_check` -- a certificate comparing the classes for a module
   with a chosen (or automatically minimal) presentation; the verdict itself
   comes from :func:`_certificate`, the one verdict ladder,
 * :func:`enumerate_silting` -- exhaustive enumeration over a finite field.
-  It gathers τ, the minimal presentation and the probe sweep once per rigid
+  It gathers the minimal presentation σ_i and the probe sweep once per rigid
   indecomposable T_i and reads each candidate ⊕T_i off them: Hom out of a
   block-diagonal presentation is block diagonal, Gen(⊕T_i) is spanned by
-  the images of the Hom(T_i, -), Hom(t, τt) = ⊕Hom(T_i, τT_j), kernel-top
-  multiplicities add, and Hom(P_v, t) = e_v t,
+  the images of the Hom(T_i, -), τ-compatibility is read off Hom(σ_i, T_j)
+  (onto iff Hom(T_j, τT_i) = 0), kernel-top multiplicities add, and
+  Hom(P_v, t) = e_v t; τ itself is never built,
 * :func:`tensor_silting` -- the induced presentation of an outer tensor
   product over a tensor-product algebra, with a comparison report.
 """
@@ -35,7 +36,6 @@ from .modules import (
     ModuleMap,
     Presentation,
     UndecidedError,
-    ar_translate,
     cokernel,
     decompose,
     direct_sum,
@@ -46,10 +46,9 @@ from .modules import (
     is_isomorphic,
     is_projective,
     minimal_projective_presentation,
-    precompose_onto,
+    precompose_corank,
     quotient_module,
     tensor_over_field,
-    translate_with_presentation,
     zero_module,
 )
 
@@ -94,7 +93,7 @@ def d_sigma_contains(sigma, m: Module) -> bool:
     smap = _presentation_map(sigma)
     if not same_algebra(smap.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
-    return precompose_onto(smap, m)
+    return precompose_corank(smap, m) == 0
 
 
 def gen_contains(t: Module, m: Module) -> bool:
@@ -146,12 +145,13 @@ def direct_sum_presentation(parts: list[Presentation], algebra: Algebra | None =
     )
 
 
-def _projective_to_zero(q: Module) -> Presentation:
-    """The presentation Q -> 0 of the zero module."""
+def zero_target_presentation(q: Module, kind: str = "projective") -> Presentation:
+    """The presentation Q -> 0 of the zero module, of the given ``kind``; its
+    class holds the modules M with Hom(Q, M) = 0."""
     f = q.algebra.field
     z = zero_module(q.algebra)
     return Presentation(
-        kind="projective",
+        kind=kind,
         map=ModuleMap(q, z, Matrix.zeros(f, 0, q.dim), check=False),
         cokernel=z,
         coker_map=ModuleMap(z, z, Matrix.zeros(f, 0, 0), check=False),
@@ -162,7 +162,7 @@ def presentation_with_complement(t: Module, complement: list[Module]) -> Present
     """Minimal presentation of ``t`` summed with ``Q -> 0`` for each complement."""
     if not all(is_projective(q) for q in complement):
         raise ValidationError("complement summands must be projective")
-    parts = [minimal_projective_presentation(t)] + [_projective_to_zero(q) for q in complement]
+    parts = [minimal_projective_presentation(t)] + [zero_target_presentation(q) for q in complement]
     return direct_sum_presentation(parts, algebra=t.algebra)
 
 
@@ -367,20 +367,23 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     its own presentation class), the probe sweep comparing both memberships
     on every probe, and the rigidity certificate (Hom into the translate
     vanishes, the kernel complement misses the module, and the class count
-    fills the vertex count).  :func:`_certificate` then decides the verdict;
-    :func:`enumerate_silting` gathers the same evidence from per-summand
-    facts and goes through the same ladder.
+    fills the vertex count).  dim Hom(t, tau t) is the corank of Hom(sigma_t,
+    t) at the minimal presentation sigma_t of t, reused when the presentation
+    is automatic, so tau is never built.  :func:`_certificate` then decides
+    the verdict; :func:`enumerate_silting` gathers the same evidence from
+    per-summand facts and goes through the same ladder.
     """
     alg = t.algebra
     notes: list = [COPRODUCT_NOTE]
     pres = _resolve_presentation(t, sigma, notes)
+    minimal = minimal_projective_presentation(t) if _SUPPLIED_PRESENTATION in notes else pres
     probe_list = _resolve_probes(alg, probe, dim_bound, notes)
     sweep = None
     if d_sigma_contains(pres, t):
         sweep = [
             (u.dim, u.dimension_vector(), d_sigma_contains(pres, u), gen_contains(t, u)) for u in probe_list
         ]
-    hom_to_translate = hom_dim(t, ar_translate(t))
+    hom_to_translate = precompose_corank(minimal.map, t)
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
     try:
@@ -411,17 +414,18 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
     """All silting classes with indecomposable summands of dim <= ``dim_bound``.
 
     Candidates are sums t = ⊕T_i of pairwise-compatible rigid indecomposables
-    (Hom(T_i, tau T_j) = 0) whose unsupported vertices v supply the
-    projective complement Q_v, with as many summands as vertices; their
-    presentation is the sum of the minimal presentations sigma_i and of the
-    Q_v -> 0, which is isomorphic to the minimal presentation of t padded by
-    the complement.  Every fact the certificate needs is computed once per
+    (Hom(T_i, tau T_j) = 0, that is Hom(sigma_j, T_i) onto, so tau is never
+    built) whose unsupported vertices v supply the projective complement
+    Q_v, with as many summands as vertices; their presentation is the sum of
+    the minimal presentations sigma_i and of the Q_v -> 0, which is
+    isomorphic to the minimal presentation of t padded by the complement.  Every fact the certificate needs is computed once per
     call for each T_i, and per candidate from exact identities:
 
     * Hom(sigma, M) is block diagonal, so it is onto iff every sigma_i block
       is onto at M and e_v M = 0 at every complement vertex v;
     * M lies in Gen t iff the images of the Hom(T_i, M) span M;
-    * Hom(t, tau t) = ⊕ Hom(T_i, tau T_j);
+    * Hom(t, tau t) = ⊕ Hom(T_i, tau T_j), which is 0 for a compatible t, and
+      then t lies in its own class;
     * kernel-top multiplicities add over the blocks;
     * Hom(P_v, t) = e_v t, read off the dimension vectors;
     * t has one isoclass of summands per T_i, since the pool members are
@@ -437,13 +441,8 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
     labels = [lbl for lbl, _ in alg.idempotents]
     nverts = len(labels)
     pool = enumerate_indecomposables(alg, dim_bound)
-    # tau T and the minimal presentation it was built from, once per member
-    translates, sigmas = [], []
-    for m in pool:
-        tau, sigma = translate_with_presentation(m)
-        translates.append(tau)
-        sigmas.append(sigma)
-    rigid = [i for i, m in enumerate(pool) if hom_dim(m, translates[i]) == 0]
+    sigmas = [minimal_projective_presentation(m) for m in pool]
+    rigid = [i for i, m in enumerate(pool) if precompose_corank(sigmas[i].map, m) == 0]
     probe_list = list(probe) if probe is not None else pool
     probe_dims = [(u.dim, u.dimension_vector()) for u in probe_list]
 
@@ -456,26 +455,22 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
                 sigma=sigma,
                 dims=list(pool[i].dimension_vector().values()),
                 mults=[kernel_tops[lbl] for lbl in labels],
-                onto=[precompose_onto(sigma.map, u) for u in probe_list],
+                onto=[precompose_corank(sigma.map, u) == 0 for u in probe_list],
                 images=[evaluation_image(pool[i], u) for u in probe_list],
             )
         )
-    # hom_tau[a][b] = dim Hom(T_a, tau T_b), zero on the diagonal by rigidity;
-    # onto_at[a][b] says whether Hom(sigma_a, T_b) is onto.
-    hom_tau = [
-        [0 if a == b else hom_dim(pool[i], translates[j]) for b, j in enumerate(rigid)]
-        for a, i in enumerate(rigid)
-    ]
+    # onto_at[a][b] says whether Hom(sigma_a, T_b) is onto, that is whether
+    # Hom(T_b, tau T_a) = 0; it holds on the diagonal by rigidity.
     if probe is None:
         onto_at = [[s.onto[j] for j in rigid] for s in summands]
     else:
-        onto_at = [[precompose_onto(s.sigma.map, pool[j]) for j in rigid] for s in summands]
-    to_zero = [_projective_to_zero(q) for q, _ in indecomposable_projectives(alg)]
+        onto_at = [[precompose_corank(s.sigma.map, pool[j]) == 0 for j in rigid] for s in summands]
+    to_zero = [zero_target_presentation(q) for q, _ in indecomposable_projectives(alg)]
 
     results: list[SiltingCertificate] = []
     for r in range(nverts + 1):
         for combo in itertools.combinations(range(len(summands)), r):
-            if any(hom_tau[a][b] for a in combo for b in combo):
+            if not all(onto_at[a][b] for a in combo for b in combo):
                 continue
             parts = [summands[a] for a in combo]
             dims = [sum(s.dims[v] for s in parts) for v in range(nverts)]
@@ -485,15 +480,12 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
             # The Q_v -> 0 blocks present 0, so the cokernel is the direct sum
             # of the parts.
             pres = direct_sum_presentation([s.sigma for s in parts] + [to_zero[v] for v in comp], algebra=alg)
-            sweep = None
-            # At t itself the Q_v -> 0 blocks are onto: e_v t = 0.
-            if all(onto_at[a][b] for a in combo for b in combo):
-                sweep = []
-                for k, (dim, dvec) in enumerate(probe_dims):
-                    in_d = all(s.onto[k] for s in parts) and all(dvec[labels[v]] == 0 for v in comp)
-                    spans = [row for s in parts for row in s.images[k].data]
-                    in_gen = row_space_basis(spans, f, dim).nrows == dim
-                    sweep.append((dim, dvec, in_d, in_gen))
+            sweep = []
+            for k, (dim, dvec) in enumerate(probe_dims):
+                in_d = all(s.onto[k] for s in parts) and all(dvec[labels[v]] == 0 for v in comp)
+                spans = [row for s in parts for row in s.images[k].data]
+                in_gen = row_space_basis(spans, f, dim).nrows == dim
+                sweep.append((dim, dvec, in_d, in_gen))
             # The kernel of Q_v -> 0 is Q_v, whose top is the simple at v.
             mults = {lbl: sum(s.mults[v] for s in parts) + int(v in comp) for v, lbl in enumerate(labels)}
             hom_vanish = all(dims[v] == 0 for v, lbl in enumerate(labels) if mults[lbl] > 0)
@@ -502,7 +494,7 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
                 pres,
                 [COPRODUCT_NOTE, _SUPPLIED_PRESENTATION, _SUPPLIED_PROBES],
                 sweep,
-                sum(hom_tau[a][b] for a in combo for b in combo),
+                0,  # Hom(t, tau t): the filter kept only compatible sums
                 mults,
                 hom_vanish,
                 r,
@@ -584,7 +576,7 @@ def tensor_silting(
     # Gen(ts) for every probe; it is skipped only when ts lies outside its
     # own presentation class.
     swept = cert.probes or [
-        {"in_d_sigma": precompose_onto(total, u), "in_gen": gen_contains(ts, u)}
+        {"in_d_sigma": precompose_corank(total, u) == 0, "in_gen": gen_contains(ts, u)}
         for u in probe_list
     ]
     membership = []
@@ -594,7 +586,7 @@ def tensor_silting(
                 "index": idx,
                 "dim": u.dim,
                 "dimension_vector": u.dimension_vector(),
-                "in_d_termwise": precompose_onto(termwise, u),
+                "in_d_termwise": precompose_corank(termwise, u) == 0,
                 "in_d_totalized": rec["in_d_sigma"],
                 "in_gen": rec["in_gen"],
             }

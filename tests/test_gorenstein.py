@@ -50,8 +50,8 @@ from silting_forge.gorenstein import (
     left_approximation_sequence,
     proper_gp_presentation,
     right_gp_approximation,
-    zero_target_presentation,
 )
+from silting_forge.silting import zero_target_presentation
 
 
 def two_loop_local_algebra():
@@ -502,7 +502,7 @@ def test_zero_target_presentation_class(gp_dual):
     alg, gp = gp_dual
     reg = regular_module(alg)
     k = simple_module(alg, "ev")
-    theta = zero_target_presentation(reg, alg)
+    theta = zero_target_presentation(reg, "gorenstein_projective")
     # Class = modules receiving no maps from the regular module = zero only.
     assert not d_theta_contains(theta, k)
     assert d_theta_contains(theta, zero_module(alg))

@@ -66,7 +66,7 @@ from silting_forge.modules import (
     kernel,
     minimal_projective_presentation,
     postcompose_rank,
-    precompose_onto,
+    precompose_corank,
     projective_cover,
     quotient_module,
     regular_module,
@@ -907,6 +907,50 @@ class TestTranslate:
         assert is_isomorphic(ar_translate(S1), S2) is not None
 
 
+def _with_sums(alg, bound, sum_bound):
+    """The indecomposables of dimension <= ``bound`` and the sums of two of
+    dimension <= ``sum_bound`` each."""
+    pool = enumerate_indecomposables(alg, bound)
+    small = [m for m in pool if m.dim <= sum_bound]
+    return pool + [direct_sum([x, y], algebra=alg)[0] for x, y in itertools.combinations_with_replacement(small, 2)]
+
+
+def _rational_probes(quiver):
+    alg = compile_quiver_algebra(quiver(QQ))
+    simples = [simple_module(alg, lbl) for lbl, _ in alg.idempotents]
+    return simples + [p for p, _ in indecomposable_projectives(alg)] + random_probe_modules(alg, 4, seed=1)
+
+
+_TRANSLATE_POOLS = {
+    **{name: lambda name=name: _with_sums(corpus_load(name), 3, 2) for name in ("a2", "a2xa2", "a3rel", "dualnum", "kxk")},
+    "a2-F3": lambda: _with_sums(compile_quiver_algebra(quiver_a2(F3)), 3, 2),
+    "a3rel-F3": lambda: _with_sums(compile_quiver_algebra(quiver_a3_rel(F3)), 3, 1),
+    "a2-Q": lambda: _rational_probes(quiver_a2),
+    "a3rel-Q": lambda: _rational_probes(quiver_a3_rel),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRANSLATE_POOLS))
+def test_hom_into_the_translate_is_the_corank_at_the_minimal_presentation(name):
+    # Adachi-Iyama-Reiten, Prop. 2.4: for a minimal projective presentation
+    # sigma of M, Hom(P_0, N) -> Hom(P_1, N) -> D Hom(N, tau M) -> 0 is exact.
+    # ar_translate, built as D Tr over the opposite algebra, is the reference.
+    pool = _TRANSLATE_POOLS[name]()
+    for m in pool:
+        sigma = minimal_projective_presentation(m).map
+        tau = ar_translate(m)
+        assert [precompose_corank(sigma, n) for n in pool] == [hom_dim(n, tau) for n in pool]
+
+
+def test_precompose_corank_rejects_composites_outside_the_hom_space(a2):
+    # S2 -> A sending the generator to the sum of the basis is no homomorphism,
+    # and its composites span more than Hom(S2, A).
+    s2, reg = simple_module(a2, "e2"), regular_module(a2)
+    phi = ModuleMap(s2, reg, Matrix(a2.field, [[1]] * reg.dim, reg.dim, 1), check=False)
+    with pytest.raises(ValidationError):
+        precompose_corank(phi, reg)
+
+
 # ---------------------------------------------------------------------------
 # Tensor functors
 # ---------------------------------------------------------------------------
@@ -1008,7 +1052,7 @@ def test_membership_primitives_match_built_references(name):
                 [h.matrix.mul(phi.matrix) for h in hom_space(phi.target, u)],
                 hom_space(phi.source, u), f, u.dim * phi.source.dim,
             )
-            assert precompose_onto(phi, u) == onto
+            assert (precompose_corank(phi, u) == 0) == onto
             seen.add(("pre", onto))
     assert {("pre", True), ("pre", False)} <= seen
     assert {key[:2] for key in seen if key[0] == "gen"} == {("gen", True), ("gen", False)}
@@ -1206,7 +1250,7 @@ def test_induced_hom_ranks_match_span_criterion(field):
                 [h.matrix.mul(phi.matrix) for h in hom_space(phi.target, u)],
                 hom_space(phi.source, u), field, u.dim * phi.source.dim,
             )
-            assert precompose_onto(phi, u) == onto
+            assert (precompose_corank(phi, u) == 0) == onto
             seen.add(("pre", onto))
             onto = _onto_by_span(
                 [phi.matrix.mul(h.matrix) for h in hom_space(u, phi.source)],

@@ -22,14 +22,13 @@ from silting_forge.modules import (
     indecomposable_projectives,
     is_isomorphic,
     minimal_projective_presentation,
-    precompose_onto,
+    precompose_corank,
     regular_module,
     simple_module,
     zero_module,
 )
 from silting_forge.silting import (
     SiltingCertificate,
-    _projective_to_zero,
     d_sigma_contains,
     direct_sum_presentation,
     enumerate_silting,
@@ -39,6 +38,7 @@ from silting_forge.silting import (
     presentation_with_complement,
     silting_check,
     tensor_silting,
+    zero_target_presentation,
 )
 
 
@@ -358,7 +358,7 @@ def test_membership_tests_are_additive_over_summands(name):
     outcomes = set()
     for i, j in itertools.combinations_with_replacement(range(len(pool)), 2):
         q, lbl = projs[(i + j) % len(projs)]
-        to_zero = _projective_to_zero(q)
+        to_zero = zero_target_presentation(q)
         summed = direct_sum_presentation([sigmas[i], sigmas[j], to_zero], algebra=alg)
         t = direct_sum([pool[i], pool[j]], algebra=alg)[0]
         for m in pool:
@@ -386,7 +386,9 @@ def test_silting_counts_are_catalan_and_d4():
 
 
 def test_enumeration_presents_each_pool_member_once(monkeypatch):
-    # tau T and the minimal presentation of T come from one call per member.
+    # One minimal presentation per member gives both its rigidity and its
+    # compatibility with the others, read off Hom(sigma, -); tau is never built.
+    assert not hasattr(silting, "ar_translate")
     alg = _f3_a2xa2()
     pool = enumerate_indecomposables(alg, 2)
     calls = []
@@ -512,7 +514,7 @@ def test_tensor_probe_membership_recorded(tensor_setup):
         assert len(report["probe_membership"]) == len(probes)
         for rec, u in zip(report["probe_membership"], probes):
             assert set(rec) >= {"in_d_termwise", "in_d_totalized", "in_gen"}
-            assert rec["in_d_totalized"] == precompose_onto(pres.map, u)
+            assert rec["in_d_totalized"] == (precompose_corank(pres.map, u) == 0)
             assert rec["in_gen"] == gen_contains(ts, u)
 
 
