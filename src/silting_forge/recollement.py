@@ -12,10 +12,14 @@ context with explicit, certificate-checked functors:
   triangular algebra, with the section/retraction functors,
 * :func:`analytic_gp_modules` -- the closed-form relative-projective list
   for a triangular algebra,
-* :func:`glued_gp_presentation` -- block-diagonal gluing of a projective
-  presentation with a relative presentation,
+* :func:`glued_gp_presentation` -- block-diagonal gluing of a presentation
+  with projective terms with a relative presentation,
 * :func:`verify_transfer` -- drivers that evaluate both sides of the
-  transfer statements and report atom-by-atom verdicts.
+  transfer statements on the input modules (``t``, or ``x`` and ``y``) and
+  report atom-by-atom verdicts.  The idempotent drivers decide "is silting"
+  with one check per module, at its padded minimal presentation; the
+  triangular drivers test membership against the automatic relative
+  presentations.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from .modules import (
     zero_module,
 )
 from .silting import (
-    d_sigma_contains,
     direct_sum_presentation,
     presentation_with_complement,
     silting_check,
@@ -705,23 +708,6 @@ def analytic_gp_modules(tctx: TriangularContext, dim_bound: int = 4) -> list[Mod
     return out
 
 
-def _as_projective_kind(pres: Presentation) -> Presentation:
-    """Re-certify a relative presentation whose terms are genuinely
-    projective as a projective-kind presentation."""
-    if pres.kind == "projective":
-        return pres
-    for term in (pres.map.source, pres.map.target):
-        if not is_projective(term):
-            raise ValidationError("presentation terms are not projective")
-    return Presentation(
-        kind="projective",
-        map=pres.map,
-        cokernel=pres.cokernel,
-        coker_map=pres.coker_map,
-        certificates=dict(pres.certificates),
-    )
-
-
 def glued_gp_presentation(
     tctx: TriangularContext,
     theta_x: Presentation,
@@ -733,15 +719,18 @@ def glued_gp_presentation(
     downstairs.
 
     Preconditions are the gluing hypotheses; the first failed hypothesis is
-    named in the raised error.  The certificate records relative exactness
-    against the classified relative projectives.
+    named in the raised error.  The top presentation needs projective terms,
+    whatever its kind: over a top algebra of finite global dimension the
+    relative presentations the drivers build are such, as the relative
+    projectives are the projectives there.  The certificate records relative
+    exactness against the classified relative projectives.
     """
     hyps = triangular_hypotheses(tctx)
     for name, ok in hyps.items():
         if not ok:
             raise ValidationError(f"gluing hypothesis {name!r} fails")
-    if theta_x.kind != "projective":
-        raise ValidationError("the top presentation must be projective-kind")
+    if not (is_projective(theta_x.map.source) and is_projective(theta_x.map.target)):
+        raise ValidationError("the top presentation must have projective terms")
     if theta_y.kind != "gorenstein_projective":
         raise ValidationError("the bottom presentation must be relative-kind")
     _check_algebra(theta_x.map, tctx.a, "the top algebra")
@@ -812,12 +801,6 @@ class VerificationReport:
 
 
 def _describe(obj) -> dict:
-    if isinstance(obj, Module):
-        return {
-            "dim": obj.dim,
-            "dimension_vector": obj.dimension_vector(),
-            "algebra": obj.algebra.content_hash()[:12],
-        }
     if isinstance(obj, Presentation):
         return {
             "kind": obj.kind,
@@ -825,46 +808,32 @@ def _describe(obj) -> dict:
             "target_dim": obj.map.target.dim,
             "cokernel_dim": obj.cokernel.dim,
         }
-    if isinstance(obj, str):
-        return {"value": obj}
-    return {"type": type(obj).__name__}
+    return {
+        "dim": obj.dim,
+        "dimension_vector": obj.dimension_vector(),
+        "algebra": obj.algebra.content_hash()[:12],
+    }
 
 
-def _class_membership(theta: Presentation, m: Module) -> bool:
-    """Whether ``m`` lies in the class of ``theta``: the coproduct-closure leg
-    of the torsion condition is automatic in the finite-dimensional engine,
-    so membership is the remaining condition."""
-    if theta.kind == "gorenstein_projective":
-        return d_theta_contains(theta, m)
-    return d_sigma_contains(theta, m)
-
-
-def _existential_silting(t: Module, sigma=None, probe=None):
+def _existential_silting(t: Module, probe=None):
     """Verdict for "is a silting module" as a property of the module alone.
 
-    Being silting is witnessed by some two-term presentation, so a single
-    choice can only certify, never refute.  This tries the explicit
-    presentation when one is given, then the minimal presentation, then the
-    minimal presentation padded with the projectives of the unsupported
-    vertices (the completion used by :func:`~.silting.enumerate_silting`).
-    The first ``silting`` certificate wins; otherwise any ``undecided``
-    attempt makes the overall verdict undecided."""
-    attempts: list = []
-    if sigma is not None and not isinstance(sigma, str):
-        attempts.append(sigma)
-    attempts.append("AUTO")
+    Being silting is witnessed by some two-term presentation, and one
+    presentation decides it: ``t`` is silting exactly when its minimal
+    presentation padded by ``P_v -> 0`` at each vertex ``v`` that ``t`` does
+    not support is a silting presentation (Adachi–Iyama–Reiten,
+    arXiv:1210.1036, Prop. 2.2 and Thm 3.2), the completion that
+    :func:`~.silting.enumerate_silting` uses too.  Without that padding a
+    tau-rigid ``t`` has fewer summand classes than vertices and cannot pass;
+    and as Gen t lies in the padded class, which lies in the minimal class, a
+    probe that separates Gen t from the padded class separates it from the
+    minimal class too.  So no other presentation changes the verdict.  With
+    full support the padding is empty and the presentation is the automatic
+    one."""
     supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
     comp = [p for p, lbl in indecomposable_projectives(t.algebra) if lbl not in supported]
-    if comp:
-        attempts.append(presentation_with_complement(t, comp))
-    certs = [silting_check(t, att, probe=probe) for att in attempts]
-    for cert in certs:
-        if cert.verdict == "silting":
-            return cert
-    for cert in certs:
-        if cert.verdict == "undecided":
-            return cert
-    return certs[-1]
+    sigma = presentation_with_complement(t, comp) if comp else "AUTO"
+    return silting_check(t, sigma, probe=probe)
 
 
 def _transfer_i(
@@ -876,10 +845,9 @@ def _transfer_i(
     note: str = "inflation along the canonical projection",
 ) -> VerificationReport:
     t = inputs["t"]
-    sigma = inputs.get("sigma", "AUTO")
     _require_quotient(ctx)
     _check_algebra(t, ctx.quotient, "the quotient algebra")
-    cert_q = _existential_silting(t, sigma, probe=probe)
+    cert_q = _existential_silting(t, probe=probe)
     it = apply_functor(ctx, "i", t)
     cert_m = _existential_silting(it, probe=probe)
     atoms = {
@@ -909,7 +877,7 @@ def _transfer_q(ctx: RecollementContext, inputs: dict, probe, budget: int) -> Ve
     t = inputs["t"]
     _require_quotient(ctx)
     _check_algebra(t, ctx.middle, "the middle algebra")
-    cert_m = _existential_silting(t, inputs.get("sigma", "AUTO"), probe=probe)
+    cert_m = _existential_silting(t, probe=probe)
     qt = apply_functor(ctx, "q", t)
     cert_q = _existential_silting(qt, probe=probe)
     atoms = {
@@ -942,34 +910,18 @@ def _require_quotient(ctx: RecollementContext):
         raise ValidationError("statement needs the quotient layer, which is degenerate")
 
 
-def _resolve_pair_presentations(tctx: TriangularContext, inputs: dict, gpa, gpb):
-    theta_x = inputs.get("theta_x", "AUTO")
-    theta_y = inputs.get("theta_y", "AUTO")
-    if isinstance(theta_x, str):
-        theta_x = proper_gp_presentation(inputs["x"], gpa)
-    if isinstance(theta_y, str):
-        theta_y = proper_gp_presentation(inputs["y"], gpb)
-    return theta_x, theta_y
-
-
 def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     bound = probe if isinstance(probe, int) else 3
-    gpa = gp_classification(tctx.a, dim_bound=4)
-    gpb = gp_classification(tctx.b, dim_bound=4)
-    theta_x, theta_y = _resolve_pair_presentations(tctx, inputs, gpa, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y)
-    zs = inputs.get("z")
-    if zs is None:
-        zs = enumerate_indecomposables(tctx.gamma, bound)
-    if isinstance(zs, Module):
-        zs = [zs]
+    theta_x = proper_gp_presentation(inputs["x"], gp_classification(tctx.a, dim_bound=4))
+    theta_y = proper_gp_presentation(inputs["y"], gp_classification(tctx.b, dim_bound=4))
+    theta = glued_gp_presentation(tctx, theta_x, theta_y)
     rows = []
     witnesses = []
-    for z in zs:
+    for z in enumerate_indecomposables(tctx.gamma, bound):
         triple = _module_to_triple(tctx, z)
         lhs = d_theta_contains(theta, z)
-        rhs_x = _class_membership(theta_x, triple.x)
-        rhs_y = _class_membership(theta_y, triple.y)
+        rhs_x = d_theta_contains(theta_x, triple.x)
+        rhs_y = d_theta_contains(theta_y, triple.y)
         agree = lhs == (rhs_x and rhs_y)
         row = {
             "z": _describe(z),
@@ -1004,10 +956,10 @@ def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> 
     gpg = gp_classification(tctx, dim_bound=4)
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
-    lhs = _class_membership(proper_gp_presentation(t, gpg), t)
-    rhs_x = _class_membership(proper_gp_presentation(x, gpa), x)
-    rhs_ny = _class_membership(proper_gp_presentation(ny, gpa), ny)
-    rhs_y = _class_membership(proper_gp_presentation(y, gpb), y)
+    lhs = d_theta_contains(proper_gp_presentation(t, gpg), t)
+    rhs_x = d_theta_contains(proper_gp_presentation(x, gpa), x)
+    rhs_ny = d_theta_contains(proper_gp_presentation(ny, gpa), ny)
+    rhs_y = d_theta_contains(proper_gp_presentation(y, gpb), y)
     atoms = {
         "glued_partial": lhs,
         "top_partial": rhs_x,
@@ -1030,14 +982,14 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> V
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
     gpa = gp_classification(tctx.a, dim_bound=4)
-    gpb = gp_classification(tctx.b, dim_bound=4)
-    theta_x, theta_y = _resolve_pair_presentations(tctx, inputs, gpa, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y)
+    theta_x = proper_gp_presentation(x, gpa)
+    theta_y = proper_gp_presentation(y, gp_classification(tctx.b, dim_bound=4))
+    theta = glued_gp_presentation(tctx, theta_x, theta_y)
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
-    lhs = _class_membership(theta, t)
-    rhs_x = _class_membership(theta_x, x)
-    rhs_y = _class_membership(theta_y, y)
+    lhs = d_theta_contains(theta, t)
+    rhs_x = d_theta_contains(theta_x, x)
+    rhs_y = d_theta_contains(theta_y, y)
     rhs_gen = gen_g_contains(x, ny, gpa)
     atoms = {
         "glued_partial_wrt_glued_presentation": lhs,
@@ -1069,10 +1021,9 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
     bound = probe if isinstance(probe, int) else 3
-    gp_bound = int(inputs.get("gp_bound", 4))
-    gpa = gp_classification(tctx.a, dim_bound=gp_bound)
-    gpb = gp_classification(tctx.b, dim_bound=gp_bound)
-    gpg = gp_classification(tctx, dim_bound=gp_bound)
+    gpa = gp_classification(tctx.a, dim_bound=4)
+    gpb = gp_classification(tctx.b, dim_bound=4)
+    gpg = gp_classification(tctx, dim_bound=4)
     probes_a = enumerate_indecomposables(tctx.a, bound)
     probes_b = enumerate_indecomposables(tctx.b, bound)
     probes_g = enumerate_indecomposables(tctx.gamma, bound)
@@ -1093,7 +1044,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
 
     theta_x = found_x[0] if found_x else proper_gp_presentation(x, gpa)
     theta_y = found_y[0] if found_y else proper_gp_presentation(y, gpb)
-    theta = glued_gp_presentation(tctx, _as_projective_kind(theta_x), theta_y, dim_bound=gp_bound)
+    theta = glued_gp_presentation(tctx, theta_x, theta_y)
     notes.append(
         "presentations: top="
         + ("search-realised" if found_x else "automatic")
@@ -1180,6 +1131,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     )
 
 
+_INPUT_KEYS = {"idempotent": ("t",), "triangular": ("x", "y")}
+
 _STATEMENTS = {
     "lemma_i_transfer": ("idempotent", _transfer_i),
     "lemma_q_transfer": ("idempotent", _transfer_q),
@@ -1202,8 +1155,11 @@ def verify_transfer(
     verdicts with witnesses.
 
     ``ctx`` is a :class:`RecollementContext` for the idempotent statements or
-    a :class:`TriangularContext` for the gluing statements; ``probe`` is a
-    dimension bound for the probe sweeps; ``budget`` caps each
+    a :class:`TriangularContext` for the gluing statements.  ``inputs`` maps
+    ``"t"`` to the module of an idempotent statement, and ``"x"``/``"y"`` to
+    the top and bottom modules of a triangular one; a missing or unknown key,
+    or a value that is not a :class:`Module`, raises ``ValidationError``.
+    ``probe`` is a dimension bound for the probe sweeps; ``budget`` caps each
     left-approximation search (only ``thm_gluing_equivalences`` runs any).
     A search cut off at the budget makes the report UNDECIDED, with no atoms.
     """
@@ -1218,6 +1174,15 @@ def verify_transfer(
         raise ValidationError(f"{statement} needs a triangular context")
     if probe is not None and not isinstance(probe, int):
         raise ValidationError("transfer drivers take a dimension bound as the probe")
+    keys = _INPUT_KEYS[kind]
+    for key in keys:
+        if key not in inputs:
+            raise ValidationError(f"{statement} needs the input {key!r}")
+        if not isinstance(inputs[key], Module):
+            raise ValidationError(f"input {key!r} must be a Module, got {type(inputs[key]).__name__}")
+    unknown = [key for key in inputs if key not in keys]
+    if unknown:
+        raise ValidationError(f"{statement} reads no input {unknown[0]!r}; it takes {', '.join(keys)}")
     try:
         return driver(ctx, inputs, probe, budget)
     except UndecidedError as exc:

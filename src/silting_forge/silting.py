@@ -368,22 +368,25 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     on every probe, and the rigidity certificate (Hom into the translate
     vanishes, the kernel complement misses the module, and the class count
     fills the vertex count).  dim Hom(t, tau t) is the corank of Hom(sigma_t,
-    t) at the minimal presentation sigma_t of t, reused when the presentation
-    is automatic, so tau is never built.  :func:`_certificate` then decides
-    the verdict; :func:`enumerate_silting` gathers the same evidence from
-    per-summand facts and goes through the same ladder.
+    t) at the minimal presentation sigma_t of t, so tau is never built; when
+    the presentation is automatic, that corank is also the self-membership
+    gate.  :func:`_certificate` then decides the verdict;
+    :func:`enumerate_silting` gathers the same evidence from per-summand
+    facts and goes through the same ladder.
     """
     alg = t.algebra
     notes: list = [COPRODUCT_NOTE]
     pres = _resolve_presentation(t, sigma, notes)
     minimal = minimal_projective_presentation(t) if _SUPPLIED_PRESENTATION in notes else pres
     probe_list = _resolve_probes(alg, probe, dim_bound, notes)
+    hom_to_translate = precompose_corank(minimal.map, t)
+    # At the minimal presentation the self-membership gate is that same corank.
+    in_own_class = hom_to_translate == 0 if pres is minimal else d_sigma_contains(pres, t)
     sweep = None
-    if d_sigma_contains(pres, t):
+    if in_own_class:
         sweep = [
             (u.dim, u.dimension_vector(), d_sigma_contains(pres, u), gen_contains(t, u)) for u in probe_list
         ]
-    hom_to_translate = precompose_corank(minimal.map, t)
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
     try:

@@ -1,14 +1,15 @@
 """Idempotent recollements, triangular functor dictionary, statement drivers."""
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import F2, quiver_a2, triangular_gamma0
+from conftest import F2, quiver_a2, quiver_point, triangular_gamma0
 
-from silting_forge.algebra import ValidationError, compile_quiver_algebra
+from silting_forge.algebra import Bimodule, ValidationError, build_triangular, compile_quiver_algebra
 from silting_forge.exactlinalg import Matrix
 from silting_forge.gorenstein import gp_classification, proper_gp_presentation
 from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
@@ -45,6 +46,7 @@ from silting_forge.recollement import (
     triple_map_to_module_map,
     verify_transfer,
 )
+from silting_forge.silting import presentation_with_complement, silting_check, zero_target_presentation
 
 
 @lru_cache(maxsize=None)
@@ -395,6 +397,33 @@ def test_glued_presentations_are_relatively_exact():
         assert is_isomorphic(glued.cokernel, expected) is not None
 
 
+def _a2_over_point():
+    """A2 on top of the ground field, glued along the regular A2-module: the
+    top algebra has a non-projective simple, and every gluing hypothesis
+    holds."""
+    top = compile_quiver_algebra(quiver_a2())
+    bottom = compile_quiver_algebra(quiver_point())
+    left = {lbl: top.left_mult_matrix(top.basis_vector(i)) for i, lbl in enumerate(top.labels)}
+    right = {bottom.labels[0]: Matrix.identity(F2, top.dim)}
+    return build_triangular(top, bottom, Bimodule(top, bottom, top.dim, left, right))
+
+
+def test_glued_presentation_checks_the_top_terms_not_the_top_kind():
+    tctx = _a2_over_point()
+    assert all(triangular_hypotheses(tctx).values())
+    s1 = simple_module(tctx.a, "e1")
+    theta_y = proper_gp_presentation(simple_module(tctx.b, "e1"), gp_classification(tctx.b, dim_bound=4))
+    # A relative presentation over a top algebra of finite global dimension
+    # has projective terms, whatever its kind label says.
+    theta_x = proper_gp_presentation(s1, gp_classification(tctx.a, dim_bound=4))
+    assert theta_x.kind == "gorenstein_projective"
+    assert glued_gp_presentation(tctx, theta_x, theta_y).certificates["relatively_exact"] is True
+    # S1 -> 0 has a non-projective term under either label.
+    for kind in ("projective", "gorenstein_projective"):
+        with pytest.raises(ValidationError, match="projective terms"):
+            glued_gp_presentation(tctx, zero_target_presentation(s1, kind), theta_y)
+
+
 # ---------------------------------------------------------------------------
 # Statement drivers.
 # ---------------------------------------------------------------------------
@@ -407,6 +436,48 @@ def test_idempotent_theorem_on_simple(a2_ctx):
     assert report.atoms["silting_over_quotient"]["verdict"] == "silting"
     assert report.atoms["silting_over_middle"]["verdict"] == "silting"
     assert bool(report)
+
+
+def _three_attempt_silting(t):
+    """The earlier existential verdict, kept as a reference: the automatic
+    presentation, then the one padded by the projectives of the unsupported
+    vertices; the first silting verdict wins, then the first undecided one."""
+    attempts = ["AUTO"]
+    supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
+    comp = [p for p, lbl in indecomposable_projectives(t.algebra) if lbl not in supported]
+    if comp:
+        attempts.append(presentation_with_complement(t, comp))
+    certs = [silting_check(t, sigma) for sigma in attempts]
+    for verdict in ("silting", "undecided"):
+        for cert in certs:
+            if cert.verdict == verdict:
+                return cert
+    return certs[-1]
+
+
+@pytest.mark.parametrize("name, bound", [("a2", 3), ("a3rel", 3), ("dualnum", 3), ("kxk", 3), ("a2xa2", 2)])
+def test_padded_presentation_alone_decides_existential_silting(name, bound):
+    alg = corpus_load(name)
+    pool = enumerate_indecomposables(alg, bound)
+    modules = pool + [direct_sum([x, y], algebra=alg)[0] for x, y in itertools.combinations(pool, 2)]
+    for t in modules:
+        assert rmod._existential_silting(t).verdict == _three_attempt_silting(t).verdict
+
+
+def test_existential_silting_makes_one_check_per_module(monkeypatch, a2_ctx):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return silting_check(*args, **kwargs)
+
+    monkeypatch.setattr(rmod, "silting_check", spy)
+    t = simple_module(a2_ctx.quotient, "e1")
+    assert verify_transfer(a2_ctx, "thm_idempotent_ideal", {"t": t}).verdict == "PASS"
+    assert len(calls) == 2
+    del calls[:]
+    assert suites.run_idempotent_suite()["verdict"] == "PASS"
+    assert len(calls) == 12
 
 
 def test_quotient_transfer_on_regular(a2_ctx):
@@ -516,6 +587,26 @@ def test_unknown_statement_and_bad_probe():
             {"x": zero_module(tctx.a), "y": zero_module(tctx.b)},
             probe="three",
         )
+
+
+def test_transfer_inputs_are_validated_by_key(a2_ctx):
+    t = simple_module(a2_ctx.quotient, "e1")
+    for inputs, named in [
+        ({}, "'t'"),
+        ({"t": t, "sigma": minimal_projective_presentation(t)}, "'sigma'"),
+        ({"t": "AUTO"}, "'t'"),
+    ]:
+        with pytest.raises(ValidationError, match=named):
+            verify_transfer(a2_ctx, "thm_idempotent_ideal", inputs)
+    tctx = _gamma0()
+    x, y = _point_module(tctx, 1), simple_module(tctx.b, "ev")
+    for inputs, named in [
+        ({"x": x}, "'y'"),
+        ({"x": x, "y": y, "t": x}, "'t'"),
+        ({"x": x, "y": y, "theta_x": minimal_projective_presentation(x)}, "'theta_x'"),
+    ]:
+        with pytest.raises(ValidationError, match=named):
+            verify_transfer(tctx, "cor_triangular_partial", inputs)
 
 
 def test_report_serialisation_is_deterministic():
