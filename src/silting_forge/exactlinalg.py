@@ -29,15 +29,23 @@ free variable zero (or None), ``nullspace`` one ``ncols × nullity`` matrix
 whose columns are the canonical kernel basis, and ``invert`` is
 ``solve(m, I)``.
 
-Over Q, and over F_p past the byte bound, ``Matrix.mul`` forms row i of the
-product as the combination of the rows of the right factor picked out by the
-nonzero entries of row i of the left one, visiting only the nonzero entries of
-those rows; over F_p it reduces each entry once, at the end.  That combination
-is :func:`combine`, which ``Module.act`` also uses for sums of action matrices.
-The dense dot-product :func:`_generic_mul` and :func:`_generic_rref` (the Q
-elimination) are kept as the references that every product and elimination
-kernel must agree with.  Kernels wrap the rows they build with
-``Matrix._wrap``; the public ``Matrix(...)`` copies them and checks the shape.
+Over F_p past the byte bound, ``Matrix.mul`` forms row i of the product as
+the combination of the rows of the right factor picked out by the nonzero
+entries of row i of the left one, visiting only the nonzero entries of those
+rows, and reduces each entry once, at the end; :func:`combine` forms such
+sums of action matrices for ``Module.act``.
+
+Over Q, ``Matrix.data`` holds ``Fraction``s, but ``mul``, :func:`combine`
+and :func:`rref` (so ``solve``, ``nullspace``, ``invert`` and
+``row_space_basis``) compute on Python ints: each operand is lifted to
+integers over one common denominator, and ``rref`` eliminates fraction-free,
+dividing each new row by its content and each pivot row by its pivot once,
+at the end.  Each nonzero output entry is one new ``Fraction``; each zero is
+the one ``FieldSpec("rational").zero()``, so row comparisons succeed on
+identity.  :func:`_generic_mul` and :func:`_generic_rref` are kept as the
+references that every product and elimination kernel must agree with.
+Kernels wrap the rows they build with ``Matrix._wrap``; the public
+``Matrix(...)`` copies them and checks the shape.
 """
 
 from __future__ import annotations
@@ -46,8 +54,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Sequence
+
+
+# The one zero and one of Q that FieldSpec("rational") hands out and every
+# Q kernel writes, so that comparing rows of them succeeds on identity.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ExactError(Exception):
@@ -106,10 +120,10 @@ class FieldSpec:
 
     # -- scalar arithmetic ------------------------------------------------
     def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0 if self.kind == "prime" else _ZERO
 
     def one(self):
-        return 1 if self.kind == "prime" else Fraction(1)
+        return 1 if self.kind == "prime" else _ONE
 
     def coerce(self, x):
         """Accept int / Fraction / scalar string and return a field scalar."""
@@ -395,28 +409,69 @@ class Matrix:
         return m
 
 
-def combine(field: FieldSpec, terms: Iterable, n: int) -> list:
-    """The length-``n`` vector sum of c·v over ``terms``, pairs of a
-    coefficient c and a vector v listed by its nonzero entries ``(k, w)``.
-    Over F_p each entry is reduced once, at the end."""
-    acc = [field.zero()] * n
+def _lift(values: list) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator."""
+    pairs = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _n, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _common(rows: list) -> tuple[list, int]:
+    """Rows of ``(k, (num, den))`` as rows of ``(k, int)`` over one den."""
+    den = lcm(*[d for row in rows for _k, (_n, d) in row])
+    return [[(k, n * (den // d)) for k, (n, d) in row] for row in rows], den
+
+
+def _lift_nonzero(m: Matrix) -> tuple[list, int]:
+    """:func:`_common` of the nonzero entries of each row of ``m``."""
+    return _common([[(k, x.as_integer_ratio()) for k, x in enumerate(row) if x is not _ZERO and x] for row in m.data])
+
+
+def _lower(nums: list[int], den: int) -> list:
+    """The rationals ``nums[k] / den``: the shared zero or a new Fraction."""
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in nums]
+    return [Fraction(x, den) if x else _ZERO for x in nums]
+
+
+def _accumulate(terms: Iterable, n: int) -> list[int]:
+    """The integer sum of c·v over pairs of c and v listed by ``(k, w)``."""
+    acc = [0] * n
     for c, entries in terms:
         for k, w in entries:
             acc[k] += c * w
-    if field.kind == "prime":
-        p = field.p
-        return [x % p for x in acc]
     return acc
+
+
+def combine(field: FieldSpec, terms: Iterable, n: int) -> list:
+    """The length-``n`` vector sum of c·v over ``terms``, pairs of a
+    coefficient c and a vector v listed by its nonzero entries ``(k, w)``,
+    summed on integers (over F_p reduced once, at the end)."""
+    if field.p is not None:
+        p = field.p
+        return [x % p for x in _accumulate(terms, n)]
+    terms = list(terms)
+    coeffs, e = _lift([c for c, _v in terms])
+    vectors, den = _common([[(k, w.as_integer_ratio()) for k, w in v] for _c, v in terms])
+    return _lower(_accumulate(zip(coeffs, vectors), n), e * den)
 
 
 def _sparse_mul(left: Matrix, other: Matrix) -> Matrix:
     """:meth:`Matrix.mul` over F_p (p > 2) and Q: row i of the product is the
-    :func:`combine` of the rows of ``other`` picked out by the nonzero entries
-    of row i of ``left``, each listed once by its nonzero entries."""
-    f = left.field
-    n = other.ncols
-    nonzeros = [[(k, w) for k, w in enumerate(row) if w] for row in other.data]
-    out = [combine(f, [(v, nonzeros[j]) for j, v in enumerate(row) if v], n) for row in left.data]
+    combination of the rows of ``other`` picked out by the nonzero entries of
+    row i of ``left``, on integers."""
+    f, n, p = left.field, other.ncols, left.field.p
+    if p is None:
+        rows, den = _lift_nonzero(other)
+        lrows, e = _lift_nonzero(left)
+        den *= e
+    else:
+        rows = [[(k, w) for k, w in enumerate(row) if w] for row in other.data]
+        lrows = [[(j, v) for j, v in enumerate(row) if v] for row in left.data]
+    out = []
+    for row in lrows:
+        acc = _accumulate([(v, rows[j]) for j, v in row], n)
+        out.append(_lower(acc, den) if p is None else [x % p for x in acc])
     return Matrix._wrap(f, out, left.nrows, n)
 
 
@@ -446,7 +501,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         return _rref_f2(m)
     if p:
         return _rref_fp(m)
-    return _generic_rref(m)
+    return _rref_q(m)
 
 
 def _rref_f2(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -506,9 +561,42 @@ def _rref_fp(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix._wrap(m.field, a, nrows, m.ncols), pivots
 
 
+def _rref_q(m: Matrix) -> tuple[Matrix, list[int]]:
+    """:func:`rref` over Q, fraction-free (as Bareiss, Math. Comp. 1968, but
+    dividing by content): row i becomes lead·(row i) - fac·(pivot row) over
+    its content, a nonzero multiple of the row :func:`_generic_rref` holds,
+    so the pivots agree."""
+    nrows, ncols = m.nrows, m.ncols
+    a = [_lift(row)[0] for row in m.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        i = r
+        while i < nrows and not a[i][c]:
+            i += 1
+        if i == nrows:
+            continue
+        a[r], a[i] = a[i], a[r]
+        pivot = a[r]
+        lead = pivot[c]
+        for i in range(nrows):
+            fac = a[i][c]
+            if fac and i != r:
+                row = [lead * x - fac * y for x, y in zip(a[i], pivot)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = [_lower(row, row[c]) for row, c in zip(a, pivots)]
+    out += [[_ZERO] * ncols for _ in range(nrows - r)]
+    return Matrix._wrap(m.field, out, nrows, ncols), pivots
+
+
 def _generic_rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """:func:`rref` over any field by scalar row operations: the Q kernel, and
-    the reference for the F_2 and F_p ones."""
+    """:func:`rref` over any field by scalar row operations: the reference
+    for the F_2, F_p and Q kernels."""
     f = m.field
     a = [row[:] for row in m.data]
     pivots: list[int] = []
@@ -563,11 +651,11 @@ def nullspace(a: Matrix) -> Matrix:
     reduced, pivots = rref(a)
     pivot_set = set(pivots)
     free = [j for j in range(a.ncols) if j not in pivot_set]
-    zero, one = f.zero(), f.one()
+    zero, one, neg = f.zero(), f.one(), f.neg
     rows = [[one if j == c else zero for c in free] for j in range(a.ncols)]
     for i, j in enumerate(pivots):
         row = reduced.data[i]
-        rows[j] = [f.neg(row[c]) for c in free]
+        rows[j] = [neg(row[c]) if row[c] else zero for c in free]
     return Matrix._wrap(f, rows, a.ncols, len(free))
 
 

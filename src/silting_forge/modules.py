@@ -142,7 +142,7 @@ class Module:
             if c
         ]
         flat = combine(f, terms, n * n)
-        return Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)], n, n)
+        return Matrix._wrap(f, [flat[r * n : (r + 1) * n] for r in range(n)], n, n)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -204,20 +204,18 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, Module]" = weakref.WeakValueDicti
 
 def _content_key(algebra: Algebra, dim: int, action: dict[str, Matrix]) -> tuple | None:
     """(id(algebra), dim, the action matrices in label order packed by
-    :func:`_packed`).  None when the labels or shapes are wrong or an entry
-    does not fit a byte, so such input is validated and not interned."""
-    labels = algebra.labels
-    if len(action) != len(labels):
+    :func:`_packed`, or over Q as integer (numerator, denominator) pairs).
+    None when the labels or shapes are wrong or an entry does not fit a byte
+    or is no number, so such input is validated and not interned."""
+    if action.keys() != set(algebra.labels):
         return None
-    try:
-        mats = [action[lbl] for lbl in labels]
-    except KeyError:
-        return None
+    mats = [action[lbl] for lbl in algebra.labels]
     if any(m.nrows != dim or m.ncols != dim for m in mats):
         return None
+    p, zero = algebra.field.p, algebra.field.zero()
     try:
-        return id(algebra), dim, _packed(algebra.field.p, mats)
-    except (TypeError, ValueError):
+        return id(algebra), dim, _packed(p, mats) if p else tuple([(0, 1) if x is zero else x.as_integer_ratio() for m in mats for row in m.data for x in row])
+    except (TypeError, ValueError, AttributeError):
         return None
 
 
@@ -529,7 +527,7 @@ def _hom_matrices(m: Module, n: Module) -> list[Matrix]:
                         row[t] = f.sub(row[t], x)
                 if any(row):
                     rows.append(row)
-    null = nullspace(Matrix(f, rows, len(rows), len(positions)))
+    null = nullspace(Matrix._wrap(f, rows, len(rows), len(positions)))
     k = null.ncols
     if not k:
         return []

@@ -1010,8 +1010,9 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> V
         verdict="PASS" if agree else "FAIL",
         witnesses=[] if agree else [atoms],
         notes=(
-            "both sides evaluated against the supplied or automatic "
-            "presentations; the report records the presentations used",
+            "both sides evaluated against the proper GP presentations of x "
+            "and y and the presentation glued from them; the report records "
+            "theta_x and theta_y",
         ),
     )
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from silting_forge.exactlinalg import (
     ExactError,
     FieldSpec,
     Matrix,
+    combine,
     invert,
     nullspace,
     quotient_map,
@@ -731,3 +733,138 @@ def test_public_constructor_copies_and_checks_shape():
     m = Matrix(F3, rows)
     rows[0][0] = 2
     assert m.data == [[1, 2], [0, 1]] and m.data[0] is not rows[0]
+
+
+# --------------------------------------------------------------------------
+# The Q kernels on integers against their Fraction references: products
+# against _generic_mul, eliminations (and solve, invert, nullspace and
+# row_space_basis through them) against _generic_rref, combine against a
+# plain Fraction sum.  Every output entry must be a Fraction in lowest terms
+# and every zero the one zero that FieldSpec("rational") hands out.
+# --------------------------------------------------------------------------
+
+
+def _q_entry(rng, density):
+    """Zero (the shared one or a separately made one) with probability
+    1 - density, else an integer, a non-integral, a negative or a
+    large-denominator rational."""
+    if rng.random() >= density:
+        return rng.choice([QQ.zero(), Fraction(0), Fraction(0, 7)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randrange(-9, 10))
+    if kind == 1:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(2, 10))
+    if kind == 2:
+        return -Fraction(rng.randrange(1, 50), rng.randrange(1, 50))
+    return Fraction(rng.randrange(-10**15, 10**15), rng.randrange(1, 10**15))
+
+
+@st.composite
+def q_matrix(draw, nrows=None, ncols=None):
+    """A matrix over Q with up to 8 rows and columns, empty and zero-width
+    shapes included.  When it has the rows, the last row may be a multiple of
+    the sum of the first two (rank-deficient) or row 1 the negative of row 0
+    (cancelling)."""
+    nrows = draw(st.integers(0, 8)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 8)) if ncols is None else ncols
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(seeds))
+    data = [[_q_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    shape = draw(st.sampled_from(["plain", "rank-deficient", "cancelling"]))
+    if shape == "rank-deficient" and nrows >= 3:
+        c = _q_entry(rng, 1.0) or Fraction(1)
+        data[-1] = [c * (x + y) for x, y in zip(data[0], data[1])]
+    elif shape == "cancelling" and nrows >= 2:
+        data[1] = [-x for x in data[0]]
+    return Matrix(QQ, data, nrows, ncols)
+
+
+def _assert_canonical_q(m):
+    zero = QQ.zero()
+    for row in m.data:
+        for x in row:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+            assert x or x is zero
+
+
+def test_rational_zero_and_one_are_shared():
+    assert FieldSpec("rational").zero() is QQ.zero() == 0
+    assert FieldSpec("rational").one() is QQ.one() == 1
+    assert all(x is QQ.zero() for row in Matrix.zeros(QQ, 3, 2).data for x in row)
+    assert Matrix.identity(QQ, 2).data == [[QQ.one(), QQ.zero()], [QQ.zero(), QQ.one()]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_matrix(), st.data())
+def test_q_mul_matches_generic(a, data):
+    b = data.draw(q_matrix(nrows=a.ncols))
+    cancel = a.nrows and a.ncols >= 2 and data.draw(st.booleans())
+    if cancel:
+        # Row 0 of a picks two equal rows of b with opposite coefficients.
+        b.data[1] = b.data[0][:]
+        c = _q_entry(random.Random(data.draw(seeds)), 1.0) or Fraction(3, 7)
+        a.data[0] = [c, -c] + [QQ.zero()] * (a.ncols - 2)
+    product = a.mul(b)
+    assert product == exactlinalg._generic_mul(a, b)
+    assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
+    _assert_canonical_q(product)
+    if cancel:
+        assert all(x is QQ.zero() for x in product.data[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_matrix())
+def test_q_rref_matches_generic(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == exactlinalg._generic_rref(m)
+    _assert_canonical_q(reduced)
+    _assert_row_space_certificate(m, reduced, pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_matrix(), st.data())
+def test_q_solve_invert_nullspace_match_generic(a, data):
+    consistent = a.mul(data.draw(q_matrix(nrows=a.ncols)))
+    for b in (data.draw(q_matrix(nrows=a.nrows)), consistent):
+        x = solve(a, b)
+        assert x == _with_generic_rref(solve, a, b)
+        if x is not None:
+            _assert_canonical_q(x)
+            assert a.mul(x) == b
+    assert solve(a, consistent) is not None
+    null = nullspace(a)
+    assert null == _with_generic_rref(nullspace, a)
+    _assert_canonical_q(null)
+    assert null.ncols == a.ncols - rank(a) and a.mul(null).is_zero()
+    n = min(a.nrows, a.ncols)
+    square = a.submatrix(range(n), range(n))
+    inv = invert(square)
+    assert inv == _with_generic_rref(invert, square)
+    if inv is not None:
+        _assert_canonical_q(inv)
+        assert square.mul(inv) == Matrix.identity(QQ, n)
+    basis = row_space_basis(a.data, QQ, a.ncols)
+    assert basis == _with_generic_rref(row_space_basis, a.data, QQ, a.ncols)
+    _assert_canonical_q(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 5), st.booleans(), seeds)
+def test_q_combine_matches_a_fraction_sum(n, nterms, cancel, seed):
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(nterms):
+        support = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+        terms.append((_q_entry(rng, 1.0) or Fraction(1, 3), [(k, _q_entry(rng, 1.0) or Fraction(-5, 2)) for k in support]))
+    if cancel and terms:
+        # The negated first term cancels it entry by entry.
+        terms.append((-terms[0][0], terms[0][1]))
+    expected = [Fraction(0)] * n
+    for c, entries in terms:
+        for k, w in entries:
+            expected[k] += c * w
+    got = combine(QQ, iter(terms), n)
+    assert got == expected
+    _assert_canonical_q(Matrix(QQ, [got], 1, n))

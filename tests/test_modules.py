@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,35 @@ class TestInterning:
         m = Module(alg, n, action)
         assert m is not reg
         assert Module(alg, n, {lbl: Matrix(field, a.data) for lbl, a in action.items()}) is m
+
+    def test_rational_content_interns_by_value_through_integer_pairs(self):
+        alg = compile_quiver_algebra(quiver_a2(QQ))
+        reg = regular_module(alg)
+        n, labels = reg.dim, alg.labels
+        # The regular module in the basis (v_0 / 2, v_1, v_2): rho(a) holds 1/2.
+        half = Matrix(QQ, [[Fraction(1, 2) if i == j == 0 else Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        action = dict(zip(labels, conjugate(invert(half), [reg.action[lbl] for lbl in labels], half)))
+        assert Fraction(1, 2) in action["a"].data[2]
+        m = Module(alg, n, action)
+        key = modules._content_key(alg, n, action)
+        assert all(type(v) is int for pair in key[2] for v in pair) and (1, 2) in key[2]
+        # Equal entries made separately, 1/2 as Fraction(2, 4) and so on.
+        remade = {lbl: Matrix(QQ, [[Fraction(2 * x.numerator, 2 * x.denominator) for x in row] for row in a.data])
+                  for lbl, a in action.items()}
+        assert remade["a"].data[2][0] is not action["a"].data[2][0]
+        assert Module(alg, n, remade) is m
+        # One entry of rho(a) tripled: an isomorphic module of other content.
+        tripled = dict(action, a=Matrix(QQ, [[3 * x for x in row] for row in action["a"].data]))
+        other = Module(alg, n, tripled)
+        assert other is not m and modules._content_key(alg, n, tripled) != key
+
+    def test_f2_content_still_interns_through_bytes(self):
+        alg = compile_quiver_algebra(quiver_a3_rel(F2))
+        reg = regular_module(alg)
+        key = modules._content_key(alg, reg.dim, _rebuilt(reg))
+        assert key[2] == b"".join(bytes(row) for lbl in alg.labels for row in reg.action[lbl].data)
+        assert Module(alg, reg.dim, _rebuilt(reg)) is reg
+        assert Module(alg, reg.dim, permuted_actions(reg)) is not reg
 
 
 # ---------------------------------------------------------------------------
