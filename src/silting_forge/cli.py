@@ -490,7 +490,7 @@ def _handle_recollement(args):
             inputs["y"] = module_from_json(read_json_file(args.y), tctx.b)
             report = rmod.verify_transfer(tctx, statement, inputs, args.probe, args.budget)
         else:
-            for value, flag in [(args.x, "--x"), (args.y, "--y")]:
+            for value, flag in [(args.x, "--x"), (args.y, "--y"), (args.probe, "--probe")]:
                 _reject_unread(value, flag, "idempotent statements")
             if not (args.algebra and args.e):
                 raise ValidationError(
@@ -506,7 +506,7 @@ def _handle_recollement(args):
                 if ctx.quotient is None:
                     raise ValidationError("quotient layer is degenerate")
                 t = module_from_json(read_json_file(args.module), ctx.quotient)
-            report = rmod.verify_transfer(ctx, statement, {"t": t}, args.probe, args.budget)
+            report = rmod.verify_transfer(ctx, statement, {"t": t})
         return report.to_json(), _exit_from_verdict(report.verdict)
     raise UsageError("recollement needs a subcommand: build, apply, verify")
 

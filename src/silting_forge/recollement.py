@@ -17,9 +17,9 @@ context with explicit, certificate-checked functors:
 * :func:`verify_transfer` -- drivers that evaluate both sides of the
   transfer statements on the input modules (``t``, or ``x`` and ``y``) and
   report atom-by-atom verdicts.  The idempotent drivers decide "is silting"
-  with one check per module, at its padded minimal presentation; the
-  triangular drivers test membership against the automatic relative
-  presentations.
+  for each module by the support-τ-tilting criterion of
+  :func:`~.silting.silting_module_verdict`; the triangular drivers test
+  membership against the automatic relative presentations.
 """
 
 from __future__ import annotations
@@ -74,11 +74,7 @@ from .modules import (
     tensor_over_algebra,
     zero_module,
 )
-from .silting import (
-    direct_sum_presentation,
-    presentation_with_complement,
-    silting_check,
-)
+from .silting import direct_sum_presentation, silting_module_verdict
 
 # ---------------------------------------------------------------------------
 # Probe sets
@@ -815,54 +811,28 @@ def _describe(obj) -> dict:
     }
 
 
-def _existential_silting(t: Module, probe=None):
-    """Verdict for "is a silting module" as a property of the module alone.
-
-    Being silting is witnessed by some two-term presentation, and one
-    presentation decides it: ``t`` is silting exactly when its minimal
-    presentation padded by ``P_v -> 0`` at each vertex ``v`` that ``t`` does
-    not support is a silting presentation (Adachi–Iyama–Reiten,
-    arXiv:1210.1036, Prop. 2.2 and Thm 3.2), the completion that
-    :func:`~.silting.enumerate_silting` uses too.  Without that padding a
-    tau-rigid ``t`` has fewer summand classes than vertices and cannot pass;
-    and as Gen t lies in the padded class, which lies in the minimal class, a
-    probe that separates Gen t from the padded class separates it from the
-    minimal class too.  So no other presentation changes the verdict.  With
-    full support the padding is empty and the presentation is the automatic
-    one."""
-    supported = {lbl for lbl, d in t.dimension_vector().items() if d > 0}
-    comp = [p for p, lbl in indecomposable_projectives(t.algebra) if lbl not in supported]
-    sigma = presentation_with_complement(t, comp) if comp else "AUTO"
-    return silting_check(t, sigma, probe=probe)
-
-
 def _transfer_i(
     ctx: RecollementContext,
     inputs: dict,
-    probe,
-    budget: int,
     statement: str = "lemma_i_transfer",
     note: str = "inflation along the canonical projection",
 ) -> VerificationReport:
     t = inputs["t"]
     _require_quotient(ctx)
     _check_algebra(t, ctx.quotient, "the quotient algebra")
-    cert_q = _existential_silting(t, probe=probe)
-    it = apply_functor(ctx, "i", t)
-    cert_m = _existential_silting(it, probe=probe)
+    over_q = silting_module_verdict(t)
+    over_m = silting_module_verdict(apply_functor(ctx, "i", t))
     atoms = {
-        "silting_over_quotient": {"verdict": cert_q.verdict},
-        "silting_over_middle": {"verdict": cert_m.verdict},
+        "silting_over_quotient": {"verdict": over_q["verdict"]},
+        "silting_over_middle": {"verdict": over_m["verdict"]},
     }
-    if "undecided" in (cert_q.verdict, cert_m.verdict):
+    if "undecided" in (over_q["verdict"], over_m["verdict"]):
         verdict = "UNDECIDED"
         witnesses = [atoms]
     else:
-        agree = (cert_q.verdict == "silting") == (cert_m.verdict == "silting")
+        agree = (over_q["verdict"] == "silting") == (over_m["verdict"] == "silting")
         verdict = "PASS" if agree else "FAIL"
-        witnesses = [] if agree else [
-            {"quotient": cert_q.to_json(), "middle": cert_m.to_json()}
-        ]
+        witnesses = [] if agree else [{"quotient": over_q, "middle": over_m}]
     return VerificationReport(
         statement=statement,
         inputs={"t": _describe(t)},
@@ -873,28 +843,25 @@ def _transfer_i(
     )
 
 
-def _transfer_q(ctx: RecollementContext, inputs: dict, probe, budget: int) -> VerificationReport:
+def _transfer_q(ctx: RecollementContext, inputs: dict) -> VerificationReport:
     t = inputs["t"]
     _require_quotient(ctx)
     _check_algebra(t, ctx.middle, "the middle algebra")
-    cert_m = _existential_silting(t, probe=probe)
-    qt = apply_functor(ctx, "q", t)
-    cert_q = _existential_silting(qt, probe=probe)
+    over_m = silting_module_verdict(t)
+    over_q = silting_module_verdict(apply_functor(ctx, "q", t))
     atoms = {
-        "silting_over_middle": {"verdict": cert_m.verdict},
-        "silting_over_quotient": {"verdict": cert_q.verdict},
+        "silting_over_middle": {"verdict": over_m["verdict"]},
+        "silting_over_quotient": {"verdict": over_q["verdict"]},
     }
-    if cert_m.verdict == "undecided" or (
-        cert_m.verdict == "silting" and cert_q.verdict == "undecided"
+    if over_m["verdict"] == "undecided" or (
+        over_m["verdict"] == "silting" and over_q["verdict"] == "undecided"
     ):
         verdict = "UNDECIDED"
         witnesses = [atoms]
     else:
-        holds = not (cert_m.verdict == "silting" and cert_q.verdict != "silting")
+        holds = not (over_m["verdict"] == "silting" and over_q["verdict"] != "silting")
         verdict = "PASS" if holds else "FAIL"
-        witnesses = [] if holds else [
-            {"middle": cert_m.to_json(), "quotient": cert_q.to_json()}
-        ]
+        witnesses = [] if holds else [{"middle": over_m, "quotient": over_q}]
     return VerificationReport(
         statement="lemma_q_transfer",
         inputs={"t": _describe(t)},
@@ -1033,12 +1000,9 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     t, _, _ = direct_sum([_z_a(tctx, x), _t_b(tctx, y)], algebra=tctx.gamma)
     ny, _, _ = triangular_tensor(tctx, y)
 
-    # (c) and (d): bounded existential certification on each side, with the
-    # automatic-presentation verdict recorded alongside
+    # (c) and (d): bounded existential certification on each side
     found_x = find_gorenstein_silting_presentation(x, gpa, probes_a, budget)
     found_y = find_gorenstein_silting_presentation(y, gpb, probes_b, budget)
-    auto_x = gorenstein_silting_check(x, "AUTO", gpa, probes_a, budget).verdict
-    auto_y = gorenstein_silting_check(y, "AUTO", gpb, probes_b, budget).verdict
     gen_ok = gen_g_contains(x, ny, gpa)
     atom_c = (found_x is not None) and gen_ok
     atom_d = found_y is not None
@@ -1106,9 +1070,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     atoms = {
         "a": {"value": atom_a, "realised_by": realised_a, "glued_verdict": cert_glued.verdict},
         "b": {"value": atom_b, "rows": b_rows},
-        "c": {"value": atom_c, "search_found": found_x is not None,
-              "auto_verdict": auto_x, "tensor_image_generated": gen_ok},
-        "d": {"value": atom_d, "search_found": found_y is not None, "auto_verdict": auto_y},
+        "c": {"value": atom_c, "search_found": found_x is not None, "tensor_image_generated": gen_ok},
+        "d": {"value": atom_d, "search_found": found_y is not None},
         "e": {"value": atom_e, "rows": e_rows},
         "f": {"value": atom_f, "rows": f_rows},
         "equivalence_a_b": eq_ab,
@@ -1160,9 +1123,14 @@ def verify_transfer(
     ``"t"`` to the module of an idempotent statement, and ``"x"``/``"y"`` to
     the top and bottom modules of a triangular one; a missing or unknown key,
     or a value that is not a :class:`Module`, raises ``ValidationError``.
-    ``probe`` is a dimension bound for the probe sweeps; ``budget`` caps each
-    left-approximation search (only ``thm_gluing_equivalences`` runs any).
-    A search cut off at the budget makes the report UNDECIDED, with no atoms.
+    The idempotent statements decide "is silting" for a module and its image
+    with :func:`~.silting.silting_module_verdict` (support τ-tilting, so a
+    τ-rigid module with too few summands reads ``partial_silting_only``);
+    they read no probe, and giving one raises ``ValidationError``.  For the
+    triangular statements ``probe`` is a dimension bound for the probe
+    sweeps, and ``budget`` caps each left-approximation search (only
+    ``thm_gluing_equivalences`` runs any).  A search cut off at the budget
+    makes the report UNDECIDED, with no atoms.
     """
     if statement not in _STATEMENTS:
         raise ValidationError(
@@ -1173,6 +1141,8 @@ def verify_transfer(
         raise ValidationError(f"{statement} needs an idempotent recollement context")
     if kind == "triangular" and not isinstance(ctx, TriangularContext):
         raise ValidationError(f"{statement} needs a triangular context")
+    if probe is not None and kind == "idempotent":
+        raise ValidationError(f"{statement} reads no probe; only the triangular statements do")
     if probe is not None and not isinstance(probe, int):
         raise ValidationError("transfer drivers take a dimension bound as the probe")
     keys = _INPUT_KEYS[kind]
@@ -1185,7 +1155,7 @@ def verify_transfer(
     if unknown:
         raise ValidationError(f"{statement} reads no input {unknown[0]!r}; it takes {', '.join(keys)}")
     try:
-        return driver(ctx, inputs, probe, budget)
+        return driver(ctx, inputs) if kind == "idempotent" else driver(ctx, inputs, probe, budget)
     except UndecidedError as exc:
         return VerificationReport(
             statement=statement,

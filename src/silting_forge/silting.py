@@ -20,6 +20,8 @@ only sits inside its own class.  This module provides:
   the images of the Hom(T_i, -), τ-compatibility is read off Hom(σ_i, T_j)
   (onto iff Hom(T_j, τT_i) = 0), kernel-top multiplicities add, and
   Hom(P_v, t) = e_v t; τ itself is never built,
+* :func:`silting_module_verdict` -- whether a module is silting at all,
+  that is support τ-tilting (Adachi–Iyama–Reiten),
 * :func:`tensor_silting` -- the induced presentation of an outer tensor
   product over a tensor-product algebra, with a comparison report.
 """
@@ -389,11 +391,56 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
         ]
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
+    return _certificate(t, pres, notes, sweep, hom_to_translate, mults, hom_vanish, _summand_classes(t))
+
+
+def _summand_classes(t: Module) -> int | None:
+    """Isoclasses of summands of ``t``; None when decompose is undecided."""
     try:
-        classes_t = 0 if t.dim == 0 else len(decompose(t))
+        return 0 if t.dim == 0 else len(decompose(t))
     except UndecidedError:
-        classes_t = None
-    return _certificate(t, pres, notes, sweep, hom_to_translate, mults, hom_vanish, classes_t)
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Is a module silting.
+# ---------------------------------------------------------------------------
+
+
+def _support_tau_tilting(t: Module, hom_to_translate: int, classes: int | None) -> dict:
+    """The one ladder for "is ``t`` a silting module".
+
+    ``t`` is silting iff it is support τ-tilting (Adachi–Iyama–Reiten,
+    arXiv:1210.1036, Thm 3.2): dim Hom(t, τt) = ``hom_to_translate`` is 0
+    and its ``classes`` isoclasses of summands match its supported vertices.
+    A τ-rigid ``t`` with fewer is ``partial_silting_only``; ``classes`` None
+    (an undecided decomposition) gives ``undecided``.
+    """
+    supported = sum(1 for d in t.dimension_vector().values() if d > 0)
+    if hom_to_translate:
+        verdict = "not_silting"
+    elif classes is None:
+        verdict = "undecided"
+    elif classes == supported:
+        verdict = "silting"
+    else:
+        verdict = "partial_silting_only"
+    return {
+        "verdict": verdict,
+        "hom_to_translate_dim": hom_to_translate,
+        "summand_classes": classes,
+        "supported_vertices": supported,
+    }
+
+
+def silting_module_verdict(t: Module) -> dict:
+    """Whether ``t`` is silting under some presentation: the JSON-ready
+    verdict of :func:`_support_tau_tilting` with the numbers it read.
+    dim Hom(t, τt) is the corank of Hom(σ_t, t) at the minimal presentation
+    σ_t (Adachi–Iyama–Reiten, Prop. 2.4), so τ is never built, and no probe
+    is read."""
+    hom_to_translate = precompose_corank(minimal_projective_presentation(t).map, t)
+    return _support_tau_tilting(t, hom_to_translate, _summand_classes(t))
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +579,10 @@ def tensor_silting(
     module *with the totalized presentation*, which need not be a silting
     presentation even when the module is silting (for the zero module it is
     ``0 -> 0``, whose class holds every module).  The report's
-    ``existential_verdict`` answers whether the module is silting at all,
-    from the certificate's rigidity data: a finitely generated module is
-    silting iff it is support tau-tilting (Adachi-Iyama-Reiten), that is
-    tau-rigid with as many isoclasses of summands as supported vertices.  It
-    is ``not_silting`` when Hom(module, tau module) -- reported as
-    ``hom_to_translate_dim`` -- is nonzero, ``undecided`` when the
-    decomposition is, and ``partial_silting_only`` for a tau-rigid module
-    with too few summands.
+    ``existential_verdict`` answers whether the module is silting at all: the
+    ladder of :func:`silting_module_verdict`, fed the dim Hom(module, tau
+    module) -- reported as ``hom_to_translate_dim`` -- and the class count
+    that the certificate already holds.
     """
     notes_t: list = []
     notes_s: list = []
@@ -572,48 +615,16 @@ def tensor_silting(
         certificates={"totalized": True},
     )
 
-    probe_list = _resolve_probes(tensor_alg, probe, dim_bound, [])
-    cert = silting_check(ts, pres, probe=probe_list)
-
-    # The sweep in silting_check already decided membership in D(total) and
-    # Gen(ts) for every probe; it is skipped only when ts lies outside its
-    # own presentation class.
-    swept = cert.probes or [
-        {"in_d_sigma": precompose_corank(total, u) == 0, "in_gen": gen_contains(ts, u)}
-        for u in probe_list
-    ]
-    membership = []
-    for idx, (u, rec) in enumerate(zip(probe_list, swept)):
-        membership.append(
-            {
-                "index": idx,
-                "dim": u.dim,
-                "dimension_vector": u.dimension_vector(),
-                "in_d_termwise": precompose_corank(termwise, u) == 0,
-                "in_d_totalized": rec["in_d_sigma"],
-                "in_gen": rec["in_gen"],
-            }
-        )
-    classes = cert.support["module_classes"]
-    unsupported = sum(1 for d in ts.dimension_vector().values() if d == 0)
-    if not cert.tau_rigid:
-        existential = "not_silting"
-    elif classes is None:
-        existential = "undecided"
-    elif classes + unsupported == cert.support["vertex_count"]:
-        existential = "silting"
-    else:
-        existential = "partial_silting_only"
+    cert = silting_check(ts, pres, probe=_resolve_probes(tensor_alg, probe, dim_bound, []))
+    existential = _support_tau_tilting(ts, cert.support["hom_to_translate_dim"], cert.support["module_classes"])
     report = {
         "termwise_map_presents_tensor_module": termwise_ok,
-        "degenerate_termwise_map": not termwise_ok,
         "termwise_cokernel_dim": termwise_coker.dim,
         "tensor_module_dim": ts.dim,
         "termwise_shape": [p1q1.dim, p0q0.dim],
         "totalized_shape": [src.dim, p0q0.dim],
-        "probe_membership": membership,
         "verdict": cert.verdict,
-        "existential_verdict": existential,
-        "hom_to_translate_dim": cert.support["hom_to_translate_dim"],
+        "existential_verdict": existential["verdict"],
+        "hom_to_translate_dim": existential["hom_to_translate_dim"],
     }
     return ts, pres, cert, report

@@ -511,6 +511,18 @@ def test_gp_of_one_module_rejects_a_dim_bound(regular_file):
     assert code == 0 and out["dim_bound"] == 4
 
 
+def test_recollement_verify_rejects_a_probe_on_an_idempotent_statement(regular_file):
+    # Only the triangular statements read --probe.
+    _assert_unread_flag_rejected(
+        ("recollement", "verify", "--statement", "lemma_q_transfer", "--algebra", "a2", "--e", "e2",
+         "--module", regular_file, "--probe", "2"),
+        "--probe",
+    )
+    code, out = cli("recollement", "verify", "--statement", "lemma_q_transfer", "--algebra", "a2",
+                    "--e", "e2", "--module", regular_file)
+    assert code == 0 and out["verdict"] == "PASS"
+
+
 @pytest.fixture()
 def gamma0_files(tmp_path):
     tctx = corpus_load("gamma0")
