@@ -180,7 +180,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--e", required=True)
     p.add_argument("--functor", required=True, choices=["i", "q", "p", "e", "l", "r"])
     p.add_argument("--module", required=True)
-    p = _leaf(recollement, "verify", "--length-bound", "--budget")
+    # No parser default for --budget: the idempotent branch rejects a given
+    # budget, and verify_transfer supplies the default for the triangular one.
+    p = _leaf(recollement, "verify", "--length-bound", "--budget", budget=None)
     p.add_argument("--statement", required=True)
     p.add_argument("--algebra", default=None)
     p.add_argument("--e", default=None)
@@ -490,7 +492,7 @@ def _handle_recollement(args):
             inputs["y"] = module_from_json(read_json_file(args.y), tctx.b)
             report = rmod.verify_transfer(tctx, statement, inputs, args.probe, args.budget)
         else:
-            for value, flag in [(args.x, "--x"), (args.y, "--y"), (args.probe, "--probe")]:
+            for value, flag in [(args.x, "--x"), (args.y, "--y"), (args.probe, "--probe"), (args.budget, "--budget")]:
                 _reject_unread(value, flag, "idempotent statements")
             if not (args.algebra and args.e):
                 raise ValidationError(

@@ -1113,7 +1113,7 @@ _STATEMENTS = {
 
 
 def verify_transfer(
-    ctx, statement: str, inputs: dict, probe=None, budget: int = APPROXIMATION_SEARCH_BUDGET
+    ctx, statement: str, inputs: dict, probe=None, budget: int | None = None
 ) -> VerificationReport:
     """Evaluate both sides of a transfer statement and report per-atom
     verdicts with witnesses.
@@ -1129,8 +1129,9 @@ def verify_transfer(
     they read no probe, and giving one raises ``ValidationError``.  For the
     triangular statements ``probe`` is a dimension bound for the probe
     sweeps, and ``budget`` caps each left-approximation search (only
-    ``thm_gluing_equivalences`` runs any).  A search cut off at the budget
-    makes the report UNDECIDED, with no atoms.
+    ``thm_gluing_equivalences`` runs any); None means
+    ``APPROXIMATION_SEARCH_BUDGET``.  A search cut off at the budget makes
+    the report UNDECIDED, with no atoms.
     """
     if statement not in _STATEMENTS:
         raise ValidationError(
@@ -1154,6 +1155,8 @@ def verify_transfer(
     unknown = [key for key in inputs if key not in keys]
     if unknown:
         raise ValidationError(f"{statement} reads no input {unknown[0]!r}; it takes {', '.join(keys)}")
+    if budget is None:
+        budget = APPROXIMATION_SEARCH_BUDGET
     try:
         return driver(ctx, inputs) if kind == "idempotent" else driver(ctx, inputs, probe, budget)
     except UndecidedError as exc:

@@ -19,7 +19,8 @@ only sits inside its own class.  This module provides:
   block-diagonal presentation is block diagonal, Gen(⊕T_i) is spanned by
   the images of the Hom(T_i, -), τ-compatibility is read off Hom(σ_i, T_j)
   (onto iff Hom(T_j, τT_i) = 0), kernel-top multiplicities add, and
-  Hom(P_v, t) = e_v t; τ itself is never built,
+  Hom(P_v, t) = e_v t; τ itself is never built.  A result keeps its blocks
+  and builds its module and presentation only when a caller reads them,
 * :func:`silting_module_verdict` -- whether a module is silting at all,
   that is support τ-tilting (Adachi–Iyama–Reiten),
 * :func:`tensor_silting` -- the induced presentation of an outer tensor
@@ -29,7 +30,7 @@ only sits inside its own class.  This module provides:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .exactlinalg import Matrix, nullspace, rank, row_space_basis
 from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
@@ -200,31 +201,60 @@ class SiltingCertificate:
     certificate data (kernel complement multiplicities and the class count);
     ``probes`` records the per-probe membership sweep; ``mismatch`` is the
     first witness separating the two classes, if any.
+
+    ``presentation`` is the block-diagonal sum of ``blocks``.
+    :func:`silting_check` hands in the presentation it checked, as the one
+    block, and its module.  A result of :func:`enumerate_silting` holds only
+    its blocks -- the minimal presentations of its summands, then the
+    ``Q_v -> 0`` complement blocks -- and builds its presentation on first
+    read of ``presentation`` or ``module``, through
+    :func:`direct_sum_presentation`; ``module`` is then that presentation's
+    cokernel.  :meth:`to_json` sums its sizes over the blocks and builds
+    nothing.
     """
 
-    module: Module
-    presentation: Presentation
+    algebra: Algebra
+    blocks: tuple
     verdict: str
     tau_rigid: bool | None
     support: dict
     probes: list
     mismatch: dict | None
     notes: tuple
+    _module: Module | None = dc_field(default=None, repr=False)
+    _presentation: Presentation | None = dc_field(default=None, repr=False)
+
+    @property
+    def presentation(self) -> Presentation:
+        if self._presentation is None:
+            self._presentation = direct_sum_presentation(list(self.blocks), algebra=self.algebra)
+        return self._presentation
+
+    @property
+    def module(self) -> Module:
+        if self._module is None:
+            self._module = self.presentation.cokernel
+        return self._module
 
     def __bool__(self) -> bool:
         return self.verdict == "silting"
 
     def to_json(self) -> dict:
+        # The sum's dimension vector is the sum of its blocks' cokernels'.
+        dvec = {lbl: 0 for lbl, _ in self.algebra.idempotents}
+        for b in self.blocks:
+            for lbl, d in b.cokernel.dimension_vector().items():
+                dvec[lbl] += d
         return {
             "verdict": self.verdict,
             "module": {
-                "dim": self.module.dim,
-                "dimension_vector": self.module.dimension_vector(),
+                "dim": sum(b.cokernel.dim for b in self.blocks),
+                "dimension_vector": dvec,
             },
             "presentation": {
-                "kind": self.presentation.kind,
-                "p1_dim": self.presentation.map.source.dim,
-                "p0_dim": self.presentation.map.target.dim,
+                "kind": self.blocks[0].kind,
+                "p1_dim": sum(b.map.source.dim for b in self.blocks),
+                "p0_dim": sum(b.map.target.dim for b in self.blocks),
             },
             "tau_rigid": self.tau_rigid,
             "support": self.support,
@@ -272,19 +302,25 @@ def _resolve_probes(alg: Algebra, probe, dim_bound: int, notes: list) -> list:
 
 
 def _certificate(
-    t: Module,
-    pres: Presentation,
+    alg: Algebra,
+    blocks: tuple,
     notes: list,
     sweep: list | None,
     hom_to_translate: int,
     mults: dict[str, int],
     hom_vanish: bool,
     classes_t: int | None,
+    *,
+    module: Module | None = None,
+    presentation: Presentation | None = None,
 ) -> SiltingCertificate:
     """The verdict ladder: the one place a verdict is decided from evidence.
 
-    ``sweep`` holds (dim, dimension vector, in D_sigma, in Gen t) per probe,
-    or is None when ``t`` lies outside its own presentation class.
+    The module t under test is presented by the block sum of ``blocks``
+    over ``alg``; ``module`` and ``presentation``, when given, are t and
+    that presentation, already built.  ``sweep`` holds (dim, dimension
+    vector, in D_sigma, in Gen t) per probe, or is None when ``t`` lies
+    outside its own presentation class.
     ``hom_to_translate`` is dim Hom(t, tau t); ``mults`` the kernel-top
     multiplicities of the presentation map; ``hom_vanish`` whether Hom(P_v, t)
     is zero at every vertex v of positive multiplicity; ``classes_t`` the
@@ -293,7 +329,6 @@ def _certificate(
     certificate is a contradiction and yields ``undecided``; a mismatch
     alone is decisive.
     """
-    alg = t.algebra
     probes: list = []
     mismatch: dict | None = None
     if sweep is None:
@@ -351,14 +386,16 @@ def _certificate(
         notes.append("self-membership passed but rigidity failed; evidence inconsistent")
 
     return SiltingCertificate(
-        module=t,
-        presentation=pres,
+        algebra=alg,
+        blocks=blocks,
         verdict=verdict,
         tau_rigid=tau_rigid,
         support=support,
         probes=probes,
         mismatch=mismatch,
         notes=tuple(notes),
+        _module=module,
+        _presentation=presentation,
     )
 
 
@@ -391,7 +428,10 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
         ]
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
-    return _certificate(t, pres, notes, sweep, hom_to_translate, mults, hom_vanish, _summand_classes(t))
+    return _certificate(
+        alg, (pres,), notes, sweep, hom_to_translate, mults, hom_vanish, _summand_classes(t),
+        module=t, presentation=pres,
+    )
 
 
 def _summand_classes(t: Module) -> int | None:
@@ -483,7 +523,10 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
 
     Each candidate goes through the verdict ladder of :func:`silting_check`;
     only ``silting`` verdicts are returned, in deterministic order.  The
-    probes are the pool unless ``probe`` lists others.
+    probes are the pool unless ``probe`` lists others.  A result holds its
+    blocks, sigma_i and then Q_v -> 0, and builds its module and
+    presentation on first read (see :class:`SiltingCertificate`), so a
+    caller that only counts or prints results builds no sum.
     """
     if alg.field.kind != "prime":
         raise DomainError("enumeration requires a finite field")
@@ -529,7 +572,7 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
                 continue
             # The Q_v -> 0 blocks present 0, so the cokernel is the direct sum
             # of the parts.
-            pres = direct_sum_presentation([s.sigma for s in parts] + [to_zero[v] for v in comp], algebra=alg)
+            blocks = tuple([s.sigma for s in parts] + [to_zero[v] for v in comp])
             sweep = []
             for k, (dim, dvec) in enumerate(probe_dims):
                 in_d = all(s.onto[k] for s in parts) and all(dvec[labels[v]] == 0 for v in comp)
@@ -540,8 +583,8 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
             mults = {lbl: sum(s.mults[v] for s in parts) + int(v in comp) for v, lbl in enumerate(labels)}
             hom_vanish = all(dims[v] == 0 for v, lbl in enumerate(labels) if mults[lbl] > 0)
             cert = _certificate(
-                pres.cokernel,
-                pres,
+                alg,
+                blocks,
                 [COPRODUCT_NOTE, _SUPPLIED_PRESENTATION, _SUPPLIED_PROBES],
                 sweep,
                 0,  # Hom(t, tau t): the filter kept only compatible sums

@@ -523,6 +523,22 @@ def test_recollement_verify_rejects_a_probe_on_an_idempotent_statement(regular_f
     assert code == 0 and out["verdict"] == "PASS"
 
 
+def test_recollement_verify_rejects_a_budget_on_an_idempotent_statement(regular_file, gamma0_files):
+    # Only thm_gluing_equivalences, a triangular statement, runs a search
+    # that --budget caps; an idempotent statement used to accept it unread.
+    for budget in ("1", "5", str(gmod.APPROXIMATION_SEARCH_BUDGET)):
+        _assert_unread_flag_rejected(
+            ("recollement", "verify", "--statement", "lemma_q_transfer", "--algebra", "a2", "--e", "e2",
+             "--module", regular_file, "--budget", budget),
+            "--budget",
+        )
+    # On a triangular statement an absent --budget is the default one.
+    x, y = gamma0_files
+    gluing = ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
+              "--x", x, "--y", y)
+    assert cli(*gluing) == cli(*gluing, "--budget", str(gmod.APPROXIMATION_SEARCH_BUDGET))
+
+
 @pytest.fixture()
 def gamma0_files(tmp_path):
     tctx = corpus_load("gamma0")
@@ -607,9 +623,13 @@ def test_the_budget_default_and_the_suite_names_have_one_source():
         for name, parser in leaves.items()
         if "--budget" in {o for a in parser._actions for o in a.option_strings}
     }
-    assert budgets == dict.fromkeys(
-        ["gorenstein check", "recollement verify", "theorems run"], gmod.APPROXIMATION_SEARCH_BUDGET
-    )
+    # recollement verify has no parser default, so its idempotent branch can
+    # tell a given budget from none; verify_transfer then supplies the default.
+    assert budgets == {
+        "gorenstein check": gmod.APPROXIMATION_SEARCH_BUDGET,
+        "recollement verify": None,
+        "theorems run": gmod.APPROXIMATION_SEARCH_BUDGET,
+    }
     suite = next(a for a in leaves["theorems run"]._actions if "--suite" in a.option_strings)
     assert tuple(suite.choices) == smod.SUITES
     code, out = cli("theorems", "run", "--suite", "bogus")

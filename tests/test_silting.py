@@ -379,6 +379,60 @@ def test_enumeration_matches_the_reference_with_supplied_probes(a3rel):
     assert got and all(len(c.probes) == len(probes) for c in got)
 
 
+def _assert_same_presentation(got, want):
+    for attr in ("map", "coker_map"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.matrix.data == w.matrix.data, attr
+        assert g.source.dim == w.source.dim and g.target.dim == w.target.dim, attr
+    assert got.kind == want.kind
+    assert got.cokernel.dim == want.cokernel.dim
+    for lbl in got.cokernel.algebra.labels:
+        assert got.cokernel.action[lbl].data == want.cokernel.action[lbl].data, lbl
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_an_enumerated_result_builds_the_sum_of_its_blocks(case):
+    # A result keeps its blocks and builds its presentation on first read:
+    # that must be the presentation direct_sum_presentation makes of them,
+    # and to_json, which reads only the blocks, must not change once built.
+    make, bound = _REFERENCE_CASES[case]
+    alg = make()
+    certs = enumerate_silting(alg, bound)
+    assert certs
+    before = [c.to_json() for c in certs]
+    for cert in certs:
+        reference = direct_sum_presentation(list(cert.blocks), algebra=alg)
+        _assert_same_presentation(cert.presentation, reference)
+        assert cert.presentation.cokernel is cert.module
+    assert [c.to_json() for c in certs] == before
+
+
+def test_enumerated_results_build_only_what_is_read(monkeypatch):
+    calls = []
+    original = silting.direct_sum_presentation
+
+    def counted(parts, algebra=None):
+        calls.append(len(parts))
+        return original(parts, algebra)
+
+    monkeypatch.setattr(silting, "direct_sum_presentation", counted)
+    make, bound = _REFERENCE_CASES["F3-a3rel"]
+    alg = make()
+    assert len(enumerate_silting(alg, bound)) == 12
+    assert calls == []
+    certs = enumerate_silting(alg, bound)
+    for cert in certs:
+        cert.to_json()
+    assert calls == []
+    for k, cert in enumerate(certs[:4]):
+        assert cert.module is cert.presentation.cokernel
+        assert cert.presentation is cert.presentation
+        assert calls == [len(c.blocks) for c in certs[: k + 1]]
+    # Reading only the module builds the presentation it is the cokernel of.
+    certs[4].module
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("name", ["a2", "a3rel", "dualnum", "kxk"])
 def test_membership_tests_are_additive_over_summands(name):
     alg = corpus_load(name)
