@@ -13,7 +13,9 @@ inspectable:
   analytic) list of indecomposable GP modules within a dimension bound,
 * relative notions against the list: right approximations, proper two-term
   presentations, relative exactness, relative derived functors, relative
-  generation, and certified relative two-term checks.
+  generation, and certified relative two-term checks,
+* :func:`gorenstein_module_verdict` -- whether a module is Gorenstein-silting
+  under some presentation: one check at the maximal padding.
 """
 
 from __future__ import annotations
@@ -829,40 +831,25 @@ def gorenstein_silting_check(
     )
 
 
-def find_gorenstein_silting_presentation(
+def gorenstein_module_verdict(
     t: Module,
     gp: GpClassification,
     probe=None,
     budget: int = APPROXIMATION_SEARCH_BUDGET,
-) -> tuple[Presentation, GorensteinSiltingCertificate] | None:
-    """Bounded existential search for a presentation certifying ``t``.
+) -> GorensteinSiltingCertificate:
+    """Whether ``t`` is Gorenstein-silting under some presentation: one
+    :func:`gorenstein_silting_check` at the maximal padding θ_max, the proper
+    presentation of ``t`` plus ``G -> 0`` for every listed GP module G with
+    Hom(G, t) = 0; the certificate's ``presentation`` is θ_max.
 
-    Candidates are the automatic proper presentation padded with ``G -> 0``
-    blocks over subsets of listed GP modules having no maps into ``t``, in
-    deterministic order; the first candidate whose certificate verdict is
-    ``gorenstein_silting`` wins, otherwise ``None``.  ``budget`` caps both
-    the number of padded presentations tried and each approximation search
-    inside their checks; a miss after presentations were dropped at the
-    budget raises :class:`UndecidedError`.
+    Padding by G cuts D_θ down to the modules M with Hom(G, M) = 0, and
+    every M in Gen_G t is one of them, so Gen_G t ⊆ D_(θ_max) ⊆ D_θ for each
+    padding θ: if any padding certifies ``t``, θ_max does (compare
+    Adachi–Iyama–Reiten, arXiv:1210.1036, on the projective complement).
+    ``budget`` caps each approximation search of the check.
     """
-    alg = t.algebra
-    base = proper_gp_presentation(t, gp)
-    eligible = [g for g in gp.modules if hom_dim(g, t) == 0]
-    total = 2 ** len(eligible)
-    bound = min(total, max(budget, 0))
-    for mask in range(bound):
-        blocks = [base] + [
-            zero_target_presentation(eligible[j], "gorenstein_projective")
-            for j in range(len(eligible))
-            if mask & (1 << j)
-        ]
-        theta = direct_sum_presentation(blocks, algebra=alg) if len(blocks) > 1 else base
-        cert = gorenstein_silting_check(t, theta, gp, probe, budget)
-        if cert.verdict == "gorenstein_silting":
-            return theta, cert
-    if bound < total:
-        raise UndecidedError(
-            f"presentation search stopped at its budget of {bound} "
-            f"of {total} padded presentations without a certificate"
-        )
-    return None
+    blocks = [proper_gp_presentation(t, gp)] + [
+        zero_target_presentation(g, "gorenstein_projective") for g in gp.modules if hom_dim(g, t) == 0
+    ]
+    theta = direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
+    return gorenstein_silting_check(t, theta, gp, probe, budget)

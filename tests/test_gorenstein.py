@@ -39,9 +39,9 @@ from silting_forge.modules import (
 from silting_forge.gorenstein import (
     GpClassification,
     d_theta_contains,
-    find_gorenstein_silting_presentation,
     gen_g_contains,
     gext_dim,
+    gorenstein_module_verdict,
     gorenstein_report,
     gorenstein_silting_check,
     gp_classification,
@@ -51,7 +51,7 @@ from silting_forge.gorenstein import (
     proper_gp_presentation,
     right_gp_approximation,
 )
-from silting_forge.silting import zero_target_presentation
+from silting_forge.silting import direct_sum_presentation, zero_target_presentation
 
 
 def two_loop_local_algebra():
@@ -472,30 +472,74 @@ def test_sequence_none_is_a_value(gp_dual):
 
 
 # ---------------------------------------------------------------------------
-# Existential presentation search.
+# Existential verdict: one check at the maximal padding.
 # ---------------------------------------------------------------------------
+
+
+def _subset_search(t, gp):
+    """The earlier existential answer, kept as a reference: the proper
+    presentation of t padded by G -> 0 over the subsets of the listed GP
+    modules G with Hom(G, t) = 0, in mask order; the first certified padding
+    wins, and None means that none is."""
+    base = proper_gp_presentation(t, gp)
+    eligible = [g for g in gp.modules if hom_dim(g, t) == 0]
+    for mask in range(2 ** len(eligible)):
+        blocks = [base] + [
+            zero_target_presentation(g, "gorenstein_projective")
+            for j, g in enumerate(eligible)
+            if mask >> j & 1
+        ]
+        theta = direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else base
+        cert = gorenstein_silting_check(t, theta, gp)
+        if cert:
+            return theta, cert
+    return None
+
+
+def test_maximal_padding_decides_as_the_subset_search_does():
+    # The zero module, the indecomposables and their sums of two distinct
+    # members: 85 modules, 42 of them Gorenstein-silting.
+    gamma0 = corpus_load("gamma0")
+    cases = [(gamma0, gamma0.gamma, 2), (corpus_load("a2xa2"), None, 2)] + [
+        (source, None, 3)
+        for source in (gamma0.a, gamma0.b, corpus_load("a2"), corpus_load("a3rel"),
+                       corpus_load("dualnum"), corpus_load("kxk"))
+    ]
+    seen = certified = 0
+    for source, alg, bound in cases:
+        alg = alg or source
+        gp = gp_classification(source)
+        pool = enumerate_indecomposables(alg, bound)
+        modules = [zero_module(alg)] + pool + [
+            direct_sum([u, v], algebra=alg)[0] for u, v in itertools.combinations(pool, 2)
+        ]
+        for t in modules:
+            verdict = gorenstein_module_verdict(t, gp)
+            assert bool(verdict) == (_subset_search(t, gp) is not None), t.dimension_vector()
+            seen += 1
+            certified += bool(verdict)
+    assert (seen, certified) == (85, 42)
 
 
 def test_find_presentation_negative_and_positive(gp_dual):
     alg, gp = gp_dual
     reg = regular_module(alg)
-    assert find_gorenstein_silting_presentation(reg, gp) is None
+    assert gorenstein_module_verdict(reg, gp).verdict != "gorenstein_silting"
     t = direct_sum([reg, simple_module(alg, "ev")], algebra=alg)[0]
-    found = find_gorenstein_silting_presentation(t, gp)
-    assert found is not None
-    theta, cert = found
-    assert cert.verdict == "gorenstein_silting"
+    assert gorenstein_module_verdict(t, gp).verdict == "gorenstein_silting"
 
 
 def test_find_presentation_zero_module(gp_dual):
     """The zero module is certified through a pure complement presentation."""
     alg, gp = gp_dual
-    z = zero_module(alg)
-    found = find_gorenstein_silting_presentation(z, gp)
-    assert found is not None
-    theta, cert = found
+    cert = gorenstein_module_verdict(zero_module(alg), gp)
     assert cert.verdict == "gorenstein_silting"
-    assert theta.map.source.dim > 0
+    assert cert.presentation.map.source.dim > 0
+    # Over a2 the maximal padding of the zero module is the regular module -> 0.
+    a2 = corpus_load("a2")
+    cert = gorenstein_module_verdict(zero_module(a2), gp_classification(a2))
+    assert cert.verdict == "gorenstein_silting"
+    assert cert.presentation.map.source.dim == 3
 
 
 def test_zero_target_presentation_class(gp_dual):
@@ -508,20 +552,6 @@ def test_zero_target_presentation_class(gp_dual):
     assert d_theta_contains(theta, zero_module(alg))
 
 
-def test_padded_presentation_search_is_cut_off_by_the_budget():
-    # The zero module over a2 is certified only by the last of its four
-    # padded presentations; every approximation search into the zero module
-    # has one candidate, so the budget cuts only the padded search.
-    alg = corpus_load("a2")
-    gp = gp_classification(alg)
-    z = zero_module(alg)
-    with pytest.raises(UndecidedError, match="budget of 3 of 4 padded presentations"):
-        find_gorenstein_silting_presentation(z, gp, budget=3)
-    theta, cert = find_gorenstein_silting_presentation(z, gp, budget=4)
-    assert cert.verdict == "gorenstein_silting"
-    assert theta.map.source.dim == 3
-
-
 # ---------------------------------------------------------------------------
 # Relative evidence memoized on the classification.
 # ---------------------------------------------------------------------------
@@ -529,8 +559,8 @@ def test_padded_presentation_search_is_cut_off_by_the_budget():
 
 def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
     # Over a2 the simple S(e1) fails against its automatic presentation and
-    # is certified by the next padded one, so the search checks two
-    # presentations and the AUTO check repeats the first of them.
+    # is certified at its maximal padding.  The AUTO check that follows reads
+    # only evidence that the verdict already computed.
     alg = corpus_load("a2")
     gp = dataclasses.replace(gp_classification(alg))
     t = simple_module(alg, "e1")
@@ -543,8 +573,8 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(gorenstein, name, counted)
-    theta, cert = find_gorenstein_silting_presentation(t, gp)
-    assert theta is not proper_gp_presentation(t, gp) and cert.verdict == "gorenstein_silting"
+    cert = gorenstein_module_verdict(t, gp)
+    assert cert.presentation is not proper_gp_presentation(t, gp) and cert.verdict == "gorenstein_silting"
     after_search = {name: len(seen) for name, seen in calls.items()}
     assert gorenstein_silting_check(t, "AUTO", gp).verdict == "not"
     assert {name: len(seen) for name, seen in calls.items()} == after_search
@@ -577,11 +607,10 @@ def test_memoized_relative_evidence_matches_a_cold_classification():
     def evidence(gp, t, cold):
         fresh = (lambda: dataclasses.replace(gp)) if cold else (lambda: gp)
         theta = proper_gp_presentation(t, fresh())
-        found = find_gorenstein_silting_presentation(t, fresh())
         return (
             gorenstein_silting_check(t, "AUTO", fresh()).to_json(),
             [left_approximation_sequence(g, t, theta, fresh()).to_json() for g in gp.modules],
-            None if found is None else found[1].to_json(),
+            gorenstein_module_verdict(t, fresh()).to_json(),
         )
 
     for gp, modules in _memo_reference_cases():
@@ -597,11 +626,11 @@ def test_a_warm_memo_does_not_answer_a_smaller_budget(gp_a2):
     theta = proper_gp_presentation(t, gp)
     assert left_approximation_sequence(projs["e2"], t, theta, gp).found
     assert gorenstein_silting_check(t, theta, gp).verdict == "gorenstein_silting"
-    assert find_gorenstein_silting_presentation(t, gp) is not None
+    assert gorenstein_module_verdict(t, gp).verdict == "gorenstein_silting"
     for _ in range(2):
         with pytest.raises(UndecidedError, match="budget"):
             left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
         with pytest.raises(UndecidedError, match="budget"):
             gorenstein_silting_check(t, theta, gp, budget=1)
         with pytest.raises(UndecidedError, match="budget"):
-            find_gorenstein_silting_presentation(t, gp, budget=1)
+            gorenstein_module_verdict(t, gp, budget=1)

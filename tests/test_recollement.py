@@ -29,7 +29,7 @@ from silting_forge.modules import (
     simple_module,
     zero_module,
 )
-from silting_forge import recollement as rmod, silting, suites
+from silting_forge import gorenstein, recollement as rmod, silting, suites
 from silting_forge.recollement import (
     Triple,
     VerificationReport,
@@ -493,6 +493,28 @@ def test_existential_silting_makes_one_check_per_module(monkeypatch, a2_ctx):
     del verdicts[:]
     assert suites.run_idempotent_suite()["verdict"] == "PASS"
     assert (len(checks), len(verdicts)) == (0, 12)
+
+
+def test_existential_gorenstein_silting_makes_one_check_per_module(monkeypatch):
+    # One thm_gluing_equivalences row checks x and y once each, at their
+    # maximal paddings, and the glued module t once at the glued presentation
+    # and, only when that fails, once more at its maximal padding.
+    tctx = _gamma0()
+    real_check = gorenstein.gorenstein_silting_check
+    checked = []
+
+    def spy(t, *args, **kwargs):
+        checked.append(t.algebra)
+        return real_check(t, *args, **kwargs)
+
+    monkeypatch.setattr(gorenstein, "gorenstein_silting_check", spy)
+    monkeypatch.setattr(rmod, "gorenstein_silting_check", spy)
+    for y, glued in [(zero_module(tctx.b), True), (simple_module(tctx.b, "ev"), False)]:
+        del checked[:]
+        report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": zero_module(tctx.a), "y": y})
+        assert (report.atoms["a"]["realised_by"] == "glued") is glued
+        counts = [sum(alg is side for alg in checked) for side in (tctx.a, tctx.b, tctx.gamma)]
+        assert counts == [1, 1, 1 if glued else 2] and len(checked) == sum(counts)
 
 
 def test_idempotent_statements_read_no_probe(a2_ctx):
