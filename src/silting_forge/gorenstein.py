@@ -14,8 +14,9 @@ inspectable:
 * relative notions against the list: right approximations, proper two-term
   presentations, relative exactness, relative derived functors, relative
   generation, and certified relative two-term checks,
-* :func:`gorenstein_module_verdict` -- whether a module is Gorenstein-silting
-  under some presentation: one check at the maximal padding.
+* :func:`gorenstein_silting_check` -- whether a module is Gorenstein-silting;
+  with ``theta="AUTO"`` it decides "under some presentation" by one check at
+  the maximal padding.
 """
 
 from __future__ import annotations
@@ -609,8 +610,8 @@ class _ApproximationTable:
 
 
 @memoized
-def _approximation_table(gp: GpClassification, p: Module, t: Module, budget: int) -> _ApproximationTable:
-    return _ApproximationTable(p, t, budget)
+def _approximation_table(gp: GpClassification, p: Module, t: Module, budget: int, transport=None) -> _ApproximationTable:
+    return _ApproximationTable(p, t, budget, transport)
 
 
 def left_approximation_sequence(
@@ -640,20 +641,18 @@ def left_approximation_sequence(
     ``found=False`` with the bound; a miss after candidates were dropped at
     the budget raises :class:`UndecidedError`.
 
-    Without a transport, the evidence that does not involve theta (each
-    candidate's cokernel, its membership in Add(t), its G-exactness and its
-    restrictions onto the probes) is memoized on ``gp`` per (p, t, budget);
-    only the two tests that read theta, T_0 in its class and which probes
-    are in it, run on every call.
+    The evidence that does not involve theta (each candidate's cokernel, its
+    membership in Add(t), its G-exactness and its restrictions onto the
+    probes) is memoized on ``gp`` per (p, t, budget, transport), so one
+    embedding should be passed as one hashable object; only the two tests
+    that read theta, T_0 in its class and which probes are in it, run on
+    every call.
     """
     f = p.algebra.field
     if class_probes is None:
         probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
         class_probes = [u for u in probe if d_theta_contains(theta, u)]
-    if transport is None:
-        table = _approximation_table(gp, p, t, budget)
-    else:
-        table = _ApproximationTable(p, t, budget, transport)
+    table = _approximation_table(gp, p, t, budget, transport)
     bound = len(table.candidates)
     for cand in table:
         if not cand.in_add:
@@ -734,9 +733,12 @@ class GorensteinSiltingCertificate:
 
 
 def _resolve_theta(t: Module, theta, gp: GpClassification, notes: list) -> Presentation:
-    if theta is None or (isinstance(theta, str) and theta.upper() == "AUTO"):
-        notes.append("presentation: automatic proper relative presentation")
-        return proper_gp_presentation(t, gp)
+    if isinstance(theta, str) and theta.upper() == "AUTO":
+        notes.append("presentation: automatic maximal padding of the proper relative presentation")
+        blocks = [proper_gp_presentation(t, gp)] + [
+            zero_target_presentation(g, "gorenstein_projective") for g in gp.modules if hom_dim(g, t) == 0
+        ]
+        return direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
     if not isinstance(theta, Presentation) or theta.kind != "gorenstein_projective":
         raise ValidationError("relative check needs a gorenstein_projective-kind presentation")
     if theta.cokernel is not t and is_isomorphic(theta.cokernel, t) is None:
@@ -760,6 +762,12 @@ def gorenstein_silting_check(
     decisive unless the sufficiency route simultaneously completes, which is
     a contradiction and yields ``undecided``.  ``budget`` caps each
     approximation search.
+
+    ``theta="AUTO"`` is the maximal padding θ_max: the proper presentation
+    of ``t`` plus ``G -> 0`` for every listed GP module G with Hom(G, t) = 0.
+    Padding by G cuts D_θ down to the M with Hom(G, M) = 0, which holds
+    Gen_G t, so if any padding certifies ``t``, θ_max does (compare
+    Adachi–Iyama–Reiten, arXiv:1210.1036, on the projective complement).
     """
     if gp is None:
         gp = gp_classification(t.algebra)
@@ -830,26 +838,3 @@ def gorenstein_silting_check(
         notes=tuple(notes),
     )
 
-
-def gorenstein_module_verdict(
-    t: Module,
-    gp: GpClassification,
-    probe=None,
-    budget: int = APPROXIMATION_SEARCH_BUDGET,
-) -> GorensteinSiltingCertificate:
-    """Whether ``t`` is Gorenstein-silting under some presentation: one
-    :func:`gorenstein_silting_check` at the maximal padding θ_max, the proper
-    presentation of ``t`` plus ``G -> 0`` for every listed GP module G with
-    Hom(G, t) = 0; the certificate's ``presentation`` is θ_max.
-
-    Padding by G cuts D_θ down to the modules M with Hom(G, M) = 0, and
-    every M in Gen_G t is one of them, so Gen_G t ⊆ D_(θ_max) ⊆ D_θ for each
-    padding θ: if any padding certifies ``t``, θ_max does (compare
-    Adachi–Iyama–Reiten, arXiv:1210.1036, on the projective complement).
-    ``budget`` caps each approximation search of the check.
-    """
-    blocks = [proper_gp_presentation(t, gp)] + [
-        zero_target_presentation(g, "gorenstein_projective") for g in gp.modules if hom_dim(g, t) == 0
-    ]
-    theta = direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
-    return gorenstein_silting_check(t, theta, gp, probe, budget)

@@ -25,6 +25,7 @@ context with explicit, certificate-checked functors:
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -36,13 +37,13 @@ from .algebra import (
     TriangularContext,
     ValidationError,
     derive_algebra,
+    memoized,
     same_algebra,
 )
 from .exactlinalg import Matrix, nullspace, row_space_basis, solve
 from .gorenstein import (
     d_theta_contains,
     gen_g_contains,
-    gorenstein_module_verdict,
     gorenstein_report,
     gorenstein_silting_check,
     gp_classification,
@@ -586,6 +587,18 @@ def _t_b(tctx: TriangularContext, y):
     return _assemble_triple(tctx, t_mod, y, proj)
 
 
+def _embed(ref, functor, x):
+    return functor(ref(), x)
+
+
+@memoized
+def _embedding(tctx: TriangularContext, side: str):
+    """Z_A (side "a") or T_B (side "b") as one object per context and side.
+    It holds the context weakly: the tables it keys live in the context's
+    memo, and a strong reference would keep the context for the collector."""
+    return partial(_embed, weakref.ref(tctx), _z_a if side == "a" else _t_b)
+
+
 def _u_side(tctx: TriangularContext, x, side: str):
     if isinstance(x, ModuleMap):
         _check_algebra(x, tctx.gamma, "the triangular algebra")
@@ -987,11 +1000,9 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> V
 def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
     """Atoms a-f of the gluing theorem for x over the top algebra and y over
     the bottom one.  Atoms c and d, and atom a after its glued candidate,
-    ask :func:`~.gorenstein.gorenstein_module_verdict` whether the module is
-    Gorenstein-silting under some presentation.  The report keys and labels
-    that say "search" (``realised_by: "search"``, ``search_found`` and the
-    note's "search-realised") mean "certified at the maximal padding"; they
-    keep their names because ``recollement verify`` output is pinned.
+    ask :func:`~.gorenstein.gorenstein_silting_check` at ``"AUTO"``, the
+    maximal padding, whether the module is Gorenstein-silting under some
+    presentation.
     """
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
@@ -1009,8 +1020,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     ny, _, _ = triangular_tensor(tctx, y)
 
     # (c) and (d): one check at the maximal padding on each side
-    cert_x = gorenstein_module_verdict(x, gpa, probes_a, budget)
-    cert_y = gorenstein_module_verdict(y, gpb, probes_b, budget)
+    cert_x = gorenstein_silting_check(x, "AUTO", gpa, probes_a, budget)
+    cert_y = gorenstein_silting_check(y, "AUTO", gpb, probes_b, budget)
     gen_ok = gen_g_contains(x, ny, gpa)
     atom_c = bool(cert_x) and gen_ok
     atom_d = bool(cert_y)
@@ -1020,9 +1031,9 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     theta = glued_gp_presentation(tctx, theta_x, theta_y)
     notes.append(
         "presentations: top="
-        + ("search-realised" if cert_x else "automatic")
+        + ("maximal-padding" if cert_x else "automatic")
         + ", bottom="
-        + ("search-realised" if cert_y else "automatic")
+        + ("maximal-padding" if cert_y else "automatic")
     )
 
     # (a): the glued candidate first, then the check at the maximal padding
@@ -1031,8 +1042,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
         atom_a = True
         realised_a = "glued"
     else:
-        atom_a = bool(gorenstein_module_verdict(t, gpg, probes_g, budget))
-        realised_a = "search" if atom_a else None
+        atom_a = bool(gorenstein_silting_check(t, "AUTO", gpg, probes_g, budget))
+        realised_a = "maximal_padding" if atom_a else None
 
     # (b): block-shaped sequences for every classified relative projective:
     # a top-algebra candidate lifts by the section functor, a bottom-algebra
@@ -1041,11 +1052,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     b_rows = []
     for g in gpg.modules:
         triple = _module_to_triple(tctx, g)
-        if triple.y.dim == 0:
-            side, part, t_side, transport = "a", triple.x, x, lambda m: _z_a(tctx, m)
-        else:
-            side, part, t_side, transport = "b", triple.y, y, lambda m: _t_b(tctx, m)
-        seq = left_approximation_sequence(part, t_side, theta, gpg, class_g, transport, budget)
+        side, part, t_side = ("a", triple.x, x) if triple.y.dim == 0 else ("b", triple.y, y)
+        seq = left_approximation_sequence(part, t_side, theta, gpg, class_g, _embedding(tctx, side), budget)
         if seq.found:
             row = {"found": True, "middle_dim": seq.detail["middle_dim"],
                    "end_dim": seq.detail["end_dim"], "side": side}
@@ -1077,8 +1085,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     atoms = {
         "a": {"value": atom_a, "realised_by": realised_a, "glued_verdict": cert_glued.verdict},
         "b": {"value": atom_b, "rows": b_rows},
-        "c": {"value": atom_c, "search_found": bool(cert_x), "tensor_image_generated": gen_ok},
-        "d": {"value": atom_d, "search_found": bool(cert_y)},
+        "c": {"value": atom_c, "certified": bool(cert_x), "tensor_image_generated": gen_ok},
+        "d": {"value": atom_d, "certified": bool(cert_y)},
         "e": {"value": atom_e, "rows": e_rows},
         "f": {"value": atom_f, "rows": f_rows},
         "equivalence_a_b": eq_ab,

@@ -332,6 +332,16 @@ def test_gorenstein_check_regular(regular_file):
     assert out["verdict"] == "gorenstein_silting"
 
 
+def test_gorenstein_check_certifies_at_the_maximal_padding(simple1_file):
+    # S(e1) over a2 fails against its proper presentation P(e2) -> P(e1)
+    # alone; padded by P(e2) -> 0, since Hom(P(e2), S(e1)) = 0, it is
+    # Gorenstein-silting.
+    code, out = cli("gorenstein", "check", "--algebra", "a2", "--module", simple1_file)
+    assert code == 0
+    assert out["verdict"] == "gorenstein_silting"
+    assert (out["presentation"]["g1_dim"], out["presentation"]["g0_dim"]) == (2, 2)
+
+
 # ---------------------------------------------------------------------------
 # recollement group
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Self-injective dimension reports, GP classification, relative machinery."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -14,7 +16,8 @@ from silting_forge.algebra import (
     ValidationError,
     compile_quiver_algebra,
 )
-from silting_forge import gorenstein
+from silting_forge import gorenstein, suites
+from silting_forge import recollement as rmod
 from silting_forge.exactlinalg import Matrix
 from silting_forge.io import corpus_load
 from silting_forge.modules import (
@@ -41,7 +44,6 @@ from silting_forge.gorenstein import (
     d_theta_contains,
     gen_g_contains,
     gext_dim,
-    gorenstein_module_verdict,
     gorenstein_report,
     gorenstein_silting_check,
     gp_classification,
@@ -51,7 +53,9 @@ from silting_forge.gorenstein import (
     proper_gp_presentation,
     right_gp_approximation,
 )
+from silting_forge.recollement import _embedding, _module_to_triple, glued_gp_presentation
 from silting_forge.silting import direct_sum_presentation, zero_target_presentation
+from silting_forge.suites import run_suite
 
 
 def two_loop_local_algebra():
@@ -472,7 +476,7 @@ def test_sequence_none_is_a_value(gp_dual):
 
 
 # ---------------------------------------------------------------------------
-# Existential verdict: one check at the maximal padding.
+# The automatic presentation: one check at the maximal padding.
 # ---------------------------------------------------------------------------
 
 
@@ -514,7 +518,7 @@ def test_maximal_padding_decides_as_the_subset_search_does():
             direct_sum([u, v], algebra=alg)[0] for u, v in itertools.combinations(pool, 2)
         ]
         for t in modules:
-            verdict = gorenstein_module_verdict(t, gp)
+            verdict = gorenstein_silting_check(t, "AUTO", gp)
             assert bool(verdict) == (_subset_search(t, gp) is not None), t.dimension_vector()
             seen += 1
             certified += bool(verdict)
@@ -524,20 +528,20 @@ def test_maximal_padding_decides_as_the_subset_search_does():
 def test_find_presentation_negative_and_positive(gp_dual):
     alg, gp = gp_dual
     reg = regular_module(alg)
-    assert gorenstein_module_verdict(reg, gp).verdict != "gorenstein_silting"
+    assert gorenstein_silting_check(reg, "AUTO", gp).verdict != "gorenstein_silting"
     t = direct_sum([reg, simple_module(alg, "ev")], algebra=alg)[0]
-    assert gorenstein_module_verdict(t, gp).verdict == "gorenstein_silting"
+    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "gorenstein_silting"
 
 
 def test_find_presentation_zero_module(gp_dual):
     """The zero module is certified through a pure complement presentation."""
     alg, gp = gp_dual
-    cert = gorenstein_module_verdict(zero_module(alg), gp)
+    cert = gorenstein_silting_check(zero_module(alg), "AUTO", gp)
     assert cert.verdict == "gorenstein_silting"
     assert cert.presentation.map.source.dim > 0
     # Over a2 the maximal padding of the zero module is the regular module -> 0.
     a2 = corpus_load("a2")
-    cert = gorenstein_module_verdict(zero_module(a2), gp_classification(a2))
+    cert = gorenstein_silting_check(zero_module(a2), "AUTO", gp_classification(a2))
     assert cert.verdict == "gorenstein_silting"
     assert cert.presentation.map.source.dim == 3
 
@@ -558,9 +562,9 @@ def test_zero_target_presentation_class(gp_dual):
 
 
 def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
-    # Over a2 the simple S(e1) fails against its automatic presentation and
-    # is certified at its maximal padding.  The AUTO check that follows reads
-    # only evidence that the verdict already computed.
+    # Over a2 the simple S(e1) fails against its proper presentation alone
+    # and is certified at its maximal padding, the automatic presentation.
+    # A second AUTO check reads only evidence that the first one computed.
     alg = corpus_load("a2")
     gp = dataclasses.replace(gp_classification(alg))
     t = simple_module(alg, "e1")
@@ -573,10 +577,10 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(gorenstein, name, counted)
-    cert = gorenstein_module_verdict(t, gp)
+    cert = gorenstein_silting_check(t, "AUTO", gp)
     assert cert.presentation is not proper_gp_presentation(t, gp) and cert.verdict == "gorenstein_silting"
     after_search = {name: len(seen) for name, seen in calls.items()}
-    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "not"
+    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "gorenstein_silting"
     assert {name: len(seen) for name, seen in calls.items()} == after_search
 
     tables = [v for v in gp._memo.values() if isinstance(v, gorenstein._ApproximationTable)]
@@ -589,6 +593,7 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
     assert len(calls["is_g_exact"]) == 1 + sum(c._g_exact is not None for c in screened)
     probes = enumerate_indecomposables(alg, gp.dim_bound)
     assert [u for _, u in calls["evaluation_image"]] == probes
+    assert gorenstein_silting_check(t, proper_gp_presentation(t, gp), gp).verdict == "not"
 
 
 def _memo_reference_cases():
@@ -610,13 +615,78 @@ def test_memoized_relative_evidence_matches_a_cold_classification():
         return (
             gorenstein_silting_check(t, "AUTO", fresh()).to_json(),
             [left_approximation_sequence(g, t, theta, fresh()).to_json() for g in gp.modules],
-            gorenstein_module_verdict(t, fresh()).to_json(),
         )
 
     for gp, modules in _memo_reference_cases():
         for t in modules:
             warm = [evidence(gp, t, cold=False) for _ in range(2)]
             assert warm[0] == warm[1] == evidence(gp, t, cold=True)
+
+    # The transported searches of the gluing driver's atom b over gamma0:
+    # each glued GP module's top or bottom part, searched into x or y and
+    # carried into the glued algebra by its side's embedding.
+    tctx = corpus_load("gamma0")
+    gpg = gp_classification(tctx)
+    parts = [_module_to_triple(tctx, g) for g in gpg.modules]
+    xs = [zero_module(tctx.a), simple_module(tctx.a, tctx.a.idempotents[0][0])]
+    ys = [zero_module(tctx.b), simple_module(tctx.b, tctx.b.idempotents[0][0]), regular_module(tctx.b)]
+
+    def transported(x, y, gp):
+        theta_x = proper_gp_presentation(x, gp_classification(tctx.a))
+        theta = glued_gp_presentation(tctx, theta_x, proper_gp_presentation(y, gp_classification(tctx.b)))
+        out = []
+        for triple in parts:
+            side, part, t_side = ("a", triple.x, x) if triple.y.dim == 0 else ("b", triple.y, y)
+            seq = left_approximation_sequence(part, t_side, theta, gp, transport=_embedding(tctx, side))
+            out.append((seq.to_json(), seq.phi and (seq.phi.target.encode(), seq.phi.matrix)))
+        return out
+
+    for x, y in itertools.product(xs, ys):
+        warm = [transported(x, y, gpg) for _ in range(2)]
+        assert warm[0] == warm[1] == transported(x, y, dataclasses.replace(gpg))
+
+
+def test_a_gluing_pass_builds_one_transported_table_per_distinct_search(monkeypatch):
+    # The atom-b searches of one gluing suite pass: 45 transported searches
+    # over 13 distinct (p, t, budget, side), each distinct one tabled once.
+    keys, searches = [], []
+
+    class Counted(gorenstein._ApproximationTable):
+        def __init__(self, p, t, budget, transport=None):
+            if transport is not None:
+                keys.append((p, t, budget, transport))
+            super().__init__(p, t, budget, transport)
+
+    search = rmod.left_approximation_sequence
+
+    def counted_search(*args, **kwargs):
+        searches.append(len(args) > 5 and args[5] is not None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gorenstein, "_ApproximationTable", Counted)
+    monkeypatch.setattr(rmod, "left_approximation_sequence", counted_search)
+    run_suite("gluing")
+    assert len(keys) == len(set(keys)) == 13
+    assert sum(searches) == 45
+
+
+def test_a_gluing_pass_frees_its_context_without_the_cyclic_collector(monkeypatch):
+    # The transported tables live in the context's memo, so the embeddings
+    # that key them must not hold the context strongly.
+    contexts = []
+
+    def load(name, _load=suites.corpus_load):
+        obj = _load(name)
+        contexts.append(weakref.ref(obj))
+        return obj
+
+    monkeypatch.setattr(suites, "corpus_load", load)
+    gc.disable()
+    try:
+        run_suite("gluing")
+        assert [ref() for ref in contexts] == [None]
+    finally:
+        gc.enable()
 
 
 def test_a_warm_memo_does_not_answer_a_smaller_budget(gp_a2):
@@ -626,11 +696,11 @@ def test_a_warm_memo_does_not_answer_a_smaller_budget(gp_a2):
     theta = proper_gp_presentation(t, gp)
     assert left_approximation_sequence(projs["e2"], t, theta, gp).found
     assert gorenstein_silting_check(t, theta, gp).verdict == "gorenstein_silting"
-    assert gorenstein_module_verdict(t, gp).verdict == "gorenstein_silting"
+    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "gorenstein_silting"
     for _ in range(2):
         with pytest.raises(UndecidedError, match="budget"):
             left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
         with pytest.raises(UndecidedError, match="budget"):
             gorenstein_silting_check(t, theta, gp, budget=1)
         with pytest.raises(UndecidedError, match="budget"):
-            gorenstein_module_verdict(t, gp, budget=1)
+            gorenstein_silting_check(t, "AUTO", gp, budget=1)
