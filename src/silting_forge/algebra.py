@@ -866,6 +866,9 @@ class Bimodule:
     ``left_action[label]`` is the matrix of the action of the left algebra's
     basis element on column vectors; ``right_action[label]`` likewise for the
     right algebra (matrices of a right action compose contravariantly).
+    Induced modules ``N ⊗_B Y`` are memoized in ``_memo`` for the bimodule's
+    lifetime, so nothing may change its fields after construction; a copy
+    made with :func:`dataclasses.replace` starts with an empty memo.
     """
 
     left_alg: Algebra
@@ -873,6 +876,7 @@ class Bimodule:
     dim: int
     left_action: dict[str, Matrix]
     right_action: dict[str, Matrix]
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B, n = self.left_alg, self.right_alg, self.dim
@@ -937,7 +941,11 @@ class Bimodule:
 
 @dataclass
 class TriangularContext:
-    """Upper triangular algebra [[A, N], [0, B]] with its embeddings."""
+    """Upper triangular algebra [[A, N], [0, B]] with its embeddings.
+
+    Values derived from the context, such as its functor images, are
+    memoized in ``_memo`` for its lifetime, so nothing may change its fields
+    after construction."""
 
     gamma: Algebra
     a: Algebra

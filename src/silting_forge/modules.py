@@ -888,8 +888,13 @@ def ar_translate(m: Module) -> Module:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
-    """N ⊗_B Y with the induced left action of N's left algebra."""
+    """N ⊗_B Y with the induced left action of N's left algebra, and the
+    coordinate ``projection`` from N ⊗_k Y with a ``section``.
+
+    The pair is memoized on ``n`` per module: every caller gets the same
+    objects, and no caller may mutate them."""
     B = n.right_alg
     if not same_algebra(y.algebra, B):
         raise ValidationError("module is not over the bimodule's right algebra")

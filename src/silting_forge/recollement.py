@@ -153,7 +153,11 @@ def random_probe_modules(alg: Algebra, count: int, seed: int = 0) -> list[Module
 @dataclass
 class RecollementContext:
     """Quotient / ambient / corner layers around an idempotent, with the
-    matrices realising the six functors."""
+    matrices realising the six functors.
+
+    :func:`idempotent_recollement` builds it, and no field is reassigned or
+    changed after that returns: each functor image is memoized in ``_memo``
+    for the context's lifetime and shared by every caller."""
 
     middle: Algebra
     quotient: Algebra | None
@@ -161,6 +165,7 @@ class RecollementContext:
     e_labels: tuple[str, ...]
     data: dict
     battery: dict = dc_field(default_factory=dict)
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -265,6 +270,7 @@ def idempotent_recollement(alg: Algebra, e_labels) -> RecollementContext:
     return ctx
 
 
+@memoized
 def _functor_module(ctx: RecollementContext, which: str, m: Module):
     """Apply one functor to a module; returns (module, transport data)."""
     f = ctx.middle.field
@@ -316,7 +322,11 @@ def _expected_algebra(ctx: RecollementContext, which: str) -> Algebra:
 
 
 def apply_functor(ctx: RecollementContext, which: str, x):
-    """Apply one of the six functors to a module or a map."""
+    """Apply one of the six functors to a module or a map.
+
+    The image of a module, and the source and target of the image of a map,
+    are memoized on ``ctx``: every caller gets the same module, and no caller
+    may mutate it."""
     expected = _expected_algebra(ctx, which)
     if isinstance(x, Module):
         if not same_algebra(x.algebra, expected):
@@ -548,6 +558,7 @@ def _corner_restriction(tctx: TriangularContext, m: Module, side: str):
     return _layer_module(E, alg, mats), E
 
 
+@memoized
 def _module_to_triple(tctx: TriangularContext, m: Module) -> Triple:
     _check_algebra(m, tctx.gamma, "the triangular algebra")
     f = tctx.gamma.field
@@ -566,6 +577,7 @@ def _module_to_triple(tctx: TriangularContext, m: Module) -> Triple:
     return Triple(x, y, ModuleMap(t_mod, x, fmat))
 
 
+@memoized
 def _z_a(tctx: TriangularContext, x):
     if isinstance(x, ModuleMap):
         _check_algebra(x, tctx.a, "the top algebra")
@@ -576,6 +588,7 @@ def _z_a(tctx: TriangularContext, x):
     return _assemble_triple(tctx, x, zero_module(tctx.b), None)
 
 
+@memoized
 def _t_b(tctx: TriangularContext, y):
     if isinstance(y, ModuleMap):
         _check_algebra(y, tctx.b, "the bottom algebra")
@@ -637,7 +650,10 @@ def triangular_functors(tctx: TriangularContext, which: str, x):
 
     ``which`` selects the functor; ``x`` is a module or map over the
     appropriate algebra, a :class:`Triple` for ``triple_to_module``, or a
-    module over the triangular algebra for ``module_to_triple``.
+    module over the triangular algebra for ``module_to_triple``.  The images
+    of ``Z_A``, ``T_B`` and ``module_to_triple`` are memoized on ``tctx``, and
+    the induced tensor modules on its bimodule: every caller gets the same
+    object, and no caller may mutate it.
     """
     if which not in _TRIANGULAR_WHICH:
         raise ValidationError(f"unknown triangular functor {which!r}")

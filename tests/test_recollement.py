@@ -1,6 +1,9 @@
 """Idempotent recollements, triangular functor dictionary, statement drivers."""
 
+import dataclasses
+import gc
 import itertools
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,7 +17,9 @@ from silting_forge.exactlinalg import Matrix
 from silting_forge.gorenstein import gp_classification, proper_gp_presentation
 from silting_forge.io import corpus_load, dump_json, matrix_to_json, module_to_json
 from silting_forge.modules import (
+    Module,
     ModuleMap,
+    Presentation,
     ar_translate,
     direct_sum,
     enumerate_indecomposables,
@@ -27,6 +32,8 @@ from silting_forge.modules import (
     projective_cover,
     regular_module,
     simple_module,
+    tensor_map,
+    tensor_over_algebra,
     zero_module,
 )
 from silting_forge import gorenstein, recollement as rmod, silting, suites
@@ -670,3 +677,173 @@ def test_report_serialisation_is_deterministic():
     first = verify_transfer(tctx, "cor_triangular_partial", inputs).to_json()
     second = verify_transfer(tctx, "cor_triangular_partial", inputs).to_json()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Memoized functor images
+# ---------------------------------------------------------------------------
+
+
+def _content(image):
+    """A functor image as comparable content: a module's encoding, a map's
+    ends and matrix, a triple's parts, or an induced module with its
+    projection and section."""
+    if isinstance(image, Module):
+        return image.encode()
+    if isinstance(image, ModuleMap):
+        return image.source.encode(), image.target.encode(), image.matrix
+    if isinstance(image, Triple):
+        return _content(image.x), _content(image.y), _content(image.f)
+    mod, data = image
+    return mod.encode(), data["projection"], data["section"]
+
+
+def _small_modules(alg):
+    return [zero_module(alg)] + enumerate_indecomposables(alg, 2) + [regular_module(alg)]
+
+
+def _functor_inputs(alg):
+    """Maps between small modules, then the modules: asking for the maps
+    first memoizes their ends before the modules themselves are asked for."""
+    mods = _small_modules(alg)
+    maps = [h for m, n in itertools.product(mods[1:4], repeat=2) for h in hom_space(m, n)]
+    return maps + mods
+
+
+def _memo_entries(owner, fn):
+    return sum(1 for key in owner._memo if key[0] is fn.__wrapped__)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3rel"])
+def test_warm_functor_images_match_a_cold_context(name):
+    warm = idempotent_recollement(corpus_load(name), ("e2",))
+
+    def cold():
+        bimodule = dataclasses.replace(warm.data["l_bimodule"])
+        return dataclasses.replace(warm, data=dict(warm.data, l_bimodule=bimodule))
+
+    assert cold()._memo == {} and cold().data["l_bimodule"]._memo == {}
+    for which, layer in _FUNCTOR_LAYERS:
+        for x in _functor_inputs(getattr(warm, layer)):
+            first = apply_functor(warm, which, x)
+            again = apply_functor(warm, which, x)
+            if isinstance(x, Module):
+                assert again is first
+            assert _content(first) == _content(again) == _content(apply_functor(cold(), which, x))
+
+
+def test_warm_triangular_images_match_a_cold_context():
+    warm = corpus_load("gamma0")
+
+    def cold():
+        return dataclasses.replace(warm, _memo={}, n=dataclasses.replace(warm.n))
+
+    cases = (
+        [("Z_A", x) for x in _functor_inputs(warm.a)]
+        + [("T_B", y) for y in _functor_inputs(warm.b)]
+        + [("module_to_triple", z) for z in _small_modules(warm.gamma)]
+    )
+    for which, x in cases:
+        first = triangular_functors(warm, which, x)
+        assert triangular_functors(warm, which, x) is first
+        assert _content(first) == _content(triangular_functors(cold(), which, x))
+    for y in _functor_inputs(warm.b):
+        if isinstance(y, ModuleMap):
+            assert _content(tensor_map(warm.n, y)) == _content(tensor_map(cold().n, y))
+        else:
+            first = tensor_over_algebra(warm.n, y)
+            assert tensor_over_algebra(warm.n, y) is first
+            assert _content(first) == _content(tensor_over_algebra(cold().n, y))
+
+
+def test_a_gluing_pass_builds_each_triple_and_induced_module_once(monkeypatch):
+    # One gluing suite pass asks 45 times for the triples of the 3 glued GP
+    # modules (atom b, 15 rows) and builds each once; it builds 10 induced
+    # modules N ⊗ Y over gamma0's bimodule.
+    contexts, requests = [], []
+    memoized = rmod._module_to_triple
+
+    def load(name, _load=suites.corpus_load):
+        contexts.append(_load(name))
+        return contexts[-1]
+
+    def to_triple(tctx, m):
+        requests.append(m)
+        return memoized(tctx, m)
+
+    monkeypatch.setattr(suites, "corpus_load", load)
+    monkeypatch.setattr(rmod, "_module_to_triple", to_triple)
+    suites.run_suite("gluing")
+    (tctx,) = contexts
+    assert len(requests) == 45 and len(set(map(id, requests))) == 3
+    assert _memo_entries(tctx, memoized) == 3
+    assert _memo_entries(tctx.n, tensor_over_algebra) == 10
+
+
+def test_an_idempotent_pass_computes_each_functor_image_once(monkeypatch):
+    # The construction batteries and the inflations of one idempotent suite
+    # pass ask for 166 functor images of 46 distinct (functor, module) inputs.
+    contexts, requests = [], []
+    memoized = rmod._functor_module
+
+    def build(alg, e_labels, _build=suites.idempotent_recollement):
+        contexts.append(_build(alg, e_labels))
+        return contexts[-1]
+
+    def image(ctx, which, m):
+        requests.append((which, m))
+        return memoized(ctx, which, m)
+
+    monkeypatch.setattr(suites, "idempotent_recollement", build)
+    monkeypatch.setattr(rmod, "_functor_module", image)
+    suites.run_suite("idempotent")
+    assert len(contexts) == 2
+    assert len(requests) == 166
+    assert sum(_memo_entries(ctx, memoized) for ctx in contexts) == 46
+
+
+def test_memoized_functor_images_free_their_contexts_without_the_cyclic_collector(monkeypatch):
+    # The images live in the memos of the contexts and bimodules that define
+    # them, so no memo value may refer back to its owner.
+    refs = []
+
+    def build(alg, e_labels, _build=suites.idempotent_recollement):
+        ctx = _build(alg, e_labels)
+        refs.extend([weakref.ref(ctx), weakref.ref(ctx.data["l_bimodule"])])
+        return ctx
+
+    monkeypatch.setattr(suites, "idempotent_recollement", build)
+    gc.disable()
+    try:
+        suites.run_suite("idempotent")
+        tctx = corpus_load("gamma0")
+        for y in _functor_inputs(tctx.b):
+            triangular_functors(tctx, "T_B", y)
+        for z in _small_modules(tctx.gamma):
+            triangular_functors(tctx, "module_to_triple", z)
+        triangular_functors(tctx, "Z_A", regular_module(tctx.a))
+        refs.extend([weakref.ref(tctx), weakref.ref(tctx.n)])
+        del tctx
+        assert len(refs) == 6 and [ref() for ref in refs] == [None] * 6
+    finally:
+        gc.enable()
+
+
+def test_a_glued_candidate_that_fails_falls_back_to_the_maximal_padding(monkeypatch):
+    # No bundled input reaches atom a's fallback: over gamma0 the glued
+    # candidate certifies every glued module that the maximal padding does.
+    # Forcing the candidate to read "not" shows the fallback answering.
+    tctx = _gamma0()
+    check = rmod.gorenstein_silting_check
+
+    def failing_candidate(t, theta="AUTO", *args, **kwargs):
+        cert = check(t, theta, *args, **kwargs)
+        return dataclasses.replace(cert, verdict="not") if isinstance(theta, Presentation) else cert
+
+    monkeypatch.setattr(rmod, "gorenstein_silting_check", failing_candidate)
+    k = _point_module(tctx, 1)
+    fallback = verify_transfer(tctx, "thm_gluing_equivalences", {"x": k, "y": zero_module(tctx.b)})
+    assert fallback.atoms["a"] == {"value": True, "realised_by": "maximal_padding", "glued_verdict": "not"}
+    assert fallback.verdict == "PASS"
+    refused = verify_transfer(tctx, "thm_gluing_equivalences", {"x": k, "y": regular_module(tctx.b)})
+    assert refused.atoms["a"] == {"value": False, "realised_by": None, "glued_verdict": "not"}
