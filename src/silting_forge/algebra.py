@@ -251,12 +251,6 @@ class Algebra:
         reaching the full dimension."""
         return _compute_generating_set(self)
 
-    @memoized
-    def constants_matrix(self) -> Matrix:
-        """The ``dim² × dim`` matrix whose row ``i·dim + j`` is the
-        coefficient vector of ``b_i * b_j``."""
-        return Matrix(self.field, [vec for row in self.constants for vec in row], self.dim * self.dim, self.dim)
-
     def content_hash(self) -> str:
         payload = {
             "field": {"kind": self.field.kind, "p": self.field.p},

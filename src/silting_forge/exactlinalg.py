@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -347,7 +347,7 @@ class Matrix:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise ExactError("hstack row mismatch")
-        data = [[x for m in mats for x in m.data[i]] for i in range(nrows)]
+        data = [list(chain.from_iterable(rows)) for rows in zip(*[m.data for m in mats])]
         return Matrix._wrap(mats[0].field, data, nrows, sum(m.ncols for m in mats))
 
     @staticmethod

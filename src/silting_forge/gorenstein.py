@@ -36,6 +36,7 @@ from .modules import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    evaluation_components,
     evaluation_image,
     ext_dim,
     global_dimension,
@@ -453,9 +454,9 @@ def gen_g_contains(t: Module, m: Module, gp: GpClassification) -> bool:
     evaluation map out of t^(dim Hom(t, m)) is universal: any relative epi
     from Add(t) factors through it.  It is tested without being built: it is
     onto when :func:`~.modules.evaluation_image` spans m, and relatively epic
-    when, for every listed G, the basis maps composed with the maps G -> t
-    span Hom(G, m).  The answer is memoized on ``gp`` per (t, m): it is
-    shared, and no caller may mutate it.
+    when, for every listed G, the :func:`~.modules.evaluation_components`
+    (X_k, h) composed with the maps G -> X_k span Hom(G, m).  The answer is
+    memoized on ``gp`` per (t, m): it is shared, and no caller may mutate it.
     """
     return _gen_g_contains(gp, t, m)
 
@@ -466,7 +467,7 @@ def _gen_g_contains(gp: GpClassification, t: Module, m: Module) -> bool:
         raise ValidationError("relative generation needs a complete classification")
     if evaluation_image(t, m).nrows != m.dim:
         return False
-    return _g_epic([(t, h.matrix) for h in hom_space(t, m)], gp, (hom_dim(g, m) for g in gp.modules))
+    return _g_epic(evaluation_components(t, m), gp, (hom_dim(g, m) for g in gp.modules))
 
 
 def d_theta_contains(theta: Presentation, m: Module) -> bool:

@@ -12,10 +12,12 @@ it raises :class:`UndecidedError` rather than guessing, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import weakref
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from .algebra import Algebra, Bimodule, DomainError, ValidationError, derive_algebra, memoized, opposite_algebra, same_algebra
 from .exactlinalg import (
@@ -105,27 +107,32 @@ class Module:
         mats = [self.action[lbl] for lbl in a.labels]
         if self.act(a.unit()) != Matrix.identity(f, n):
             out.append("unit does not act as the identity")
-        # Block (i, j) of [rho(b_1);...;rho(b_d)]·[rho(b_1)|...|rho(b_d)] is
-        # rho(b_i)·rho(b_j), and row i·d + j of C·F is rho(b_i*b_j) flattened,
-        # where C is the algebra's constants matrix and row k of F is rho(b_k)
-        # flattened.  Two products check the identities of a run of labels i:
-        # all d of them, unless the module is so large that a (d·n)² product
-        # would raise the peak memory, and then as many as keep each product
-        # within _BATCH_CELLS entries (at least one).
+        # Row r of block row i of [rho(b_1);...;rho(b_d)]·[rho(b_1)|...|rho(b_d)]
+        # is row r of [rho(b_i)·rho(b_1)|...|rho(b_i)·rho(b_d)], and must equal
+        # row r of [rho(b_i*b_1)|...|rho(b_i*b_d)], joined from the algebra's
+        # product table.  One product gives the rows of a run of labels i: all
+        # d of them, unless the module is so large that a (d·n)² product would
+        # raise the peak memory, and then as many as keep each product within
+        # _BATCH_CELLS entries (at least one).
         side = Matrix.hstack(mats)
-        flat = Matrix._wrap(f, [_flat(m) for m in mats], d, n * n)
-        constants = a.constants_matrix()
+        zero = [[f.zero()] * n] * n
+        table = _product_table(a)
         step = max(1, _BATCH_CELLS // (d * n * n))
         for start in range(0, d, step):
             stop = min(d, start + step)
-            run = constants if stop - start == d else constants.submatrix(range(start * d, stop * d), range(d))
             got = Matrix.vstack(mats[start:stop]).mul(side).data
-            want = run.mul(flat).data
             for t, i in enumerate(range(start, stop)):
-                for j in range(d):
-                    if [x for row in got[t * n : (t + 1) * n] for x in row[j * n : (j + 1) * n]] != want[t * d + j]:
+                want = [
+                    zero if k is None else mats[k].data if isinstance(k, int) else self.act(k).data
+                    for k in table[i * d : (i + 1) * d]
+                ]
+                rows = got[t * n : (t + 1) * n]
+                if rows == [list(itertools.chain.from_iterable(parts)) for parts in zip(*want)]:
+                    continue
+                for j, w in enumerate(want):
+                    if any(row[j * n : (j + 1) * n] != w[r] for r, row in enumerate(rows)):
                         out.append(f"rho({a.labels[i]})·rho({a.labels[j]}) != rho({a.labels[i]}*{a.labels[j]})")
-            del got, want  # so that the next run's products do not overlap them
+            del got  # so that the next run's product does not overlap it
         return out
 
     def rho(self, label: str) -> Matrix:
@@ -148,7 +155,12 @@ class Module:
         return self.dim == 0
 
     def dimension_vector(self) -> dict[str, int]:
-        """dim e_v·M per distinguished idempotent, in idempotent order."""
+        """dim e_v·M per distinguished idempotent, in idempotent order: ranked
+        once per module, and a fresh dict on each call."""
+        return dict(self._dimension_vector())
+
+    @memoized
+    def _dimension_vector(self) -> dict[str, int]:
         return {lbl: rank(self.act(vec)) for lbl, vec in self.algebra.idempotents}
 
     @memoized
@@ -217,6 +229,20 @@ def _content_key(algebra: Algebra, dim: int, action: dict[str, Matrix]) -> tuple
         return id(algebra), dim, _packed(p, mats) if p else tuple([(0, 1) if x is zero else x.as_integer_ratio() for m in mats for row in m.data for x in row])
     except (TypeError, ValueError, AttributeError):
         return None
+
+
+@memoized
+def _product_table(alg: Algebra) -> list:
+    """How b_i*b_j reads off the basis, at index i·dim + j: None when it is 0,
+    k when it is b_k, else its coefficient vector."""
+    one, out = alg.field.one(), []
+    for vec in itertools.chain.from_iterable(alg.constants):
+        support = [k for k, c in enumerate(vec) if c]
+        if len(support) == 1 and vec[support[0]] == one:
+            out.append(support[0])
+        else:
+            out.append(vec if support else None)
+    return out
 
 
 def _packed(p: int | None, mats: list[Matrix]) -> bytes | tuple:
@@ -411,7 +437,17 @@ def cokernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
 
 
 def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
-    """Block-diagonal sum with canonical injections and projections."""
+    """Block-diagonal sum with canonical injections and projections.
+
+    The sum's memo records its finest known block decomposition: the nonzero
+    parts, each replaced by the summands recorded for it, with their offsets.
+    Queries that need only a dimension, a rank or a span read the Hom tables
+    of those summands: :func:`hom_dim` on both sides, the target of
+    :func:`precompose_corank`'s map, the first module of
+    :func:`evaluation_image` and :func:`evaluation_components`, and the
+    components of :func:`postcompose_rank`.  :func:`hom_space` still solves
+    on the sum, so every basis is unchanged.  A sum equal to one of its
+    parts is that part, and records nothing new."""
     if not parts:
         if algebra is None:
             raise ValidationError("empty direct sum needs an explicit algebra")
@@ -426,18 +462,23 @@ def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Mod
     for lbl in alg.labels:
         action[lbl] = Matrix.block_diag(f, [p.action[lbl] for p in parts])
     whole = Module(alg, total, action)
-    injections, projections = [], []
-    offset = 0
+    injections, projections, record = [], [], []
+    eye, offset = Matrix.identity(f, total).data, 0
     for p in parts:
-        inj = Matrix.zeros(f, total, p.dim)
-        proj = Matrix.zeros(f, p.dim, total)
-        for i in range(p.dim):
-            inj.data[offset + i][i] = f.one()
-            proj.data[i][offset + i] = f.one()
-        injections.append(ModuleMap(p, whole, inj, check=False))
+        proj = Matrix._wrap(f, eye[offset : offset + p.dim], p.dim, total)
+        injections.append(ModuleMap(p, whole, proj.transpose(), check=False))
         projections.append(ModuleMap(whole, p, proj, check=False))
+        record += [(x, offset + start) for x, start in _summands(p) if x.dim]
         offset += p.dim
+    if len(record) > len(_summands(whole)):
+        whole._memo[direct_sum] = tuple(record)
     return whole, injections, projections
+
+
+def _summands(m: Module) -> tuple[tuple[Module, int], ...]:
+    """The block decomposition :func:`direct_sum` recorded for ``m``, as
+    (summand, offset) pairs in coordinate order, or ``((m, 0),)``."""
+    return m._memo.get(direct_sum) or ((m, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +506,24 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
 
 
 def hom_dim(m: Module, n: Module) -> int:
-    """dim Hom(m, n), read off the memo without building maps."""
-    return _hom_entry(m, n)[0]
+    """dim Hom(m, n), read off the memo without building maps.  Hom is
+    additive, so when :func:`direct_sum` recorded summands for ``m`` or ``n``
+    it is the sum over pairs of their summands, and nothing is solved on the
+    sum."""
+    xs, ys = _summands(m), _summands(n)
+    if len(xs) == len(ys) == 1:
+        return _hom_entry(m, n)[0]
+    return sum(hom_dim(x, y) for x, _ in xs for y, _ in ys)
 
 
 def _hom_entry(m: Module, n: Module) -> tuple[int, bytes | tuple]:
     """dim Hom(m, n) and the rows of its basis matrices, packed by
     :func:`_packed` so that the tables add little to peak memory: a 5×5
-    matrix over F_2 takes 25 bytes packed and about 2 KB as a :class:`Matrix`."""
+    matrix over F_2 takes 25 bytes packed and about 2 KB as a :class:`Matrix`.
+    A pair with a zero module has no nonzero map, so it is neither solved nor
+    kept."""
+    if not (m.dim and n.dim) and same_algebra(m.algebra, n.algebra):
+        return 0, ()
     table = m._memo.get(_hom_entry)
     if table is None:
         table = m._memo[_hom_entry] = weakref.WeakKeyDictionary()
@@ -556,13 +607,18 @@ def _check_commutes(m: Module, n: Module, mats: list[Matrix]) -> None:
     left = n.stacked_actions()[0].mul(Matrix.hstack(mats)).data
     right = Matrix.vstack(mats).mul(m.stacked_actions()[1]).data
     for j in range(len(mats)):
+        # row r of F_j·[rho_m(l_1)|...|rho_m(l_d)] against row r of every
+        # rho_n(l_i)·F_j, joined in label order
+        cols, rows = slice(j * q, (j + 1) * q), right[j * p : (j + 1) * p]
+        if rows == [list(itertools.chain.from_iterable(map(itemgetter(cols), left[r::p]))) for r in range(p)]:
+            continue
         for i, lbl in enumerate(labels):
-            if any(left[i * p + r][j * q : (j + 1) * q] != right[j * p + r][i * q : (i + 1) * q] for r in range(p)):
+            if any(left[i * p + r][cols] != rows[r][i * q : (i + 1) * q] for r in range(p)):
                 raise ValidationError(f"map does not commute with the action of {lbl!r}")
 
 
 def _flat(mat: Matrix) -> list:
-    return [x for row in mat.data for x in row]
+    return list(itertools.chain.from_iterable(mat.data))
 
 
 def precompose_corank(phi: ModuleMap, u: Module) -> int:
@@ -574,12 +630,20 @@ def precompose_corank(phi: ModuleMap, u: Module) -> int:
     It is 0 exactly when u lies in the class of phi.  At a minimal projective
     presentation phi of M it is dim Hom(u, tau M), by the exact sequence
     Hom(P_0, u) -> Hom(P_1, u) -> D Hom(u, tau M) -> 0 (Adachi-Iyama-Reiten,
-    Prop. 2.4)."""
+    Prop. 2.4).
+
+    Hom is additive, so no recorded sum (see :func:`direct_sum`) other than
+    u is solved whole: ``hom_dim`` reads summands, and the composites are
+    spanned by h·phi_k for h in Hom(T_k, u), over the summands T_k of the
+    target and the rows phi_k of phi on T_k."""
     need = hom_dim(phi.source, u)
     if not need:
         return 0
-    rows = [_flat(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
-    spanned = row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
+    f, q, rows = u.algebra.field, phi.source.dim, []
+    for t, start in _summands(phi.target):
+        block = phi.matrix if t is phi.target else phi.matrix.submatrix(range(start, start + t.dim), range(q))
+        rows += [_flat(h.matrix.mul(block)) for h in hom_space(t, u)]
+    spanned = row_space_basis(rows, f, u.dim * q).nrows
     if spanned > need:
         raise ValidationError("composites with the map fall outside the Hom space of its source")
     return need - spanned
@@ -590,9 +654,18 @@ def evaluation_image(x: Module, u: Module) -> Matrix:
 
     It is the image of the evaluation map x^(dim Hom(x, u)) -> u, through
     which every map x -> u factors, so u lies in Gen x exactly when it has
-    dim u rows; for x = ⊕x_i it is the sum of the images of the x_i."""
-    rows = [list(col) for h in hom_space(x, u) for col in zip(*h.matrix.data)]
+    dim u rows; for x = ⊕x_i it is the sum of the images of the x_i, read
+    off :func:`evaluation_components`."""
+    rows = [list(col) for _, h in evaluation_components(x, u) for col in zip(*h.data)]
     return row_space_basis(rows, u.algebra.field, u.dim)
+
+
+def evaluation_components(x: Module, u: Module) -> list[tuple[Module, Matrix]]:
+    """Pairs (X_k, h) over the summands X_k that :func:`direct_sum` recorded
+    for x (or x itself) and the basis h of Hom(X_k, u).  The maps h∘pi_k, for
+    pi_k the projection onto X_k, span Hom(x, u), as Hom is additive, and x
+    is not solved whole."""
+    return [(xk, h.matrix) for xk, _ in _summands(x) for h in hom_space(xk, u)]
 
 
 def postcompose_rank(g: Module, components) -> int:
@@ -600,11 +673,14 @@ def postcompose_rank(g: Module, components) -> int:
     given by its ``components``: pairs of X_k and the column block M_k of phi
     on X_k (a plain map is one component).  As Hom(g, ⊕X_k) = ⊕Hom(g, X_k),
     the image is spanned by M_k·h over h in ``hom_space(g, X_k)``, called
-    once per distinct X_k.  The map is onto when the rank is
-    ``hom_dim(g, Y)``."""
+    once per distinct X_k, after a component on a sum that
+    :func:`direct_sum` recorded is split into its column blocks on the
+    summands.  The map is onto when the rank is ``hom_dim(g, Y)``."""
     groups: dict[int, tuple[Module, list[Matrix]]] = {}
     for x, block in components:
-        groups.setdefault(id(x), (x, []))[1].append(block)
+        for xk, start in _summands(x):
+            cols = block if xk is x else block.submatrix(range(block.nrows), range(start, start + xk.dim))
+            groups.setdefault(id(xk), (xk, []))[1].append(cols)
     rows = [_flat(block.mul(h.matrix)) for x, blocks in groups.values() for h in hom_space(g, x) for block in blocks]
     return row_space_basis(rows, g.algebra.field, len(rows[0]) if rows else 0).nrows
 
@@ -905,29 +981,20 @@ def tensor_over_algebra(n: Bimodule, y: Module) -> tuple[Module, dict]:
     if big == 0:
         z = zero_module(A)
         return z, {"projection": Matrix.zeros(f, 0, big), "section": Matrix.zeros(f, big, 0)}
-    rel_rows = []
-    for b_idx, b_lbl in enumerate(B.labels):
-        rn = n.right_action[b_lbl]
-        ry = y.action[b_lbl]
-        for i in range(dn):
-            for j in range(dy):
-                vec = [f.zero()] * big
-                for mrow in range(dn):
-                    if rn.data[mrow][i] != 0:
-                        vec[mrow * dy + j] = f.add(vec[mrow * dy + j], rn.data[mrow][i])
-                for t in range(dy):
-                    if ry.data[t][j] != 0:
-                        vec[i * dy + t] = f.sub(vec[i * dy + t], ry.data[t][j])
-                if any(x != 0 for x in vec):
-                    rel_rows.append(vec)
+    # the relations n·b ⊗ y - n ⊗ b·y, one per column of R_b ⊗ I - I ⊗ rho_y(b)
+    ident_n, ident_y = Matrix.identity(f, dn), Matrix.identity(f, dy)
+    rel_rows = [
+        row
+        for lbl in B.labels
+        for row in (n.right_action[lbl].kron(ident_y) - ident_n.kron(y.action[lbl])).transpose().data
+    ]
     rel = row_space_basis(rel_rows, f, big)
     proj, _keep = quotient_map(rel, big)
     q = proj.nrows
     section = solve(proj, Matrix.identity(f, q))
     if section is None:
         raise ValidationError("tensor quotient has no section")
-    ident = Matrix.identity(f, dy)
-    bigs = [n.left_action[lbl].kron(ident) for lbl in A.labels]
+    bigs = [n.left_action[lbl].kron(ident_y) for lbl in A.labels]
     mod = Module(A, q, dict(zip(A.labels, conjugate(proj, bigs, section))))
     return mod, {"projection": proj, "section": section}
 
@@ -985,20 +1052,11 @@ def _split_from_endomorphism(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] |
 def _structured_candidates(field: FieldSpec, h: int):
     """Single basis elements, then pairwise sums and differences."""
     one, zero = field.one(), field.zero()
-    for i in range(h):
-        vec = [zero] * h
-        vec[i] = one
-        yield tuple(vec)
-    for i in range(h):
-        for j in range(i + 1, h):
-            vec = [zero] * h
-            vec[i] = one
-            vec[j] = one
-            yield tuple(vec)
-            vec2 = [zero] * h
-            vec2[i] = one
-            vec2[j] = field.neg(one)
-            yield tuple(vec2)
+    units = [tuple(one if k == i else zero for k in range(h)) for i in range(h)]
+    yield from units
+    for i, j in itertools.combinations(range(h), 2):
+        yield tuple(map(field.add, units[i], units[j]))
+        yield tuple(map(field.sub, units[i], units[j]))
 
 
 def _fitting_split(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
@@ -1016,7 +1074,7 @@ def _fitting_split(m: Module, emat: Matrix) -> tuple[Matrix, Matrix] | None:
     return cols_k, cols_i
 
 
-def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
+def _trace_form_certifies_local(mats: list[Matrix]) -> bool:
     """Characteristic-zero locality certificate for End(M).
 
     Over the rationals the radical of End(M) equals the radical of the trace
@@ -1024,28 +1082,12 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
     radical, certify directly that it is a nilpotent ideal, and conclude
     locality when the quotient is one-dimensional.
     """
-    f = endos[0].source.algebra.field
-    h = len(endos)
-    mats = [e.matrix for e in endos]
-    d = mats[0].nrows
-
-    def tr(mat: Matrix):
-        t = f.zero()
-        for i in range(mat.nrows):
-            t = f.add(t, mat.data[i][i])
-        return t
-
-    gram = Matrix(f, [[tr(mats[i].mul(mats[j])) for j in range(h)] for i in range(h)], h, h)
-    nullb = nullspace(gram)
+    f, h, d = mats[0].field, len(mats), mats[0].nrows
+    trace = [[functools.reduce(f.add, [row[i] for i, row in enumerate(a.mul(b).data)], f.zero()) for b in mats] for a in mats]
+    nullb = nullspace(Matrix(f, trace, h, h))
     if h - nullb.ncols != 1:
         return False
-    rad_mats = []
-    for v in nullb.transpose().data:
-        mat = Matrix.zeros(f, d, d)
-        for t in range(h):
-            if v[t] != 0:
-                mat = mat + mats[t].scale(v[t])
-        rad_mats.append(mat)
+    rad_mats = [_combination(v, mats) for v in nullb.transpose().data]
 
     rad_flat = row_space_basis([_flat(mm) for mm in rad_mats], f, d * d)
     # two-sided ideal inside End
@@ -1066,28 +1108,24 @@ def _trace_form_certifies_local(endos: list[ModuleMap]) -> bool:
                 if not prod.is_zero():
                     nxt_rows.append(_flat(prod))
         basis = row_space_basis(nxt_rows, f, d * d)
-        current = []
-        for row in basis.data:
-            mat = Matrix(f, [list(row[i * d : (i + 1) * d]) for i in range(d)], d, d)
-            current.append(mat)
+        current = [Matrix(f, [row[i * d : (i + 1) * d] for i in range(d)], d, d) for row in basis.data]
     return not current
 
 
-def _combination(coeff, endos: list[ModuleMap]) -> Matrix:
-    f = endos[0].source.algebra.field
-    d = endos[0].source.dim
-    emat = Matrix.zeros(f, d, d)
-    for c, e in zip(coeff, endos):
+def _combination(coeff, mats: list[Matrix]) -> Matrix:
+    """Σ c·M over the nonzero coefficients c, for ``mats`` of one shape."""
+    out = Matrix.zeros(mats[0].field, mats[0].nrows, mats[0].ncols)
+    for c, mat in zip(coeff, mats):
         if c != 0:
-            emat = emat + e.matrix.scale(f.coerce(c))
-    return emat
+            out = out + mat.scale(c)
+    return out
 
 
 def _split_pair(sub: Module) -> tuple[Matrix, Matrix] | None:
     """Column bases of two complementary summands of ``sub``, or None when
     End(sub) is certified local (see :func:`decompose`)."""
     f = sub.algebra.field
-    endos = hom_space(sub, sub)
+    endos = [e.matrix for e in hom_space(sub, sub)]
     h = len(endos)
     if h == 1:
         return None
@@ -1433,20 +1471,8 @@ def _module_from_generator_blocks(
         seed_mats.append(mat)
     for name, _vec, _blk in gen.radical_seeds():
         seed_mats.append(gen_mats[name])
-    word_mats = []
-    for word in gen.words:
-        mat = seed_mats[word[0]]
-        for idx in word[1:]:
-            mat = mat.mul(seed_mats[idx])
-        word_mats.append(mat)
-    action = {}
-    for i, lbl in enumerate(alg.labels):
-        mat = Matrix.zeros(f, total, total)
-        for t in range(len(word_mats)):
-            c = gen.expansion.data[t][i]
-            if c != 0:
-                mat = mat + word_mats[t].scale(c)
-        action[lbl] = mat
+    word_mats = [functools.reduce(Matrix.mul, [seed_mats[idx] for idx in word]) for word in gen.words]
+    action = {lbl: _combination(coeffs, word_mats) for lbl, coeffs in zip(alg.labels, zip(*gen.expansion.data))}
     try:
         return Module(alg, total, action)
     except ValidationError:

@@ -32,8 +32,10 @@ from conftest import (
     quiver_kxk,
 )
 from silting_forge.algebra import (
+    Arrow,
     Bimodule,
     DomainError,
+    QuiverPresentation,
     ValidationError,
     compile_quiver_algebra,
     derive_algebra,
@@ -1570,6 +1572,230 @@ def test_hom_defaults_are_looked_up_when_called(monkeypatch, a2):
     assert calls == [(m, m)]
     assert gorenstein._g_epic(identity, SimpleNamespace(modules=[m]), [need])
     assert calls == [(m, m), (m, m)]
+
+
+# ---------------------------------------------------------------------------
+# Hom over recorded direct sums against answers solved on the whole sum
+# ---------------------------------------------------------------------------
+
+
+def _flat_rows(mat):
+    return [x for row in mat.data for x in row]
+
+
+def _combined(x, y, rng):
+    """A random element of Hom(x, y), as a matrix, over any field."""
+    f = x.algebra.field
+    mat = Matrix.zeros(f, y.dim, x.dim)
+    for h in hom_space(x, y):
+        mat = mat + h.matrix.scale(f.random(rng))
+    return mat
+
+
+def _whole_image(x, u):
+    """The evaluation image read off ``hom_space(x, u)``, solved on x whole."""
+    return row_space_basis([list(col) for h in hom_space(x, u) for col in zip(*h.matrix.data)], u.algebra.field, u.dim)
+
+
+def _whole_corank(phi, u):
+    rows = [_flat_rows(h.matrix.mul(phi.matrix)) for h in hom_space(phi.target, u)]
+    return len(hom_space(phi.source, u)) - row_space_basis(rows, u.algebra.field, u.dim * phi.source.dim).nrows
+
+
+def _whole_postcompose_rank(g, components):
+    rows = [_flat_rows(block.mul(h.matrix)) for x, block in components for h in hom_space(g, x)]
+    return row_space_basis(rows, g.algebra.field, len(rows[0]) if rows else 0).nrows
+
+
+def _whole_gen_g_contains(t, m, gp):
+    """Onto m, and each Hom(G, m) spanned by the maps t -> m after G -> t."""
+    f = m.algebra.field
+    if _whole_image(t, m).nrows != m.dim:
+        return False
+    basis = hom_space(t, m)
+    return all(
+        row_space_basis([_flat_rows(h.matrix.mul(k.matrix)) for h in basis for k in hom_space(g, t)], f, m.dim * g.dim).nrows
+        == len(hom_space(g, m))
+        for g in gp.modules
+    )
+
+
+def _recorded_sum_case(field, quiver):
+    """An algebra, its indecomposables of dimension <= 2, and its GP list.
+    Over Q the list is written down: the projectives of the algebras of
+    finite global dimension, and every indecomposable of the self-injective
+    dual numbers."""
+    from silting_forge.gorenstein import GpClassification
+
+    alg = compile_quiver_algebra(quiver(field))
+    pool = [m for m in _indecomposables(alg) if m.dim <= 2]
+    if field.kind == "prime":
+        return alg, pool, gp_classification(alg, 3)
+    gp = pool if quiver is quiver_dual_numbers else [p for p, _ in indecomposable_projectives(alg)]
+    return alg, pool, GpClassification(alg, 3, gp, True, gorenstein_report(alg), ("written down",))
+
+
+def _recorded_sums(alg, parts, rng):
+    """Sums as :func:`direct_sum` records them: a pair, a repeated summand,
+    zero parts, and a sum of sums."""
+    zero = zero_module(alg)
+    a, b, c = (rng.choice(parts) for _ in range(3))
+    pair = direct_sum([a, b], algebra=alg)[0]
+    return [
+        pair,
+        direct_sum([a, a, b], algebra=alg)[0],
+        direct_sum([zero, a, zero, c], algebra=alg)[0],
+        direct_sum([pair, zero, direct_sum([c, b], algebra=alg)[0]], algebra=alg)[0],
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+@pytest.mark.parametrize("quiver", [quiver_a2, quiver_a3_rel, quiver_dual_numbers], ids=["a2", "a3rel", "dual"])
+def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, quiver):
+    from silting_forge.gorenstein import gen_g_contains
+
+    rng = random.Random(29)
+    alg, pool, gp = _recorded_sum_case(field, quiver)
+    sums = _recorded_sums(alg, pool, rng) + _recorded_sums(alg, gp.modules, rng)
+    sums += [minimal_projective_presentation(m).map.target for m in pool]
+    everything = pool + sums
+    phis = [minimal_projective_presentation(m).map for m in everything]
+    phis += [ModuleMap(x, t, _combined(x, t, rng)) for t in sums for x in rng.sample(pool, 2)]
+    components = [
+        [(t, _combined(t, u, rng)) for t in (rng.choice(sums), rng.choice(sums + pool))]
+        for u in everything
+    ]
+    assert sum(len(modules._summands(t)) > 1 for t in sums) >= 8
+    solve = modules._hom_matrices
+
+    def split(query, sides):
+        """Run ``query`` with no recorded sum solved whole in the ``sides``
+        of Hom (first argument "m", second "n") that it reads by summands.
+        The queries run before the references, so that no whole-sum basis
+        they could read instead is in the memo yet."""
+
+        def checked(m, n):
+            assert all(len(modules._summands(x)) == 1 for x, side in ((m, "m"), (n, "n")) if side in sides)
+            return solve(m, n)
+
+        monkeypatch.setattr(modules, "_hom_matrices", checked)
+        return query()
+
+    got = {
+        "dim": split(lambda: [[hom_dim(x, y) for y in everything] for x in everything], "mn"),
+        "image": split(lambda: [[evaluation_image(x, u) for u in everything] for x in sums], "m"),
+        "corank": split(lambda: [[precompose_corank(phi, u) for u in everything] for phi in phis], "m"),
+        "rank": split(lambda: [[postcompose_rank(g, comps) for g in gp.modules + sums[:3]] for comps in components], "n"),
+        "gen_g": split(lambda: [[gen_g_contains(t, u, gp) for u in everything] for t in sums], "m"),
+    }
+    monkeypatch.setattr(modules, "_hom_matrices", solve)
+    assert got == {
+        "dim": [[len(hom_space(x, y)) for y in everything] for x in everything],
+        "image": [[_whole_image(x, u) for u in everything] for x in sums],
+        "corank": [[_whole_corank(phi, u) for u in everything] for phi in phis],
+        "rank": [[_whole_postcompose_rank(g, comps) for g in gp.modules + sums[:3]] for comps in components],
+        "gen_g": [[_whole_gen_g_contains(t, u, gp) for u in everything] for t in sums],
+    }
+    # both answers of each yes/no question occur
+    assert {v for row in got["corank"] for v in row} > {0}
+    assert {v for row in got["gen_g"] for v in row} == {True, False}
+
+
+def test_a_sum_records_its_finest_summands_and_never_itself(a3rel):
+    pool = enumerate_indecomposables(a3rel, 2)
+    a, b, c = pool[0], pool[1], pool[-1]
+    zero = zero_module(a3rel)
+    ab = direct_sum([a, b])[0]
+    assert modules._summands(ab) == ((a, 0), (b, a.dim))
+    nested = direct_sum([ab, zero, direct_sum([c, a])[0]])[0]
+    assert modules._summands(nested) == ((a, 0), (b, a.dim), (c, ab.dim), (a, ab.dim + c.dim))
+    # a sum that equals one of its parts, or has no nonzero part, records
+    # nothing new, so no module is its own summand
+    for parts in ([a], [zero, a, zero], [zero], []):
+        whole = direct_sum(parts, algebra=a3rel)[0]
+        assert modules._summands(whole) == ((whole, 0),)
+        assert direct_sum not in whole._memo
+    assert direct_sum([zero, ab])[0] is ab and modules._summands(ab) == ((a, 0), (b, a.dim))
+    for whole in (ab, nested, direct_sum([c, c, c])[0]):
+        parts = modules._summands(whole)
+        assert all(x is not whole and x.dim for x, _ in parts)
+        assert [start for _, start in parts] == list(itertools.accumulate([0] + [x.dim for x, _ in parts[:-1]]))
+
+
+def _per_block_failing_label(m, n, mats):
+    """The label the check names as first written: the two products of
+    :func:`_check_commutes`, compared one block slice pair per label."""
+    labels, p, q = m.algebra.labels, n.dim, m.dim
+    left = Matrix.vstack([n.action[lbl] for lbl in labels]).mul(Matrix.hstack(mats)).data
+    right = Matrix.vstack(mats).mul(Matrix.hstack([m.action[lbl] for lbl in labels])).data
+    for j in range(len(mats)):
+        for i, lbl in enumerate(labels):
+            if any(left[i * p + r][j * q : (j + 1) * q] != right[j * p + r][i * q : (i + 1) * q] for r in range(p)):
+                return lbl
+    return None
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_row_commute_check_names_the_per_block_first_label(field):
+    rng = random.Random(43)
+    alg = compile_quiver_algebra(quiver_a3_rel(field))
+    pool = _indecomposables(alg) + [regular_module(alg)]
+    broken = 0
+    for x, y in itertools.product(pool, repeat=2):
+        mats = [h.matrix for h in hom_space(x, y)]
+        if not mats:
+            continue
+        for _ in range(3):
+            bad = [mat.copy() for mat in mats]
+            for _ in range(rng.randrange(1, 3)):
+                mat = rng.choice(bad)
+                r, c = rng.randrange(y.dim), rng.randrange(x.dim)
+                mat.data[r][c] = field.add(mat.data[r][c], field.one())
+            expected = _per_block_failing_label(x, y, bad)
+            assert expected == _first_failing_label(x, y, bad)
+            if expected is None:
+                _check_commutes(x, y, bad)
+                continue
+            broken += 1
+            with pytest.raises(ValidationError, match=f"action of {expected!r}$"):
+                _check_commutes(x, y, bad)
+    assert broken > 20
+
+
+def test_dimension_vectors_are_ranked_once_and_returned_fresh(monkeypatch, a3rel):
+    ranks = []
+    monkeypatch.setattr(modules, "rank", lambda mat: ranks.append(mat) or rank(mat))
+    m = Module(a3rel, 5, permuted_actions(regular_module(a3rel)))
+    first = m.dimension_vector()
+    first["e1"] = 99
+    again = m.dimension_vector()
+    assert again == {"e1": 1, "e2": 2, "e3": 2} and again is not first
+    assert len(ranks) == len(a3rel.idempotents)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_validation_joins_products_with_several_terms(field):
+    # b_a·b_b = -(c*d) in the anticommutative square: over F_3 and Q the
+    # product table holds a coefficient vector, not one basis index
+    square = QuiverPresentation(
+        ["1", "2", "3", "4"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "4"), Arrow("c", "1", "3"), Arrow("d", "3", "4")],
+        [[("1", ["a", "b"]), ("1", ["c", "d"])]],
+        field,
+        3,
+    )
+    alg = compile_quiver_algebra(square)
+    assert any(isinstance(k, list) for k in modules._product_table(alg))
+    valid = [regular_module(alg)] + [simple_module(alg, lbl) for lbl, _ in alg.idempotents]
+    valid += [p for p, _ in indecomposable_projectives(alg)]
+    for mod in valid:
+        assert mod._violations() == _reference_violations(alg, mod.dim, mod.action) == []
+    found = 0
+    for dim, action in _broken_actions(alg, valid, random.Random(5)):
+        expected = _reference_violations(alg, dim, action)
+        assert _reported_violations(alg, dim, action) == expected
+        found += len(expected)
+    assert found > 20
 
 
 # ---------------------------------------------------------------------------
