@@ -439,11 +439,12 @@ def cokernel(fmap: ModuleMap) -> tuple[Module, ModuleMap]:
 def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
     """Block-diagonal sum with canonical injections and projections.
 
-    The sum's memo records its finest known block decomposition: the nonzero
-    parts, each replaced by the summands recorded for it, with their offsets.
-    Queries that need only a dimension, a rank or a span read the Hom tables
-    of those summands: :func:`hom_dim` on both sides, the target of
-    :func:`precompose_corank`'s map, the first module of
+    The sum records its finest known block decomposition (see
+    :func:`summands`): the nonzero parts, each replaced by the summands
+    recorded for it, at their coordinate positions in the sum, a ``range``
+    for each part.  Queries that need only a dimension, a rank or a span
+    read the Hom tables of those summands: :func:`hom_dim` on both sides,
+    the target of :func:`precompose_corank`'s map, the first module of
     :func:`evaluation_image` and :func:`evaluation_components`, and the
     components of :func:`postcompose_rank`.  :func:`hom_space` still solves
     on the sum, so every basis is unchanged.  A sum equal to one of its
@@ -468,17 +469,29 @@ def direct_sum(parts: list[Module], algebra: Algebra | None = None) -> tuple[Mod
         proj = Matrix._wrap(f, eye[offset : offset + p.dim], p.dim, total)
         injections.append(ModuleMap(p, whole, proj.transpose(), check=False))
         projections.append(ModuleMap(whole, p, proj, check=False))
-        record += [(x, offset + start) for x, start in _summands(p) if x.dim]
+        block = range(offset, offset + p.dim)
+        for x, pos in summands(p):
+            if x.dim:
+                # a recorded tensor product's positions are a tuple
+                record.append((x, block[pos.start : pos.stop] if isinstance(pos, range) else tuple(block[i] for i in pos)))
         offset += p.dim
-    if len(record) > len(_summands(whole)):
-        whole._memo[direct_sum] = tuple(record)
+    _record(whole, record)
     return whole, injections, projections
 
 
-def _summands(m: Module) -> tuple[tuple[Module, int], ...]:
-    """The block decomposition :func:`direct_sum` recorded for ``m``, as
-    (summand, offset) pairs in coordinate order, or ``((m, 0),)``."""
-    return m._memo.get(direct_sum) or ((m, 0),)
+def summands(m: Module) -> tuple[tuple[Module, range | tuple[int, ...]], ...]:
+    """The block decomposition recorded for ``m`` by :func:`direct_sum` or
+    :func:`tensor_over_field`, as (summand, positions) pairs: the summands
+    are nonzero, none is ``m``, and each acts as the restriction of ``m`` to
+    the coordinates at its positions, which partition ``range(m.dim)``.
+    ``((m, range(m.dim)),)`` when nothing is recorded."""
+    return m._memo.get(summands) or ((m, range(m.dim)),)
+
+
+def _record(whole: Module, record: list) -> None:
+    """Record ``record`` as the decomposition of ``whole`` if it is finer."""
+    if len(record) > len(summands(whole)):
+        whole._memo[summands] = tuple(record)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +520,10 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
 
 def hom_dim(m: Module, n: Module) -> int:
     """dim Hom(m, n), read off the memo without building maps.  Hom is
-    additive, so when :func:`direct_sum` recorded summands for ``m`` or ``n``
-    it is the sum over pairs of their summands, and nothing is solved on the
-    sum."""
-    xs, ys = _summands(m), _summands(n)
+    additive, so when summands are recorded for ``m`` or ``n`` (see
+    :func:`summands`) it is the sum over pairs of their summands, and nothing
+    is solved on the sum."""
+    xs, ys = summands(m), summands(n)
     if len(xs) == len(ys) == 1:
         return _hom_entry(m, n)[0]
     return sum(hom_dim(x, y) for x, _ in xs for y, _ in ys)
@@ -632,16 +645,16 @@ def precompose_corank(phi: ModuleMap, u: Module) -> int:
     Hom(P_0, u) -> Hom(P_1, u) -> D Hom(u, tau M) -> 0 (Adachi-Iyama-Reiten,
     Prop. 2.4).
 
-    Hom is additive, so no recorded sum (see :func:`direct_sum`) other than
-    u is solved whole: ``hom_dim`` reads summands, and the composites are
+    Hom is additive, so no recorded sum (see :func:`summands`) other than u
+    is solved whole: ``hom_dim`` reads summands, and the composites are
     spanned by h·phi_k for h in Hom(T_k, u), over the summands T_k of the
-    target and the rows phi_k of phi on T_k."""
+    target and the rows phi_k of phi at the positions of T_k."""
     need = hom_dim(phi.source, u)
     if not need:
         return 0
     f, q, rows = u.algebra.field, phi.source.dim, []
-    for t, start in _summands(phi.target):
-        block = phi.matrix if t is phi.target else phi.matrix.submatrix(range(start, start + t.dim), range(q))
+    for t, pos in summands(phi.target):
+        block = phi.matrix if t is phi.target else phi.matrix.submatrix(pos, range(q))
         rows += [_flat(h.matrix.mul(block)) for h in hom_space(t, u)]
     spanned = row_space_basis(rows, f, u.dim * q).nrows
     if spanned > need:
@@ -661,11 +674,11 @@ def evaluation_image(x: Module, u: Module) -> Matrix:
 
 
 def evaluation_components(x: Module, u: Module) -> list[tuple[Module, Matrix]]:
-    """Pairs (X_k, h) over the summands X_k that :func:`direct_sum` recorded
-    for x (or x itself) and the basis h of Hom(X_k, u).  The maps h∘pi_k, for
-    pi_k the projection onto X_k, span Hom(x, u), as Hom is additive, and x
-    is not solved whole."""
-    return [(xk, h.matrix) for xk, _ in _summands(x) for h in hom_space(xk, u)]
+    """Pairs (X_k, h) over the summands X_k recorded for x (see
+    :func:`summands`; or x itself) and the basis h of Hom(X_k, u).  The maps
+    h∘pi_k, for pi_k the projection onto X_k, span Hom(x, u), as Hom is
+    additive, and x is not solved whole."""
+    return [(xk, h.matrix) for xk, _ in summands(x) for h in hom_space(xk, u)]
 
 
 def postcompose_rank(g: Module, components) -> int:
@@ -673,13 +686,13 @@ def postcompose_rank(g: Module, components) -> int:
     given by its ``components``: pairs of X_k and the column block M_k of phi
     on X_k (a plain map is one component).  As Hom(g, ⊕X_k) = ⊕Hom(g, X_k),
     the image is spanned by M_k·h over h in ``hom_space(g, X_k)``, called
-    once per distinct X_k, after a component on a sum that
-    :func:`direct_sum` recorded is split into its column blocks on the
-    summands.  The map is onto when the rank is ``hom_dim(g, Y)``."""
+    once per distinct X_k, after a component on a recorded sum (see
+    :func:`summands`) is split into its columns at the positions of each
+    summand.  The map is onto when the rank is ``hom_dim(g, Y)``."""
     groups: dict[int, tuple[Module, list[Matrix]]] = {}
     for x, block in components:
-        for xk, start in _summands(x):
-            cols = block if xk is x else block.submatrix(range(block.nrows), range(start, start + xk.dim))
+        for xk, pos in summands(x):
+            cols = block if xk is x else block.submatrix(range(block.nrows), pos)
             groups.setdefault(id(xk), (xk, []))[1].append(cols)
     rows = [_flat(block.mul(h.matrix)) for x, blocks in groups.values() for h in hom_space(g, x) for block in blocks]
     return row_space_basis(rows, g.algebra.field, len(rows[0]) if rows else 0).nrows
@@ -1009,7 +1022,14 @@ def tensor_map(n: Bimodule, phi: ModuleMap) -> ModuleMap:
 
 
 def tensor_over_field(m: Module, s: Module, tensor_alg: Algebra | None = None) -> Module:
-    """m ⊗_k s as a module over the tensor product algebra."""
+    """m ⊗_k s as a module over the tensor product algebra.
+
+    Tensor is additive in each factor, so the product records (see
+    :func:`summands`) x ⊗ y for every summand x recorded for m (or m) and
+    y recorded for s (or s), at positions {i·dim s + j : i in pos(x), j in
+    pos(y)}, a tuple.  Zero blocks are left out, so a product with a zero
+    factor records nothing, and a product of two unrecorded modules is no
+    summand of itself."""
     A, B = m.algebra, s.algebra
     if A.field != B.field:
         raise ValidationError("tensor factors live over different fields")
@@ -1019,7 +1039,14 @@ def tensor_over_field(m: Module, s: Module, tensor_alg: Algebra | None = None) -
     for i, la in enumerate(A.labels):
         for j, lb in enumerate(B.labels):
             action[f"{la}(x){lb}"] = m.action[la].kron(s.action[lb])
-    return Module(tensor_alg, m.dim * s.dim, action)
+    whole = Module(tensor_alg, m.dim * s.dim, action)
+    xs, ys = summands(m), summands(s)
+    if len(xs) * len(ys) > 1:
+        _record(whole, [
+            (tensor_over_field(x, y, tensor_alg), tuple(i * s.dim + j for i in px for j in py))
+            for x, px in xs for y, py in ys if x.dim and y.dim
+        ])
+    return whole
 
 
 # ---------------------------------------------------------------------------

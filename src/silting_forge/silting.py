@@ -29,11 +29,12 @@ only sits inside its own class.  This module provides:
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .exactlinalg import Matrix, nullspace, rank, row_space_basis
-from .algebra import Algebra, DomainError, ValidationError, derive_algebra, same_algebra
+from .algebra import Algebra, DomainError, ValidationError, derive_algebra, memoized, same_algebra
 from .modules import (
     Module,
     ModuleMap,
@@ -45,12 +46,14 @@ from .modules import (
     enumerate_indecomposables,
     evaluation_image,
     hom_dim,
+    indecomposable_iso,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
     minimal_projective_presentation,
     precompose_corank,
     quotient_module,
+    summands,
     tensor_over_field,
     zero_module,
 )
@@ -409,18 +412,22 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     fills the vertex count).  dim Hom(t, tau t) is the corank of Hom(sigma_t,
     t) at the minimal presentation sigma_t of t, so tau is never built; when
     the presentation is automatic, that corank is also the self-membership
-    gate.  :func:`_certificate` then decides the verdict;
-    :func:`enumerate_silting` gathers the same evidence from per-summand
-    facts and goes through the same ladder.
+    gate, and otherwise it is read off the summands of t
+    (:func:`_hom_to_translate_dim`).  :func:`_certificate` then decides the
+    verdict; :func:`enumerate_silting` gathers the same evidence from
+    per-summand facts and goes through the same ladder.
     """
     alg = t.algebra
     notes: list = [COPRODUCT_NOTE]
     pres = _resolve_presentation(t, sigma, notes)
-    minimal = minimal_projective_presentation(t) if _SUPPLIED_PRESENTATION in notes else pres
     probe_list = _resolve_probes(alg, probe, dim_bound, notes)
-    hom_to_translate = precompose_corank(minimal.map, t)
-    # At the minimal presentation the self-membership gate is that same corank.
-    in_own_class = hom_to_translate == 0 if pres is minimal else d_sigma_contains(pres, t)
+    if _SUPPLIED_PRESENTATION in notes:
+        hom_to_translate = _hom_to_translate_dim(t)
+        in_own_class = d_sigma_contains(pres, t)
+    else:
+        # At the minimal presentation the self-membership gate is that corank.
+        hom_to_translate = precompose_corank(pres.map, t)
+        in_own_class = hom_to_translate == 0
     sweep = None
     if in_own_class:
         sweep = [
@@ -434,12 +441,47 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     )
 
 
+def _hom_to_translate_dim(t: Module) -> int:
+    """dim Hom(t, τt), read off the summands t_k recorded for ``t`` (see
+    :func:`~.modules.summands`; or ``t`` itself).  τ is additive, so it is
+    the sum over k and l of dim Hom(t_k, τt_l), the corank of Hom(σ_l, t_k)
+    at the minimal presentation σ_l of t_l (Adachi–Iyama–Reiten,
+    arXiv:1210.1036, Prop. 2.4).  Each σ_l is built once per module, and τ
+    never is."""
+    parts = collections.Counter(x for x, _ in summands(t))
+    return sum(a * b * precompose_corank(_minimal_map(y), x) for x, a in parts.items() for y, b in parts.items())
+
+
+def _minimal_map(t: Module) -> ModuleMap:
+    """The map σ_t of :func:`~.modules.minimal_projective_presentation`,
+    built once per module."""
+    source, target, matrix = _minimal_terms(t)
+    return ModuleMap(t if source is None else source, t if target is None else target, matrix, check=False)
+
+
+@memoized
+def _minimal_terms(t: Module) -> tuple:
+    """The source, target and matrix of σ_t, with None for a term that is
+    ``t`` itself (a projective t, or 0).  The memo on ``t`` then refers to
+    nothing that refers to ``t``, so they form no reference cycle."""
+    sigma = minimal_projective_presentation(t).map
+    return (None if sigma.source is t else sigma.source), (None if sigma.target is t else sigma.target), sigma.matrix
+
+
 def _summand_classes(t: Module) -> int | None:
-    """Isoclasses of summands of ``t``; None when decompose is undecided."""
+    """Isoclasses of indecomposable summands of ``t``; None when decompose
+    is undecided.  By Krull–Schmidt they are the classes among the parts of
+    :func:`~.modules.decompose` of each summand recorded for ``t``, so End
+    of a recorded sum is never solved."""
+    reps: list[Module] = []
     try:
-        return 0 if t.dim == 0 else len(decompose(t))
+        for x, _ in summands(t):
+            for part, _, _ in decompose(x):
+                if not any(r is part or indecomposable_iso(r, part) is not None for r in reps):
+                    reps.append(part)
     except UndecidedError:
         return None
+    return len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +518,10 @@ def _support_tau_tilting(t: Module, hom_to_translate: int, classes: int | None) 
 def silting_module_verdict(t: Module) -> dict:
     """Whether ``t`` is silting under some presentation: the JSON-ready
     verdict of :func:`_support_tau_tilting` with the numbers it read.
-    dim Hom(t, τt) is the corank of Hom(σ_t, t) at the minimal presentation
-    σ_t (Adachi–Iyama–Reiten, Prop. 2.4), so τ is never built, and no probe
-    is read."""
-    hom_to_translate = precompose_corank(minimal_projective_presentation(t).map, t)
-    return _support_tau_tilting(t, hom_to_translate, _summand_classes(t))
+    dim Hom(t, τt) and the class count are read off the summands of ``t``
+    (:func:`_hom_to_translate_dim`, :func:`_summand_classes`), so τ is never
+    built, and no probe is read."""
+    return _support_tau_tilting(t, _hom_to_translate_dim(t), _summand_classes(t))
 
 
 # ---------------------------------------------------------------------------

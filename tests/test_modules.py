@@ -1624,15 +1624,39 @@ def _recorded_sum_case(field, quiver):
     """An algebra, its indecomposables of dimension <= 2, and its GP list.
     Over Q the list is written down: the projectives of the algebras of
     finite global dimension, and every indecomposable of the self-injective
-    dual numbers."""
+    dual numbers.  A quiver of None stands for a2 ⊗ a2, of global dimension
+    2, whose list is written down over every field."""
     from silting_forge.gorenstein import GpClassification
 
-    alg = compile_quiver_algebra(quiver(field))
+    if quiver is None:
+        a2 = compile_quiver_algebra(quiver_a2(field))
+        alg = derive_algebra(a2, "tensor", b=a2)[0]
+    else:
+        alg = compile_quiver_algebra(quiver(field))
     pool = [m for m in _indecomposables(alg) if m.dim <= 2]
-    if field.kind == "prime":
+    if field.kind == "prime" and quiver is not None:
         return alg, pool, gp_classification(alg, 3)
     gp = pool if quiver is quiver_dual_numbers else [p for p, _ in indecomposable_projectives(alg)]
     return alg, pool, GpClassification(alg, 3, gp, True, gorenstein_report(alg), ("written down",))
+
+
+def _recorded_tensor_products(alg, rng):
+    """Tensor products over ``alg`` = a2 ⊗ a2 as :func:`tensor_over_field`
+    records them: of two recorded a2-sums, of a sum and an indecomposable
+    either way round, of two minimal presentation terms, and a sum of
+    products, whose summands sit at scattered positions."""
+    a2 = compile_quiver_algebra(quiver_a2(alg.field))
+    pool = [m for m in _indecomposables(a2) if m.dim <= 2]
+    a, b, c = (rng.choice(pool) for _ in range(3))
+    ab, cb = direct_sum([a, b])[0], direct_sum([c, b])[0]
+    p0s = [minimal_projective_presentation(m).map.target for m in (ab, c)]
+    products = [
+        tensor_over_field(ab, cb, alg),
+        tensor_over_field(ab, c, alg),
+        tensor_over_field(a, cb, alg),
+        tensor_over_field(*p0s, alg),
+    ]
+    return products + [direct_sum([products[0], tensor_over_field(c, a, alg), products[2]])[0]]
 
 
 def _recorded_sums(alg, parts, rng):
@@ -1650,7 +1674,9 @@ def _recorded_sums(alg, parts, rng):
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
-@pytest.mark.parametrize("quiver", [quiver_a2, quiver_a3_rel, quiver_dual_numbers], ids=["a2", "a3rel", "dual"])
+@pytest.mark.parametrize(
+    "quiver", [quiver_a2, quiver_a3_rel, quiver_dual_numbers, None], ids=["a2", "a3rel", "dual", "a2xa2"]
+)
 def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, quiver):
     from silting_forge.gorenstein import gen_g_contains
 
@@ -1658,6 +1684,10 @@ def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, qu
     alg, pool, gp = _recorded_sum_case(field, quiver)
     sums = _recorded_sums(alg, pool, rng) + _recorded_sums(alg, gp.modules, rng)
     sums += [minimal_projective_presentation(m).map.target for m in pool]
+    if quiver is None:
+        products = _recorded_tensor_products(alg, rng)
+        assert all(len(modules.summands(t)) > 1 for t in products)
+        sums += products
     everything = pool + sums
     phis = [minimal_projective_presentation(m).map for m in everything]
     phis += [ModuleMap(x, t, _combined(x, t, rng)) for t in sums for x in rng.sample(pool, 2)]
@@ -1665,7 +1695,7 @@ def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, qu
         [(t, _combined(t, u, rng)) for t in (rng.choice(sums), rng.choice(sums + pool))]
         for u in everything
     ]
-    assert sum(len(modules._summands(t)) > 1 for t in sums) >= 8
+    assert sum(len(modules.summands(t)) > 1 for t in sums) >= 8
     solve = modules._hom_matrices
 
     def split(query, sides):
@@ -1675,7 +1705,7 @@ def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, qu
         they could read instead is in the memo yet."""
 
         def checked(m, n):
-            assert all(len(modules._summands(x)) == 1 for x, side in ((m, "m"), (n, "n")) if side in sides)
+            assert all(len(modules.summands(x)) == 1 for x, side in ((m, "m"), (n, "n")) if side in sides)
             return solve(m, n)
 
         monkeypatch.setattr(modules, "_hom_matrices", checked)
@@ -1701,25 +1731,49 @@ def test_hom_queries_on_recorded_sums_match_the_whole_sum(monkeypatch, field, qu
     assert {v for row in got["gen_g"] for v in row} == {True, False}
 
 
-def test_a_sum_records_its_finest_summands_and_never_itself(a3rel):
+def _restricted(m, pos):
+    """The action of ``m`` restricted to the coordinates at ``pos``."""
+    return {lbl: mat.submatrix(pos, pos) for lbl, mat in m.action.items()}
+
+
+def test_a_sum_records_its_finest_summands_and_never_itself(a3rel, a2):
     pool = enumerate_indecomposables(a3rel, 2)
     a, b, c = pool[0], pool[1], pool[-1]
     zero = zero_module(a3rel)
     ab = direct_sum([a, b])[0]
-    assert modules._summands(ab) == ((a, 0), (b, a.dim))
+    assert modules.summands(ab) == ((a, range(a.dim)), (b, range(a.dim, ab.dim)))
     nested = direct_sum([ab, zero, direct_sum([c, a])[0]])[0]
-    assert modules._summands(nested) == ((a, 0), (b, a.dim), (c, ab.dim), (a, ab.dim + c.dim))
+    starts = [0, a.dim, ab.dim, ab.dim + c.dim]
+    assert modules.summands(nested) == tuple((x, range(s, s + x.dim)) for x, s in zip((a, b, c, a), starts))
     # a sum that equals one of its parts, or has no nonzero part, records
     # nothing new, so no module is its own summand
     for parts in ([a], [zero, a, zero], [zero], []):
         whole = direct_sum(parts, algebra=a3rel)[0]
-        assert modules._summands(whole) == ((whole, 0),)
-        assert direct_sum not in whole._memo
-    assert direct_sum([zero, ab])[0] is ab and modules._summands(ab) == ((a, 0), (b, a.dim))
-    for whole in (ab, nested, direct_sum([c, c, c])[0]):
-        parts = modules._summands(whole)
+        assert modules.summands(whole) == ((whole, range(whole.dim)),)
+        assert modules.summands not in whole._memo
+    assert direct_sum([zero, ab])[0] is ab and modules.summands(ab) == ((a, range(a.dim)), (b, range(a.dim, ab.dim)))
+    # a tensor product records the products of the factors' summands, at
+    # positions i·dim s + j; a zero factor, or two unrecorded factors, record
+    # nothing
+    tensor_alg = derive_algebra(a2, "tensor", b=a2)[0]
+    x1, x2, y = enumerate_indecomposables(a2, 2)
+    product = tensor_over_field(direct_sum([x1, x2])[0], direct_sum([y, x1])[0], tensor_alg)
+    assert y.dim == 2 and modules.summands(product) == tuple(
+        (tensor_over_field(u, v, tensor_alg), pos)
+        for (u, v), pos in zip(itertools.product((x1, x2), (y, x1)), [(0, 1), (2,), (3, 4), (5,)])
+    )
+    for u, v in ((direct_sum([x1, x2])[0], zero_module(a2)), (zero_module(a2), direct_sum([y, x1])[0]), (y, x1)):
+        whole = tensor_over_field(u, v, tensor_alg)
+        assert modules.summands(whole) == ((whole, range(whole.dim)),)
+    # a sum of products shifts each product's positions
+    scattered = direct_sum([tensor_over_field(x1, x2, tensor_alg), product])[0]
+    assert [pos for _, pos in modules.summands(scattered)] == [range(1), (1, 2), (3,), (4, 5), (6,)]
+    pp = tensor_over_field(direct_sum([y, x1])[0], direct_sum([y, x1])[0], tensor_alg)
+    for whole in (ab, nested, direct_sum([c, c, c])[0], product, pp, scattered):
+        parts = modules.summands(whole)
         assert all(x is not whole and x.dim for x, _ in parts)
-        assert [start for _, start in parts] == list(itertools.accumulate([0] + [x.dim for x, _ in parts[:-1]]))
+        assert sorted(i for _, pos in parts for i in pos) == list(range(whole.dim))
+        assert all(_restricted(whole, pos) == x.action for x, pos in parts)
 
 
 def _per_block_failing_label(m, n, mats):

@@ -1,20 +1,24 @@
 """Two-term membership classes, certificates, enumeration, tensor transport."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import F2, QQ, quiver_a2, quiver_dual_numbers, quiver_kxk
+from conftest import F2, QQ, permuted_actions, quiver_a2, quiver_dual_numbers, quiver_kxk
 
 from silting_forge.algebra import ValidationError, compile_quiver_algebra, derive_algebra
 from silting_forge.exactlinalg import Matrix, row_space_basis
 from silting_forge import modules, silting
 from silting_forge.io import algebra_from_json, corpus_load
 from silting_forge.modules import (
+    Module,
     ModuleMap,
     Presentation,
     ar_translate,
+    decompose,
     direct_sum,
     enumerate_indecomposables,
     evaluation_image,
@@ -22,8 +26,10 @@ from silting_forge.modules import (
     indecomposable_projectives,
     is_isomorphic,
     minimal_projective_presentation,
+    precompose_corank,
     regular_module,
     simple_module,
+    tensor_over_field,
     zero_module,
 )
 from silting_forge.silting import (
@@ -584,6 +590,53 @@ def test_tensor_modules_lie_in_the_direct_enumeration_exactly_when_silting():
         if not listed:
             outside.append((i, j))
     assert outside == [(4, 4)]
+
+
+def test_summand_reads_match_the_whole_module():
+    # dim Hom(t, tau t) and the summand-class count, read off the recorded
+    # summands, against the corank at t's own minimal presentation and
+    # decompose of t whole: on the tensor suite's 25 modules, and on sums of
+    # the small indecomposables of the corpus algebras, repeats, nesting and
+    # a summand next to a copy of it in another basis included.
+    alg, tensor_alg = corpus_load("a2"), corpus_load("a2xa2")
+    certs = enumerate_silting(alg, 3)
+    ts = [tensor_over_field(ci.module, cj.module, tensor_alg) for ci, cj in itertools.product(certs, repeat=2)]
+    for name in ("a2", "a3rel", "dualnum", "kxk"):
+        corpus = corpus_load(name)
+        pool = enumerate_indecomposables(corpus, 2)
+        pairs = [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(pool, 2)]
+        ts += pairs + [direct_sum([pairs[0], pool[-1], pairs[-1]])[0]]
+        big = max(pool, key=lambda m: m.dim)
+        if big.dim > 1:
+            ts.append(direct_sum([big, Module(corpus, big.dim, permuted_actions(big))])[0])
+            assert len(set(x for x, _ in modules.summands(ts[-1]))) == 2
+    # 9 tensor modules have a zero factor and 4 two indecomposable factors
+    assert sum(len(modules.summands(t)) > 1 for t in ts[:25]) == 12
+    assert all(len(modules.summands(t)) > 1 for t in ts[25:])
+    seen = set()
+    for t in ts:
+        got = (silting._hom_to_translate_dim(t), silting._summand_classes(t))
+        assert got == (precompose_corank(minimal_projective_presentation(t).map, t), len(decompose(t)))
+        seen.add((got[0] > 0, got[1]))
+    assert {True, False} == {tau for tau, _ in seen} and {0, 1, 2, 4} <= {classes for _, classes in seen}
+
+
+def test_a_projective_module_and_its_memoized_presentation_form_no_cycle(a2):
+    # The minimal presentation of a projective t is 0 -> t; the memo on t
+    # keeps it without referring back to t, so dropping t frees it with the
+    # cyclic collector off.
+    p1, p2 = (p for p, _ in indecomposable_projectives(a2))
+    gc.collect()
+    gc.disable()
+    try:
+        t = direct_sum([p1, p2])[0]
+        assert silting.silting_module_verdict(t)["verdict"] == "silting"
+        assert silting._minimal_map(t).target is t
+        dropped = weakref.ref(t)
+        del t
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_tensor_probe_membership_recorded(tensor_setup):
