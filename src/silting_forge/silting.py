@@ -425,7 +425,9 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
         hom_to_translate = _hom_to_translate_dim(t)
         in_own_class = d_sigma_contains(pres, t)
     else:
-        # At the minimal presentation the self-membership gate is that corank.
+        # pres.map is σ_t, so its corank is dim Hom(t, τt) and the
+        # self-membership gate; reading it off the summands would build σ_t a
+        # second time for a module that records none.
         hom_to_translate = precompose_corank(pres.map, t)
         in_own_class = hom_to_translate == 0
     sweep = None
