@@ -49,10 +49,6 @@ class DomainError(ExactError):
 
 PATH_BUDGET = 200_000
 
-#: Default cap on the subset search inside
-#: :func:`silting_forge.gorenstein.left_approximation_sequence`.
-APPROXIMATION_SEARCH_BUDGET = 4096
-
 
 def memoized(fn):
     """Derive ``fn(owner, *args, **kwargs)`` once per owner and arguments.

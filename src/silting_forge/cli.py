@@ -25,7 +25,6 @@ import sys
 
 from . import SUITES
 from .algebra import (
-    APPROXIMATION_SEARCH_BUDGET,
     DomainError,
     ValidationError,
     build_triangular,
@@ -90,7 +89,6 @@ _SHARED_FLAGS = {
     "--field": {"help": "ground field: a prime or Q"},
     "--dim-bound": {"type": _at_least(0)},
     "--length-bound": {"type": _at_least(0)},
-    "--budget": {"type": _at_least(1), "default": APPROXIMATION_SEARCH_BUDGET},
 }
 
 
@@ -166,7 +164,7 @@ def _build_parser() -> _Parser:
     p = _leaf(gorenstein, "gp", "--length-bound", "--dim-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", default=None)
-    p = _leaf(gorenstein, "check", "--length-bound", "--budget")
+    p = _leaf(gorenstein, "check", "--length-bound")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--presentation", default="auto")
@@ -180,9 +178,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--e", required=True)
     p.add_argument("--functor", required=True, choices=["i", "q", "p", "e", "l", "r"])
     p.add_argument("--module", required=True)
-    # No parser default for --budget: the idempotent branch rejects a given
-    # budget, and verify_transfer supplies the default for the triangular one.
-    p = _leaf(recollement, "verify", "--length-bound", "--budget", budget=None)
+    p = _leaf(recollement, "verify", "--length-bound")
     p.add_argument("--statement", required=True)
     p.add_argument("--algebra", default=None)
     p.add_argument("--e", default=None)
@@ -193,7 +189,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probe", type=_at_least(0), default=None)
 
     theorems = sub.add_parser("theorems").add_subparsers(dest="command")
-    p = _leaf(theorems, "run", "--budget")
+    p = _leaf(theorems, "run")
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--context", default=None)
 
@@ -446,7 +442,7 @@ def _handle_gorenstein(args):
                 "gorenstein check supports --presentation auto; supplied "
                 "relative presentations are a library-level feature"
             )
-        cert = gmod.gorenstein_silting_check(t, "AUTO", budget=args.budget)
+        cert = gmod.gorenstein_silting_check(t, "AUTO")
         return cert.to_json(), _exit_from_verdict(cert.verdict)
     raise UsageError("gorenstein needs a subcommand: report, gp, check")
 
@@ -490,9 +486,9 @@ def _handle_recollement(args):
                 raise ValidationError("triangular statements need --x and --y module files")
             inputs["x"] = module_from_json(read_json_file(args.x), tctx.a)
             inputs["y"] = module_from_json(read_json_file(args.y), tctx.b)
-            report = rmod.verify_transfer(tctx, statement, inputs, args.probe, args.budget)
+            report = rmod.verify_transfer(tctx, statement, inputs, args.probe)
         else:
-            for value, flag in [(args.x, "--x"), (args.y, "--y"), (args.probe, "--probe"), (args.budget, "--budget")]:
+            for value, flag in [(args.x, "--x"), (args.y, "--y"), (args.probe, "--probe")]:
                 _reject_unread(value, flag, "idempotent statements")
             if not (args.algebra and args.e):
                 raise ValidationError(
@@ -517,7 +513,7 @@ def _handle_theorems(args):
     if args.command == "run":
         from .suites import run_suite
 
-        report = run_suite(args.suite, args.context, args.budget)
+        report = run_suite(args.suite, args.context)
         return report, _exit_from_verdict(report["verdict"])
     raise UsageError("theorems needs the run subcommand")
 

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
 from .exactlinalg import Matrix, rank
-from .algebra import APPROXIMATION_SEARCH_BUDGET, Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
+from .algebra import Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
     Presentation,
-    UndecidedError,
     cokernel,
     decompose,
     direct_sum,
@@ -201,7 +200,7 @@ class GpClassification:
     """Indecomposable GP modules within a dimension bound, in canonical order.
 
     The relative evidence that depends only on the list (proper presentations,
-    relative generation, the candidate tables of the approximation search) is
+    relative generation, the universal map of each left approximation test) is
     memoized in ``_memo`` for the classification's lifetime; a copy made with
     :func:`dataclasses.replace` starts with an empty memo."""
 
@@ -493,7 +492,6 @@ class LeftApproximationSequence:
     phi: ModuleMap | None
     psi: ModuleMap | None
     probes_checked: int
-    search_bound: int
     detail: dict
 
     def __bool__(self) -> bool:
@@ -506,7 +504,6 @@ class LeftApproximationSequence:
             "middle_dim": self.phi.target.dim if self.phi is not None else None,
             "end_dim": self.psi.target.dim if self.psi is not None else None,
             "probes_checked": self.probes_checked,
-            "search_bound": self.search_bound,
             "detail": self.detail,
         }
 
@@ -529,23 +526,33 @@ def _in_add(q: Module, parts: list[Module]) -> bool:
     return True
 
 
-@dataclass(eq=False)
-class _Candidate:
-    """One screened candidate p -> T_0 of a left approximation search.
+class _UniversalApproximation:
+    """The universal map phi: p -> T_0 = ⊕ T_i^(dim Hom(p, T_i)) over the
+    summand classes T_i of t, whose components are the Hom-basis maps
+    p -> T_i (the zero map p -> 0 when there are none), with its cokernel.
 
     ``middle_dim`` and ``end_dim`` are the dimensions of T_0 and of the
-    cokernel; ``phi`` and ``cmap`` (the cokernel map) are kept only when the
-    cokernel lies in Add(t).  G-exactness and the restrictions onto Hom(-, U)
-    are computed on first use and kept."""
+    cokernel, before ``transport``; ``phi`` and ``cmap`` (the cokernel map)
+    are kept, after it, only when the cokernel lies in Add(t).  G-exactness
+    and the restrictions onto Hom(-, U) are computed on first use and kept."""
 
-    combo: tuple
-    middle_dim: int
-    end_dim: int
-    in_add: bool
-    phi: ModuleMap | None = None
-    cmap: ModuleMap | None = None
-    _g_exact: bool | None = None
-    _restricts: dict = dc_field(default_factory=dict)
+    def __init__(self, p: Module, t: Module, transport=None):
+        alg = p.algebra
+        parts = _add_parts(t)
+        columns = [(part, h.matrix) for part in parts for h in hom_space(p, part)]
+        if columns:
+            t0, _, _ = direct_sum([part for part, _ in columns], algebra=alg)
+            phi = ModuleMap(p, t0, Matrix.vstack([h for _, h in columns]))
+        else:
+            t0 = zero_module(alg)
+            phi = ModuleMap(p, t0, Matrix.zeros(alg.field, 0, p.dim))
+        coker, cmap = cokernel(phi)
+        self.middle_dim, self.end_dim = t0.dim, coker.dim
+        self.phi = self.cmap = None
+        if _in_add(coker, parts):
+            self.phi, self.cmap = (transport(phi), transport(cmap)) if transport is not None else (phi, cmap)
+        self._g_exact: bool | None = None
+        self._restricts: dict = {}
 
     def g_exact(self, gp: GpClassification) -> bool:
         if self._g_exact is None:
@@ -559,60 +566,9 @@ class _Candidate:
         return self._restricts[u]
 
 
-class _ApproximationTable:
-    """The part of a left approximation search for p into Add(t) that does
-    not depend on the presentation: the candidates in search order, cut at
-    ``budget``, each screened when a search first reaches it.
-
-    A screened candidate (:class:`_Candidate`) records T_0, phi, the
-    cokernel, whether the cokernel lies in Add(t), whether (phi, cokernel
-    map) is G-exact and, per probe U, whether phi restricts onto Hom(-, U);
-    the last two are computed when a search first asks.  Screening only
-    extends the table, so every search reads the same entries in the same
-    order."""
-
-    def __init__(self, p: Module, t: Module, budget: int, transport=None):
-        self.p, self.transport = p, transport
-        self.parts = _add_parts(t)
-        self.columns: list[tuple[Module, Matrix]] = [
-            (part, h.matrix) for part in self.parts for h in hom_space(p, part)
-        ]
-        candidates: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        for size in range(1, len(self.columns) + 1):
-            for combo in itertools.combinations(range(len(self.columns)), size):
-                middle_dim = sum(self.columns[j][0].dim for j in combo)
-                candidates.append((middle_dim, combo))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        self.total = len(candidates)
-        self.candidates = candidates[: max(budget, 0)]
-        self.screened: list[_Candidate] = []
-
-    def __iter__(self):
-        for i, (_, combo) in enumerate(self.candidates):
-            if i == len(self.screened):
-                self.screened.append(self._screen(combo))
-            yield self.screened[i]
-
-    def _screen(self, combo: tuple) -> _Candidate:
-        p = self.p
-        alg = p.algebra
-        if combo:
-            t0, _, _ = direct_sum([self.columns[j][0] for j in combo], algebra=alg)
-            phi = ModuleMap(p, t0, Matrix.vstack([self.columns[j][1] for j in combo]))
-        else:
-            t0 = zero_module(alg)
-            phi = ModuleMap(p, t0, Matrix.zeros(alg.field, 0, p.dim))
-        coker, cmap = cokernel(phi)
-        if not _in_add(coker, self.parts):
-            return _Candidate(combo, t0.dim, coker.dim, False)
-        if self.transport is not None:
-            phi, cmap = self.transport(phi), self.transport(cmap)
-        return _Candidate(combo, t0.dim, coker.dim, True, phi, cmap)
-
-
 @memoized
-def _approximation_table(gp: GpClassification, p: Module, t: Module, budget: int, transport=None) -> _ApproximationTable:
-    return _ApproximationTable(p, t, budget, transport)
+def _universal_approximation(gp: GpClassification, p: Module, t: Module, transport=None) -> _UniversalApproximation:
+    return _UniversalApproximation(p, t, transport)
 
 
 def left_approximation_sequence(
@@ -622,75 +578,55 @@ def left_approximation_sequence(
     gp: GpClassification,
     class_probes: list | None = None,
     transport=None,
-    budget: int = APPROXIMATION_SEARCH_BUDGET,
 ) -> LeftApproximationSequence:
-    """Search for p -> T_0 -> T_{-1} -> 0, relatively exact, T_i in Add(t),
-    whose first map restricts surjectively on Hom(-, U) for every probe U in
-    the class of theta.
+    """Test the universal map p -> T_0 -> T_{-1} -> 0 for a sequence that is
+    relatively exact, with T_i in Add(t), whose first map restricts
+    surjectively on Hom(-, U) for every probe U in the class of theta.
 
     ``class_probes`` are the probes already known to lie in theta's class, so
-    callers that search for several modules against one theta filter once;
+    callers that test several modules against one theta filter once;
     by default they are the indecomposables of dimension at most
     ``gp.dim_bound`` that lie in it (none over the rationals).
 
-    Candidates are assembled from subsets of the canonical Hom-basis columns
-    p -> t_i (plus the zero map), in increasing middle dimension, so the
-    search is deterministic.  ``transport`` (default: identity) carries maps
-    over p's algebra to the algebra of theta and gp; candidates are built
-    before it and tested after it, and ``detail`` records their dimensions
-    before it.  At most ``budget`` candidates are tried.  A miss returns
-    ``found=False`` with the bound; a miss after candidates were dropped at
-    the budget raises :class:`UndecidedError`.
+    The universal map p -> ⊕ T_i^(dim Hom(p, T_i)), over the summand classes
+    T_i of t, has the Hom-basis maps as its components, so it is a left
+    add(t)-approximation.  Every left add(t)-approximation is the minimal
+    one plus a split summand (Krause–Saorín, *On minimal approximations of
+    modules*, 1998), so when t lies in theta's class the universal map
+    passes the four tests exactly when some left add(t)-approximation does,
+    and it is the one map tested.  A map that is not one fails to restrict
+    onto Hom(-, t), which a left approximation into a class holding t must
+    do.
 
-    The evidence that does not involve theta (each candidate's cokernel, its
-    membership in Add(t), its G-exactness and its restrictions onto the
-    probes) is memoized on ``gp`` per (p, t, budget, transport), so one
-    embedding should be passed as one hashable object; only the two tests
-    that read theta, T_0 in its class and which probes are in it, run on
-    every call.
+    ``transport`` (default: identity) carries maps over p's algebra to the
+    algebra of theta and gp; the map is built before it and tested after
+    it, and ``detail`` records its dimensions before it.
+
+    The evidence that does not involve theta (the cokernel, its membership
+    in Add(t), G-exactness and the restrictions onto the probes) is memoized
+    on ``gp`` per (p, t, transport), so one embedding should be passed as one
+    hashable object; only the two tests that read theta, T_0 in its class
+    and which probes are in it, run on every call.
     """
     f = p.algebra.field
     if class_probes is None:
         probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
         class_probes = [u for u in probe if d_theta_contains(theta, u)]
-    table = _approximation_table(gp, p, t, budget, transport)
-    bound = len(table.candidates)
-    for cand in table:
-        if not cand.in_add:
-            continue
+    cand = _universal_approximation(gp, p, t, transport)
+    found = (
+        cand.phi is not None
         # A left approximation must land inside the class it approximates to.
-        if not d_theta_contains(theta, cand.phi.target):
-            continue
-        if not cand.g_exact(gp):
-            continue
-        if not all(cand.restricts(u) for u in class_probes):
-            continue
-        return LeftApproximationSequence(
-            found=True,
-            gp_module=p,
-            phi=cand.phi,
-            psi=cand.cmap,
-            probes_checked=len(class_probes),
-            search_bound=bound,
-            detail={
-                "middle_dim": cand.middle_dim,
-                "end_dim": cand.end_dim,
-                "columns_used": list(cand.combo),
-            },
-        )
-    if bound < table.total:
-        raise UndecidedError(
-            f"left approximation search stopped at its budget of {bound} "
-            f"of {table.total} candidates without a sequence"
-        )
+        and d_theta_contains(theta, cand.phi.target)
+        and cand.g_exact(gp)
+        and all(cand.restricts(u) for u in class_probes)
+    )
     return LeftApproximationSequence(
-        found=False,
+        found=found,
         gp_module=p,
-        phi=None,
-        psi=None,
+        phi=cand.phi if found else None,
+        psi=cand.cmap if found else None,
         probes_checked=len(class_probes),
-        search_bound=bound,
-        detail={"candidates_tried": bound},
+        detail={"middle_dim": cand.middle_dim, "end_dim": cand.end_dim} if found else {},
     )
 
 
@@ -753,16 +689,15 @@ def gorenstein_silting_check(
     theta="AUTO",
     gp: GpClassification | None = None,
     probe=None,
-    budget: int = APPROXIMATION_SEARCH_BUDGET,
 ) -> GorensteinSiltingCertificate:
     """Certified comparison of Gen_G(t) with the class of ``theta``.
 
     Runs the self-membership gate, the probe sweep over both memberships, and
-    the sufficiency route: a left approximation sequence for every listed GP
-    indecomposable.  Verdict rules mirror the absolute check: a mismatch is
-    decisive unless the sufficiency route simultaneously completes, which is
-    a contradiction and yields ``undecided``.  ``budget`` caps each
-    approximation search.
+    the sufficiency route: for every listed GP indecomposable, the universal
+    map into add(t) must give a left approximation sequence.  Verdict rules
+    mirror the absolute check: a mismatch is decisive unless the sufficiency
+    route simultaneously completes, which is a contradiction and yields
+    ``undecided``.
 
     ``theta="AUTO"`` is the maximal padding θ_max: the proper presentation
     of ``t`` plus ``G -> 0`` for every listed GP module G with Hom(G, t) = 0.
@@ -809,8 +744,7 @@ def gorenstein_silting_check(
 
     class_probes = [u for u, du in zip(probe_list, in_class) if du]
     approximations = [
-        left_approximation_sequence(g, t, theta_pres, gp, class_probes, budget=budget)
-        for g in gp.modules
+        left_approximation_sequence(g, t, theta_pres, gp, class_probes) for g in gp.modules
     ]
     sufficiency = all(approximations)
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 from .algebra import (
-    APPROXIMATION_SEARCH_BUDGET,
     Algebra,
     Bimodule,
     DomainError,
@@ -906,7 +905,7 @@ def _require_quotient(ctx: RecollementContext):
         raise ValidationError("statement needs the quotient layer, which is degenerate")
 
 
-def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
+def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
     bound = probe if isinstance(probe, int) else 3
     theta_x = proper_gp_presentation(inputs["x"], gp_classification(tctx.a, dim_bound=4))
     theta_y = proper_gp_presentation(inputs["y"], gp_classification(tctx.b, dim_bound=4))
@@ -943,7 +942,7 @@ def _dtheta_decomposition(tctx: TriangularContext, inputs: dict, probe, budget: 
     )
 
 
-def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
+def _prop_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
@@ -973,7 +972,7 @@ def _prop_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> 
     )
 
 
-def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
+def _cor_partial(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
     x, y = inputs["x"], inputs["y"]
     _check_algebra(x, tctx.a, "the top algebra")
     _check_algebra(y, tctx.b, "the bottom algebra")
@@ -1013,7 +1012,7 @@ def _cor_partial(tctx: TriangularContext, inputs: dict, probe, budget: int) -> V
     )
 
 
-def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> VerificationReport:
+def _thm_gluing(tctx: TriangularContext, inputs: dict, probe) -> VerificationReport:
     """Atoms a-f of the gluing theorem for x over the top algebra and y over
     the bottom one.  Atoms c and d, and atom a after its glued candidate,
     ask :func:`~.gorenstein.gorenstein_silting_check` at ``"AUTO"``, the
@@ -1036,8 +1035,8 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     ny, _, _ = triangular_tensor(tctx, y)
 
     # (c) and (d): one check at the maximal padding on each side
-    cert_x = gorenstein_silting_check(x, "AUTO", gpa, probes_a, budget)
-    cert_y = gorenstein_silting_check(y, "AUTO", gpb, probes_b, budget)
+    cert_x = gorenstein_silting_check(x, "AUTO", gpa, probes_a)
+    cert_y = gorenstein_silting_check(y, "AUTO", gpb, probes_b)
     gen_ok = gen_g_contains(x, ny, gpa)
     atom_c = bool(cert_x) and gen_ok
     atom_d = bool(cert_y)
@@ -1053,12 +1052,12 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     )
 
     # (a): the glued candidate first, then the check at the maximal padding
-    cert_glued = gorenstein_silting_check(t, theta, gpg, probes_g, budget)
+    cert_glued = gorenstein_silting_check(t, theta, gpg, probes_g)
     if cert_glued.verdict == "gorenstein_silting":
         atom_a = True
         realised_a = "glued"
     else:
-        atom_a = bool(gorenstein_silting_check(t, "AUTO", gpg, probes_g, budget))
+        atom_a = bool(gorenstein_silting_check(t, "AUTO", gpg, probes_g))
         realised_a = "maximal_padding" if atom_a else None
 
     # (b): block-shaped sequences for every classified relative projective:
@@ -1069,21 +1068,15 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     for g in gpg.modules:
         triple = _module_to_triple(tctx, g)
         side, part, t_side = ("a", triple.x, x) if triple.y.dim == 0 else ("b", triple.y, y)
-        seq = left_approximation_sequence(part, t_side, theta, gpg, class_g, _embedding(tctx, side), budget)
-        if seq.found:
-            row = {"found": True, "middle_dim": seq.detail["middle_dim"],
-                   "end_dim": seq.detail["end_dim"], "side": side}
-        else:
-            row = {"found": False, "side": side, "candidates": seq.search_bound}
-        row["gp_dimension_vector"] = g.dimension_vector()
-        b_rows.append(row)
+        seq = left_approximation_sequence(part, t_side, theta, gpg, class_g, _embedding(tctx, side))
+        b_rows.append({"found": seq.found, "side": side, **seq.detail, "gp_dimension_vector": g.dimension_vector()})
     atom_b = all(r["found"] for r in b_rows)
 
     # (e): approximation sequences for the top projectives
     class_x = [u for u in probes_a if d_theta_contains(theta_x, u)]
     e_rows = []
     for p, lbl in indecomposable_projectives(tctx.a):
-        seq = left_approximation_sequence(p, x, theta_x, gpa, class_x, budget=budget)
+        seq = left_approximation_sequence(p, x, theta_x, gpa, class_x)
         e_rows.append({"projective": lbl, "found": seq.found})
     atom_e = all(r["found"] for r in e_rows)
 
@@ -1091,7 +1084,7 @@ def _thm_gluing(tctx: TriangularContext, inputs: dict, probe, budget: int) -> Ve
     class_y = [u for u in probes_b if d_theta_contains(theta_y, u)]
     f_rows = []
     for gmod in gpb.modules:
-        seq = left_approximation_sequence(gmod, y, theta_y, gpb, class_y, budget=budget)
+        seq = left_approximation_sequence(gmod, y, theta_y, gpb, class_y)
         f_rows.append({"gp_dimension_vector": gmod.dimension_vector(), "found": seq.found})
     atom_f = all(r["found"] for r in f_rows)
 
@@ -1143,9 +1136,7 @@ _STATEMENTS = {
 }
 
 
-def verify_transfer(
-    ctx, statement: str, inputs: dict, probe=None, budget: int | None = None
-) -> VerificationReport:
+def verify_transfer(ctx, statement: str, inputs: dict, probe=None) -> VerificationReport:
     """Evaluate both sides of a transfer statement and report per-atom
     verdicts with witnesses.
 
@@ -1159,10 +1150,9 @@ def verify_transfer(
     τ-rigid module with too few summands reads ``partial_silting_only``);
     they read no probe, and giving one raises ``ValidationError``.  For the
     triangular statements ``probe`` is a dimension bound for the probe
-    sweeps, and ``budget`` caps each left-approximation search (only
-    ``thm_gluing_equivalences`` runs any); None means
-    ``APPROXIMATION_SEARCH_BUDGET``.  A search cut off at the budget makes
-    the report UNDECIDED, with no atoms.
+    sweeps.  Each left approximation of ``thm_gluing_equivalences`` is one
+    tested map, the universal map into add(t).  A decomposition that stays
+    undecided makes the report UNDECIDED, with no atoms.
     """
     if statement not in _STATEMENTS:
         raise ValidationError(
@@ -1186,10 +1176,8 @@ def verify_transfer(
     unknown = [key for key in inputs if key not in keys]
     if unknown:
         raise ValidationError(f"{statement} reads no input {unknown[0]!r}; it takes {', '.join(keys)}")
-    if budget is None:
-        budget = APPROXIMATION_SEARCH_BUDGET
     try:
-        return driver(ctx, inputs) if kind == "idempotent" else driver(ctx, inputs, probe, budget)
+        return driver(ctx, inputs) if kind == "idempotent" else driver(ctx, inputs, probe)
     except UndecidedError as exc:
         return VerificationReport(
             statement=statement,

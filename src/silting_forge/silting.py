@@ -684,7 +684,9 @@ def tensor_silting(
     p0q0 = tensor_over_field(spres.map.target, epres.map.target, tensor_alg)
     termwise = ModuleMap(p1q1, p0q0, spres.map.matrix.kron(epres.map.matrix))
     termwise_coker, _ = cokernel(termwise)
-    termwise_ok = termwise_coker.dim == ts.dim and is_isomorphic(termwise_coker, ts) is not None
+    termwise_ok = termwise_coker is ts or (
+        termwise_coker.dim == ts.dim and is_isomorphic(termwise_coker, ts) is not None
+    )
 
     p1q0 = tensor_over_field(spres.map.source, epres.map.target, tensor_alg)
     p0q1 = tensor_over_field(spres.map.target, epres.map.source, tensor_alg)

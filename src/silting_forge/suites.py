@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import SUITES
-from .algebra import APPROXIMATION_SEARCH_BUDGET, ValidationError
+from .algebra import ValidationError
 from .io import corpus_load, resolve_context
 from .modules import (
     direct_sum,
@@ -137,13 +137,14 @@ def run_tensor_suite() -> dict:
     }
 
 
-def run_gluing_suite(context_ref: str | None = None, budget: int = APPROXIMATION_SEARCH_BUDGET) -> dict:
+def run_gluing_suite(context_ref: str | None = None) -> dict:
     """The gluing-theorem grid over the bundled triangular context.
 
     X ranges over multiples of the top simple, Y over sums drawn from the
     bottom simple and the bottom regular module; each pair runs the full
     equivalence driver, and every report must satisfy both recorded
-    equivalences.  ``budget`` caps each left-approximation search.
+    equivalences.  Each left approximation the driver needs is one test of
+    the universal map into add(t).
     """
     tctx = resolve_context(context_ref) if context_ref else corpus_load("gamma0")
     top_simple = simple_module(tctx.a, tctx.a.idempotents[0][0])
@@ -172,7 +173,7 @@ def run_gluing_suite(context_ref: str | None = None, budget: int = APPROXIMATION
     ]
     rows = []
     for (xn, x), (yn, y) in itertools.product(xs, ys):
-        report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": x, "y": y}, budget=budget)
+        report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": x, "y": y})
         row = {"x": xn, "y": yn, "verdict": report.verdict}
         if report.atoms:
             row["atoms"] = {atom: report.atoms[atom]["value"] for atom in "abcdef"}
@@ -188,19 +189,21 @@ def run_gluing_suite(context_ref: str | None = None, budget: int = APPROXIMATION
     }
 
 
-def run_suite(name: str, context_ref: str | None = None, budget: int = APPROXIMATION_SEARCH_BUDGET) -> dict:
-    """One named suite, or all three; only the gluing suite reads ``budget``."""
+def run_suite(name: str, context_ref: str | None = None) -> dict:
+    """One named suite, or all three; only the gluing suite reads
+    ``context_ref``, and it tests the universal map as each left
+    approximation."""
     if name == "idempotent":
         return run_idempotent_suite()
     if name == "tensor":
         return run_tensor_suite()
     if name == "gluing":
-        return run_gluing_suite(context_ref=context_ref, budget=budget)
+        return run_gluing_suite(context_ref=context_ref)
     if name == "all":
         reports = {
             "idempotent": run_idempotent_suite(),
             "tensor": run_tensor_suite(),
-            "gluing": run_gluing_suite(context_ref=context_ref, budget=budget),
+            "gluing": run_gluing_suite(context_ref=context_ref),
         }
         return {"suite": "all", "suites": reports, "verdict": _aggregate(reports.values())}
     raise ValidationError(f"unknown suite {name!r}; have {', '.join(SUITES)}")

@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import silting_forge
-import silting_forge.gorenstein as gmod
 import silting_forge.io as siomod
 import silting_forge.suites as smod
 from conftest import F3, quiver_a2
@@ -433,27 +432,19 @@ def test_cli_output_is_byte_deterministic(regular_file):
     assert run_a == run_b
 
 
-def test_budget_flag_is_accepted(regular_file):
-    # Budget 1 cuts the left-approximation search short: undecided, not
-    # "partial"; the budget holds for that call only.
-    for budget, code, verdict in [("5000", 0, "gorenstein_silting"), ("1", 2, "undecided")]:
-        got, out = cli(
-            "gorenstein", "check", "--algebra", "a2", "--module", regular_file,
-            "--presentation", "auto", "--budget", budget,
-        )
-        assert got == code
-        assert out["verdict"] == verdict
-    assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
-
-
-def test_gluing_suite_cut_off_by_the_budget_is_undecided():
-    # Budget 1 stops some approximation searches: those rows, and the
-    # suite, are UNDECIDED rather than a crash.
-    code, out = cli("theorems", "run", "--suite", "gluing", "--budget", "1")
-    assert code == 2
-    assert out["verdict"] == "UNDECIDED"
-    undecided = [row for row in out["rows"] if row["verdict"] == "UNDECIDED"]
-    assert undecided and all("budget" in row["reason"] for row in undecided)
+def test_no_subcommand_takes_a_budget(regular_file, gamma0_files):
+    # Each left approximation is one universal map, so nothing is left for a
+    # search budget to cap: the commands that took --budget reject it.
+    x, y = gamma0_files
+    for argv in [
+        ("gorenstein", "check", "--algebra", "a2", "--module", regular_file, "--presentation", "auto"),
+        ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
+         "--x", x, "--y", y),
+        ("theorems", "run", "--suite", "gluing"),
+    ]:
+        _assert_unread_flag_rejected((*argv, "--budget", "5"), "--budget")
+    code, out = cli("gorenstein", "check", "--algebra", "a2", "--module", regular_file)
+    assert code == 0 and out["verdict"] == "gorenstein_silting"
 
 
 def _leaf_parsers():
@@ -467,7 +458,7 @@ def _leaf_parsers():
             yield f"{group} {command}", parser
 
 
-SHARED_FLAGS = {"--field", "--dim-bound", "--length-bound", "--budget"}
+SHARED_FLAGS = {"--field", "--dim-bound", "--length-bound"}
 LENGTH_BOUND_GROUPS = ("algebra", "module", "silting", "gorenstein", "recollement")
 FLAGS_BEYOND_LENGTH_BOUND = {
     "algebra build": {"--field"},
@@ -476,9 +467,6 @@ FLAGS_BEYOND_LENGTH_BOUND = {
     "silting enumerate": {"--dim-bound"},
     "silting tensor": {"--dim-bound"},
     "gorenstein gp": {"--dim-bound"},
-    "gorenstein check": {"--budget"},
-    "recollement verify": {"--budget"},
-    "theorems run": {"--budget"},
 }
 
 
@@ -493,13 +481,13 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads():
             expected.add("--length-bound")
         assert declared == expected, name
         slots += len(declared)
-    assert slots == 26
+    assert slots == 23
 
 
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(regular_file):
     for argv in [
-        ("silting", "check", "--algebra", "a2", "--module", regular_file, "--budget", "7"),
-        ("corpus", "list", "--budget", "5"),
+        ("silting", "check", "--algebra", "a2", "--module", regular_file, "--field", "7"),
+        ("corpus", "list", "--dim-bound", "5"),
     ]:
         code, out = cli(*argv)
         assert code == 3, argv
@@ -533,20 +521,14 @@ def test_recollement_verify_rejects_a_probe_on_an_idempotent_statement(regular_f
     assert code == 0 and out["verdict"] == "PASS"
 
 
-def test_recollement_verify_rejects_a_budget_on_an_idempotent_statement(regular_file, gamma0_files):
-    # Only thm_gluing_equivalences, a triangular statement, runs a search
-    # that --budget caps; an idempotent statement used to accept it unread.
-    for budget in ("1", "5", str(gmod.APPROXIMATION_SEARCH_BUDGET)):
+def test_recollement_verify_rejects_a_budget_on_an_idempotent_statement(regular_file):
+    # No statement reads a budget, and an idempotent statement never did.
+    for budget in ("1", "5", "4096"):
         _assert_unread_flag_rejected(
             ("recollement", "verify", "--statement", "lemma_q_transfer", "--algebra", "a2", "--e", "e2",
              "--module", regular_file, "--budget", budget),
             "--budget",
         )
-    # On a triangular statement an absent --budget is the default one.
-    x, y = gamma0_files
-    gluing = ("recollement", "verify", "--statement", "thm_gluing_equivalences", "--context", "gamma0",
-              "--x", x, "--y", y)
-    assert cli(*gluing) == cli(*gluing, "--budget", str(gmod.APPROXIMATION_SEARCH_BUDGET))
 
 
 @pytest.fixture()
@@ -604,11 +586,8 @@ def test_recollement_verify_without_a_context_rejects_the_triangular_inputs(flag
     )
 
 
-def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
-    check = ("gorenstein", "check", "--algebra", "a2", "--module", regular_file, "--presentation", "auto")
+def test_out_of_range_bounds_are_usage_errors():
     rejected = [
-        (*check, "--budget", "0"),
-        (*check, "--budget", "-1"),
         ("gorenstein", "gp", "--algebra", "a2", "--dim-bound", "-1"),
         ("module", "enumerate", "--algebra", "a2", "--dim-bound", "-1"),
         ("module", "enumerate", "--algebra", "a2", "--length-bound", "-1"),
@@ -621,25 +600,12 @@ def test_out_of_range_budgets_and_bounds_are_usage_errors(regular_file):
         assert code == 3, argv
         assert out["error"]["type"] == "usage"
         assert "must be at least" in out["error"]["message"]
-    assert gmod.APPROXIMATION_SEARCH_BUDGET == 4096
     code, out = cli("module", "enumerate", "--algebra", "a2", "--dim-bound", "0")
     assert code == 0 and out["count"] == 0
 
 
-def test_the_budget_default_and_the_suite_names_have_one_source():
+def test_the_suite_names_have_one_source():
     leaves = dict(_leaf_parsers())
-    budgets = {
-        name: parser.get_default("budget")
-        for name, parser in leaves.items()
-        if "--budget" in {o for a in parser._actions for o in a.option_strings}
-    }
-    # recollement verify has no parser default, so its idempotent branch can
-    # tell a given budget from none; verify_transfer then supplies the default.
-    assert budgets == {
-        "gorenstein check": gmod.APPROXIMATION_SEARCH_BUDGET,
-        "recollement verify": None,
-        "theorems run": gmod.APPROXIMATION_SEARCH_BUDGET,
-    }
     suite = next(a for a in leaves["theorems run"]._actions if "--suite" in a.option_strings)
     assert tuple(suite.choices) == smod.SUITES
     code, out = cli("theorems", "run", "--suite", "bogus")

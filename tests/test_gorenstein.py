@@ -23,16 +23,18 @@ from silting_forge.io import corpus_load
 from silting_forge.modules import (
     ModuleMap,
     Presentation,
-    UndecidedError,
     cokernel,
+    decompose,
     direct_sum,
     enumerate_indecomposables,
     ext_dim,
     hom_dim,
+    hom_space,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
     minimal_projective_presentation,
+    precompose_corank,
     quotient_module,
     regular_module,
     simple_module,
@@ -424,6 +426,17 @@ def test_check_partial_only_without_separating_probes(gp_dual):
     assert not all(bool(a) for a in cert.approximations)
 
 
+def test_no_probes_do_not_certify_the_simple_over_the_dual_numbers():
+    # Without probes the restriction test of an approximation is vacuous,
+    # so the zero map would pass for every GP module and certify k.  The
+    # universal map fails for the GP module k itself: k is partial only.
+    alg = corpus_load("dualnum")
+    gp = gp_classification(alg)
+    k = simple_module(alg, "ev")
+    assert gorenstein_silting_check(k, "AUTO", gp, probe=[]).verdict == "partial_only"
+    assert gorenstein_silting_check(k, "AUTO", gp).verdict == "not"
+
+
 def test_check_carries_coproduct_note(gp_dual):
     alg, gp = gp_dual
     t = direct_sum([regular_module(alg), simple_module(alg, "ev")], algebra=alg)[0]
@@ -456,12 +469,6 @@ def test_sequence_canonical_example(gp_a2):
     assert seq.detail["middle_dim"] == 2
     assert seq.detail["end_dim"] == 1
     assert bool(is_g_exact((seq.phi, seq.psi), gp))
-    # Within budget 1 only the zero map is tried and it fails: a search cut
-    # off there must not answer "not found".
-    with pytest.raises(UndecidedError, match="budget"):
-        left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
-    with pytest.raises(UndecidedError):
-        gorenstein_silting_check(t, theta, gp, budget=1)
 
 
 def test_sequence_none_is_a_value(gp_dual):
@@ -471,8 +478,73 @@ def test_sequence_none_is_a_value(gp_dual):
     theta = proper_gp_presentation(reg, gp)
     seq = left_approximation_sequence(k, reg, theta, gp)
     assert not seq.found
-    assert seq.search_bound >= 1
+    assert seq.phi is None and seq.detail == {}
     assert seq.to_json()["found"] is False
+
+
+def _subset_approximation_search(p, t, theta, gp, class_probes):
+    """The search that the universal map replaced, kept as a reference.
+
+    Every subset of the Hom-basis columns p -> T_i, over the summand classes
+    T_i of t, is a candidate p -> T_0 (the empty subset is the zero map).  A
+    candidate is kept only when it restricts onto Hom(-, T_i) for every T_i,
+    that is when it is a left add(t)-approximation, and it passes when its
+    cokernel lies in Add(t), T_0 lies in theta's class, the sequence is
+    G-exact and it restricts onto every class probe.  True when some
+    candidate passes."""
+    alg = p.algebra
+    parts = [part for part, _, _ in decompose(t)] if t.dim else []
+    columns = [(part, h.matrix) for part in parts for h in hom_space(p, part)]
+    for size in range(len(columns) + 1):
+        for combo in itertools.combinations(columns, size):
+            if combo:
+                t0 = direct_sum([part for part, _ in combo], algebra=alg)[0]
+                phi = ModuleMap(p, t0, Matrix.vstack([h for _, h in combo]))
+            else:
+                t0 = zero_module(alg)
+                phi = ModuleMap(p, t0, Matrix.zeros(alg.field, 0, p.dim))
+            if any(precompose_corank(phi, part) for part in parts):
+                continue
+            coker, cmap = cokernel(phi)
+            in_add = coker.dim == 0 or all(
+                any(is_isomorphic(piece, part) is not None for part in parts)
+                for piece, _, _ in decompose(coker)
+            )
+            if (
+                in_add
+                and d_theta_contains(theta, t0)
+                and is_g_exact((phi, cmap), gp)
+                and all(precompose_corank(phi, u) == 0 for u in class_probes)
+            ):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["a2", "a3rel", "dualnum"])
+def test_the_universal_map_passes_exactly_when_some_approximation_does(name):
+    # The modules t of test_maximal_padding_decides_as_the_subset_search_does
+    # over this algebra, against their proper presentation and their maximal
+    # padding wherever t lies in the class: any left add(t)-approximation is
+    # the universal map's minimal part plus a split summand.
+    alg = corpus_load(name)
+    gp = gp_classification(alg)
+    pool = enumerate_indecomposables(alg, 3)
+    modules = [zero_module(alg)] + pool + [
+        direct_sum([u, v], algebra=alg)[0] for u, v in itertools.combinations(pool, 2)
+    ]
+    probes = enumerate_indecomposables(alg, gp.dim_bound)
+    outcomes = []
+    for t in modules:
+        for theta in (proper_gp_presentation(t, gp), gorenstein_silting_check(t, "AUTO", gp).presentation):
+            if not d_theta_contains(theta, t):
+                continue
+            class_probes = [u for u in probes if d_theta_contains(theta, u)]
+            for p in gp.modules:
+                found = left_approximation_sequence(p, t, theta, gp, class_probes).found
+                assert found == _subset_approximation_search(p, t, theta, gp, class_probes), (
+                    t.dimension_vector(), p.dimension_vector())
+                outcomes.append(found)
+    assert True in outcomes and False in outcomes, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +655,13 @@ def test_relative_evidence_is_computed_once_per_classification(monkeypatch):
     assert gorenstein_silting_check(t, "AUTO", gp).verdict == "gorenstein_silting"
     assert {name: len(seen) for name, seen in calls.items()} == after_search
 
-    tables = [v for v in gp._memo.values() if isinstance(v, gorenstein._ApproximationTable)]
-    screened = [c for table in tables for c in table.screened]
-    assert len(tables) == len(gp.modules) and screened
-    # One cokernel per candidate, one G-exactness test per candidate that
+    built = [v for v in gp._memo.values() if isinstance(v, gorenstein._UniversalApproximation)]
+    assert len(built) == len(gp.modules)
+    # One cokernel per universal map, one G-exactness test per map that
     # reached it (plus the certificate of t's proper presentation), and one
     # relative generation test per probe.
-    assert len(calls["cokernel"]) == len(screened)
-    assert len(calls["is_g_exact"]) == 1 + sum(c._g_exact is not None for c in screened)
+    assert len(calls["cokernel"]) == len(built)
+    assert len(calls["is_g_exact"]) == 1 + sum(c._g_exact is not None for c in built)
     probes = enumerate_indecomposables(alg, gp.dim_bound)
     assert [u for _, u in calls["evaluation_image"]] == probes
     assert gorenstein_silting_check(t, proper_gp_presentation(t, gp), gp).verdict == "not"
@@ -648,14 +719,14 @@ def test_memoized_relative_evidence_matches_a_cold_classification():
 
 def test_a_gluing_pass_builds_one_transported_table_per_distinct_search(monkeypatch):
     # The atom-b searches of one gluing suite pass: 45 transported searches
-    # over 13 distinct (p, t, budget, side), each distinct one tabled once.
+    # over 13 distinct (p, t, side), each distinct universal map built once.
     keys, searches = [], []
 
-    class Counted(gorenstein._ApproximationTable):
-        def __init__(self, p, t, budget, transport=None):
+    class Counted(gorenstein._UniversalApproximation):
+        def __init__(self, p, t, transport=None):
             if transport is not None:
-                keys.append((p, t, budget, transport))
-            super().__init__(p, t, budget, transport)
+                keys.append((p, t, transport))
+            super().__init__(p, t, transport)
 
     search = rmod.left_approximation_sequence
 
@@ -663,7 +734,7 @@ def test_a_gluing_pass_builds_one_transported_table_per_distinct_search(monkeypa
         searches.append(len(args) > 5 and args[5] is not None)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(gorenstein, "_ApproximationTable", Counted)
+    monkeypatch.setattr(gorenstein, "_UniversalApproximation", Counted)
     monkeypatch.setattr(rmod, "left_approximation_sequence", counted_search)
     run_suite("gluing")
     assert len(keys) == len(set(keys)) == 13
@@ -687,20 +758,3 @@ def test_a_gluing_pass_frees_its_context_without_the_cyclic_collector(monkeypatc
         assert [ref() for ref in contexts] == [None]
     finally:
         gc.enable()
-
-
-def test_a_warm_memo_does_not_answer_a_smaller_budget(gp_a2):
-    alg, gp = gp_a2
-    projs = {lbl: p for p, lbl in indecomposable_projectives(alg)}
-    t = direct_sum([simple_module(alg, "e1"), projs["e1"]], algebra=alg)[0]
-    theta = proper_gp_presentation(t, gp)
-    assert left_approximation_sequence(projs["e2"], t, theta, gp).found
-    assert gorenstein_silting_check(t, theta, gp).verdict == "gorenstein_silting"
-    assert gorenstein_silting_check(t, "AUTO", gp).verdict == "gorenstein_silting"
-    for _ in range(2):
-        with pytest.raises(UndecidedError, match="budget"):
-            left_approximation_sequence(projs["e2"], t, theta, gp, budget=1)
-        with pytest.raises(UndecidedError, match="budget"):
-            gorenstein_silting_check(t, theta, gp, budget=1)
-        with pytest.raises(UndecidedError, match="budget"):
-            gorenstein_silting_check(t, "AUTO", gp, budget=1)

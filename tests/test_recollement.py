@@ -551,10 +551,10 @@ def test_quotient_transfer_on_regular(a2_ctx):
 def test_idempotent_suite_rows_an_undecided_report(monkeypatch):
     # A driver stopped by UndecidedError reports no atoms; its row is
     # UNDECIDED with the reason, and so is the suite.
-    def undecided(ctx, statement, inputs, probe=None, budget=None):
+    def undecided(ctx, statement, inputs, probe=None):
         return VerificationReport(
             statement=statement, inputs={}, atoms={}, verdict="UNDECIDED",
-            witnesses=[{"reason": "search stopped at its budget"}],
+            witnesses=[{"reason": "decomposition undecided"}],
         )
 
     monkeypatch.setattr(suites, "verify_transfer", undecided)
@@ -563,7 +563,7 @@ def test_idempotent_suite_rows_an_undecided_report(monkeypatch):
     assert report["rows"]
     for row in report["rows"]:
         assert row["verdict"] == "UNDECIDED"
-        assert row["reason"] == "search stopped at its budget"
+        assert row["reason"] == "decomposition undecided"
         assert "quotient_verdict" not in row
 
 
@@ -610,6 +610,34 @@ def test_gluing_equivalences_negative_pair_stays_consistent():
     assert report.atoms["a"]["value"] is False
     assert report.atoms["b"]["value"] is False
     assert report.atoms["c"]["value"] is False
+
+
+def _gluing_suite_pairs(tctx):
+    """The 15 named (x, y) pairs of ``suites.run_gluing_suite``."""
+    k, d = simple_module(tctx.b, "ev"), regular_module(tctx.b)
+
+    def bottom(parts):
+        return direct_sum(parts, algebra=tctx.b)[0] if parts else zero_module(tctx.b)
+
+    xs = [("0", _point_module(tctx, 0)), ("k", _point_module(tctx, 1)), ("k2", _point_module(tctx, 2))]
+    ys = [("0", bottom([])), ("k", bottom([k])), ("D", bottom([d])), ("D+k", bottom([d, k])), ("k2", bottom([k, k]))]
+    return list(itertools.product(xs, ys))
+
+
+def test_gluing_atoms_do_not_depend_on_the_probe_bound():
+    # At bound 0 every probe list is empty, so the restriction test of an
+    # approximation is vacuous; the zero map would then pass for every GP
+    # module and make the four pairs with x = 0 and y != 0 read FAIL.  Each
+    # left approximation of atoms b, e and f is the universal map into
+    # add(t), which restricts onto every summand of t whatever the probes.
+    tctx = corpus_load("gamma0")
+    for (xn, x), (yn, y) in _gluing_suite_pairs(tctx):
+        seen = set()
+        for probe in (0, 1, 2, 3, None):
+            report = verify_transfer(tctx, "thm_gluing_equivalences", {"x": x, "y": y}, probe)
+            seen.add((report.verdict, tuple(report.atoms[atom]["value"] for atom in "abcdef")))
+        assert len(seen) == 1, (xn, yn, seen)
+        assert next(iter(seen))[0] == "PASS", (xn, yn)
 
 
 def test_partial_gluing_proposition():
