@@ -25,14 +25,13 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
-from .exactlinalg import Matrix, rank
+from .exactlinalg import Matrix, rank, reduce_mod_row_space, row_space_basis
 from .algebra import Algebra, DomainError, TriangularContext, ValidationError, memoized, opposite_algebra, same_algebra
 from .modules import (
     Module,
     ModuleMap,
     Presentation,
     cokernel,
-    decompose,
     direct_sum,
     enumerate_indecomposables,
     evaluation_components,
@@ -42,7 +41,6 @@ from .modules import (
     hom_cohomology_dim,
     hom_dim,
     hom_space,
-    indecomposable_iso,
     is_isomorphic,
     postcompose_rank,
     precompose_corank,
@@ -51,7 +49,7 @@ from .modules import (
     resolution,
     zero_module,
 )
-from .silting import COPRODUCT_NOTE, direct_sum_presentation, zero_target_presentation
+from .silting import COPRODUCT_NOTE, direct_sum_presentation, summand_classes, zero_target_presentation
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
 
@@ -508,27 +506,27 @@ class LeftApproximationSequence:
         }
 
 
-def _add_parts(t: Module) -> list[Module]:
-    if t.dim == 0:
-        return []
-    return [part for part, _, _ in decompose(t)]
-
-
 def _in_add(q: Module, parts: list[Module]) -> bool:
-    """Whether q is a finite sum of copies of the given indecomposables."""
-    if q.dim == 0:
-        return True
-    if not parts:
-        return False
-    for piece, _, _ in decompose(q):
-        if all(indecomposable_iso(piece, p) is None for p in parts):
-            return False
-    return True
+    """Whether q lies in add(T), the sums of summands of sums of the given
+    modules T_i: whether id_q lies in the span of the composites h∘g over
+    g in Hom(q, T_i) and h in Hom(T_i, q).  If q is a summand of some T' in
+    add(T), id_q factors through T', a sum of copies of the T_i, so it is a
+    sum of such composites.  Conversely, id_q = Σ_k h_k∘g_k makes q a summand
+    of ⊕_k T_{i_k} through (g_k)_k and (h_k)_k (Auslander–Reiten–Smalø,
+    *Representation Theory of Artin Algebras*, Ch. II).  q is not decomposed."""
+    f, n = q.algebra.field, q.dim
+    composites = [
+        list(itertools.chain.from_iterable(h.matrix.mul(g.matrix).data))
+        for part in parts for g in hom_space(q, part) for h in hom_space(part, q)
+    ]
+    identity = itertools.chain.from_iterable(Matrix.identity(f, n).data)
+    return not any(reduce_mod_row_space(identity, row_space_basis(composites, f, n * n)))
 
 
 class _UniversalApproximation:
     """The universal map phi: p -> T_0 = ⊕ T_i^(dim Hom(p, T_i)) over the
-    summand classes T_i of t, whose components are the Hom-basis maps
+    summand classes T_i of t (:func:`~.silting.summand_classes`, read off the
+    summands recorded for t), whose components are the Hom-basis maps
     p -> T_i (the zero map p -> 0 when there are none), with its cokernel.
 
     ``middle_dim`` and ``end_dim`` are the dimensions of T_0 and of the
@@ -538,7 +536,7 @@ class _UniversalApproximation:
 
     def __init__(self, p: Module, t: Module, transport=None):
         alg = p.algebra
-        parts = _add_parts(t)
+        parts = summand_classes(t)
         columns = [(part, h.matrix) for part in parts for h in hom_space(p, part)]
         if columns:
             t0, _, _ = direct_sum([part for part, _ in columns], algebra=alg)
@@ -678,7 +676,7 @@ def _resolve_theta(t: Module, theta, gp: GpClassification, notes: list) -> Prese
         return direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
     if not isinstance(theta, Presentation) or theta.kind != "gorenstein_projective":
         raise ValidationError("relative check needs a gorenstein_projective-kind presentation")
-    if theta.cokernel is not t and is_isomorphic(theta.cokernel, t) is None:
+    if is_isomorphic(theta.cokernel, t) is None:
         raise ValidationError("supplied presentation does not present the given module")
     notes.append("presentation: supplied")
     return theta

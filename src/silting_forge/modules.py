@@ -1282,13 +1282,16 @@ def indecomposable_iso(x: Module, y: Module) -> ModuleMap | None:
 def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
     """An isomorphism m -> n, or None when the modules are not isomorphic.
 
-    An invertible basis map of Hom(m, n) is returned at once.  Otherwise both
+    When ``m is n`` the identity is returned, with nothing solved, and an
+    invertible basis map of Hom(m, n) is returned at once.  Otherwise both
     modules are split by :func:`decompose`; by Krull–Schmidt m ≅ n exactly
     when each summand class of m matches a class of n of the same
     multiplicity, decided by :func:`indecomposable_iso`.  The witness
     Σ inj_n ∘ w ∘ proj_m is confirmed invertible.  Raises
     :class:`UndecidedError` only when :func:`decompose` does.
     """
+    if m is n:
+        return ModuleMap(m, m, Matrix.identity(m.algebra.field, m.dim), check=False)
     if not same_algebra(m.algebra, n.algebra):
         raise ValidationError("isomorphism test needs modules over the same algebra")
     if m.dim != n.dim:

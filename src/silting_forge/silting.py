@@ -280,7 +280,7 @@ def _resolve_presentation(t: Module, sigma, notes: list) -> Presentation:
         raise ValidationError(
             f"two-term check needs a projective-kind presentation, got {pres.kind!r}"
         )
-    if pres.cokernel is not t and is_isomorphic(pres.cokernel, t) is None:
+    if is_isomorphic(pres.cokernel, t) is None:
         raise ValidationError("supplied presentation does not present the given module")
     notes.append(_SUPPLIED_PRESENTATION)
     return pres
@@ -438,7 +438,7 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
     return _certificate(
-        alg, (pres,), notes, sweep, hom_to_translate, mults, hom_vanish, _summand_classes(t),
+        alg, (pres,), notes, sweep, hom_to_translate, mults, hom_vanish, _class_count(t),
         module=t, presentation=pres,
     )
 
@@ -470,20 +470,27 @@ def _minimal_terms(t: Module) -> tuple:
     return (None if sigma.source is t else sigma.source), (None if sigma.target is t else sigma.target), sigma.matrix
 
 
-def _summand_classes(t: Module) -> int | None:
-    """Isoclasses of indecomposable summands of ``t``; None when decompose
-    is undecided.  By Krull–Schmidt they are the classes among the parts of
-    :func:`~.modules.decompose` of each summand recorded for ``t``, so End
-    of a recorded sum is never solved."""
+def summand_classes(t: Module) -> list[Module]:
+    """One representative of each isoclass of indecomposable summands of
+    ``t``, in the order found.  By Krull–Schmidt they are the classes among
+    the parts of :func:`~.modules.decompose` of each summand recorded for
+    ``t`` (see :func:`~.modules.summands`), so End of a recorded sum is never
+    solved; with nothing recorded they are the parts of ``decompose(t)``.
+    Raises :class:`~.modules.UndecidedError` when decompose does."""
     reps: list[Module] = []
+    for x, _ in summands(t):
+        for part, _, _ in decompose(x):
+            if not any(r is part or indecomposable_iso(r, part) is not None for r in reps):
+                reps.append(part)
+    return reps
+
+
+def _class_count(t: Module) -> int | None:
+    """The number of :func:`summand_classes` of ``t``, None when undecided."""
     try:
-        for x, _ in summands(t):
-            for part, _, _ in decompose(x):
-                if not any(r is part or indecomposable_iso(r, part) is not None for r in reps):
-                    reps.append(part)
+        return len(summand_classes(t))
     except UndecidedError:
         return None
-    return len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +528,9 @@ def silting_module_verdict(t: Module) -> dict:
     """Whether ``t`` is silting under some presentation: the JSON-ready
     verdict of :func:`_support_tau_tilting` with the numbers it read.
     dim Hom(t, τt) and the class count are read off the summands of ``t``
-    (:func:`_hom_to_translate_dim`, :func:`_summand_classes`), so τ is never
+    (:func:`_hom_to_translate_dim`, :func:`summand_classes`), so τ is never
     built, and no probe is read."""
-    return _support_tau_tilting(t, _hom_to_translate_dim(t), _summand_classes(t))
+    return _support_tau_tilting(t, _hom_to_translate_dim(t), _class_count(t))
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +691,7 @@ def tensor_silting(
     p0q0 = tensor_over_field(spres.map.target, epres.map.target, tensor_alg)
     termwise = ModuleMap(p1q1, p0q0, spres.map.matrix.kron(epres.map.matrix))
     termwise_coker, _ = cokernel(termwise)
-    termwise_ok = termwise_coker is ts or (
-        termwise_coker.dim == ts.dim and is_isomorphic(termwise_coker, ts) is not None
-    )
+    termwise_ok = is_isomorphic(termwise_coker, ts) is not None
 
     p1q0 = tensor_over_field(spres.map.source, epres.map.target, tensor_alg)
     p0q1 = tensor_over_field(spres.map.target, epres.map.source, tensor_alg)

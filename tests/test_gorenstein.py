@@ -16,7 +16,7 @@ from silting_forge.algebra import (
     ValidationError,
     compile_quiver_algebra,
 )
-from silting_forge import gorenstein, suites
+from silting_forge import gorenstein, modules, suites
 from silting_forge import recollement as rmod
 from silting_forge.exactlinalg import Matrix
 from silting_forge.io import corpus_load
@@ -30,6 +30,7 @@ from silting_forge.modules import (
     ext_dim,
     hom_dim,
     hom_space,
+    indecomposable_iso,
     indecomposable_projectives,
     is_isomorphic,
     is_projective,
@@ -39,6 +40,8 @@ from silting_forge.modules import (
     regular_module,
     simple_module,
     submodule,
+    summands,
+    tensor_over_field,
     zero_module,
 )
 from silting_forge.gorenstein import (
@@ -56,7 +59,7 @@ from silting_forge.gorenstein import (
     right_gp_approximation,
 )
 from silting_forge.recollement import _embedding, _module_to_triple, glued_gp_presentation
-from silting_forge.silting import direct_sum_presentation, zero_target_presentation
+from silting_forge.silting import direct_sum_presentation, enumerate_silting, summand_classes, zero_target_presentation
 from silting_forge.suites import run_suite
 
 
@@ -547,6 +550,83 @@ def test_the_universal_map_passes_exactly_when_some_approximation_does(name):
     assert True in outcomes and False in outcomes, outcomes
 
 
+def _add_parts_reference(t):
+    """The summand classes of t by decompose of t whole, kept as a reference."""
+    return [part for part, _, _ in decompose(t)] if t.dim else []
+
+
+def _in_add_reference(q, parts):
+    """Membership of q in add of the indecomposables ``parts`` by decompose
+    of q, kept as a reference: every indecomposable summand of q is
+    isomorphic to one of them."""
+    if q.dim == 0:
+        return True
+    if not parts:
+        return False
+    return all(
+        any(indecomposable_iso(piece, part) is not None for part in parts) for piece, _, _ in decompose(q)
+    )
+
+
+def test_membership_in_add_matches_the_decomposing_reference(monkeypatch):
+    # Every cokernel that a universal map p -> T_0 builds, for every listed GP
+    # module p and every t among the indecomposables and their sums of two,
+    # against the summand classes of t (read off its record, and by
+    # decompose) and against the classes of every other such t.
+    in_add = gorenstein._in_add
+    tested = []
+    monkeypatch.setattr(gorenstein, "_in_add", lambda q, parts: tested.append((q, parts)) or in_add(q, parts))
+    outcomes = set()
+    for name in ("a2", "a3rel", "dualnum", "kxk", "a2xa2"):
+        alg = corpus_load(name)
+        gp = gp_classification(alg)
+        pool = enumerate_indecomposables(alg, 2 if name == "a2xa2" else 3)
+        ts = pool + [direct_sum([u, v], algebra=alg)[0] for u, v in itertools.combinations_with_replacement(pool, 2)]
+        cokernels = []
+        for t in ts:
+            for p in gp.modules:
+                tested.clear()
+                gorenstein._UniversalApproximation(p, t)
+                ((q, parts),) = tested
+                assert parts == summand_classes(t)
+                cokernels.append(q)
+        for q in dict.fromkeys(cokernels):
+            for t in ts:
+                expected = _in_add_reference(q, _add_parts_reference(t))
+                got = in_add(q, summand_classes(t))
+                assert got == in_add(q, _add_parts_reference(t)) == expected, (name, q.dimension_vector(), t.dimension_vector())
+                outcomes.add((q.dim > 0, got))
+            assert in_add(q, []) == (q.dim == 0)
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_summand_classes_match_the_classes_of_decompose():
+    # Recorded sums, repeats, sums of sums and tensor products, whose classes
+    # are read off their records, and modules with nothing recorded, whose
+    # classes are the parts of decompose: one representative per class of
+    # decompose of the whole module.
+    alg, tensor_alg = corpus_load("a2"), corpus_load("a2xa2")
+    certs = enumerate_silting(alg, 3)
+    ts = [tensor_over_field(ci.module, cj.module, tensor_alg) for ci, cj in itertools.product(certs, repeat=2)]
+    ts += [tensor_over_field(u, v, tensor_alg) for u, v in itertools.product(enumerate_indecomposables(alg, 2), repeat=2)]
+    for name in ("a2", "a3rel", "dualnum", "kxk"):
+        corpus = corpus_load(name)
+        pool = enumerate_indecomposables(corpus, 3)
+        pairs = [direct_sum([u, v])[0] for u, v in itertools.combinations_with_replacement(pool, 2)]
+        ts += [zero_module(corpus), regular_module(corpus)] + pool + pairs
+        ts += [direct_sum([pairs[0], pool[-1], pairs[-1]])[0], direct_sum([regular_module(corpus), pairs[-1]])[0]]
+    recorded = 0
+    for t in ts:
+        reps, parts = summand_classes(t), _add_parts_reference(t)
+        iso = [[indecomposable_iso(r, part) is not None for part in parts] for r in reps]
+        assert len(reps) == len(parts), t.dimension_vector()
+        assert all(sum(row) == 1 for row in iso) and all(sum(col) == 1 for col in zip(*iso)), t.dimension_vector()
+        if len(summands(t)) == 1:
+            assert all(r is part for r, part in zip(reps, parts))
+        recorded += len(summands(t)) > 1
+    assert (recorded, max(len(summand_classes(t)) for t in ts)) == (47, 4)
+
+
 # ---------------------------------------------------------------------------
 # The automatic presentation: one check at the maximal padding.
 # ---------------------------------------------------------------------------
@@ -739,6 +819,23 @@ def test_a_gluing_pass_builds_one_transported_table_per_distinct_search(monkeypa
     run_suite("gluing")
     assert len(keys) == len(set(keys)) == 13
     assert sum(searches) == 45
+
+
+def test_a_gluing_pass_decomposes_no_recorded_sum(monkeypatch):
+    # The summand classes of t are read off its record, and membership of a
+    # cokernel in add(t) is one factorization test, so no module with more
+    # than one recorded summand is decomposed whole.
+    whole_sums = []
+    decomposition = modules._decomposition
+
+    def counted(m):
+        if len(summands(m)) > 1:
+            whole_sums.append(m)
+        return decomposition(m)
+
+    monkeypatch.setattr(modules, "_decomposition", counted)
+    run_suite("gluing")
+    assert whole_sums == []
 
 
 def test_a_gluing_pass_frees_its_context_without_the_cyclic_collector(monkeypatch):

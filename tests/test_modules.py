@@ -643,6 +643,18 @@ class TestIsomorphism:
     def test_zero_modules_are_isomorphic(self, a2):
         assert is_isomorphic(zero_module(a2), zero_module(a2)) is not None
 
+    def test_a_module_is_isomorphic_to_itself_with_nothing_solved(self, dual, monkeypatch):
+        solves = []
+        solve = modules._hom_matrices
+        monkeypatch.setattr(modules, "_hom_matrices", lambda m, n: solves.append((m, n)) or solve(m, n))
+        reg = regular_module(dual)
+        wit = is_isomorphic(reg, reg)
+        assert solves == [] and wit.source is wit.target is reg
+        assert wit.matrix == Matrix.identity(F2, reg.dim)
+        # Hom(reg, reg) had not been solved: the next query solves it
+        hom_space(reg, reg)
+        assert solves == [(reg, reg)]
+
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
     def test_decisions_match_the_exhaustive_reference(self, field):
         rng = random.Random(2024)

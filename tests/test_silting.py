@@ -615,7 +615,7 @@ def test_summand_reads_match_the_whole_module():
     assert all(len(modules.summands(t)) > 1 for t in ts[25:])
     seen = set()
     for t in ts:
-        got = (silting._hom_to_translate_dim(t), silting._summand_classes(t))
+        got = (silting._hom_to_translate_dim(t), len(silting.summand_classes(t)))
         assert got == (precompose_corank(minimal_projective_presentation(t).map, t), len(decompose(t)))
         seen.add((got[0] > 0, got[1]))
     assert {True, False} == {tau for tau, _ in seen} and {0, 1, 2, 4} <= {classes for _, classes in seen}
