@@ -49,7 +49,10 @@ from .modules import (
     resolution,
     zero_module,
 )
-from .silting import COPRODUCT_NOTE, direct_sum_presentation, summand_classes, zero_target_presentation
+from .silting import (
+    COPRODUCT_NOTE, direct_sum_presentation, probe_sweep, resolve_presentation, resolve_probes, summand_classes,
+    verdict_ladder, zero_target_presentation,
+)
 
 GS_VERDICTS = ("gorenstein_silting", "partial_only", "not", "undecided")
 
@@ -606,10 +609,8 @@ def left_approximation_sequence(
     hashable object; only the two tests that read theta, T_0 in its class
     and which probes are in it, run on every call.
     """
-    f = p.algebra.field
     if class_probes is None:
-        probe = enumerate_indecomposables(gp.algebra, gp.dim_bound) if f.kind == "prime" else []
-        class_probes = [u for u in probe if d_theta_contains(theta, u)]
+        class_probes = [u for u in resolve_probes(gp.algebra, None, gp.dim_bound, []) if d_theta_contains(theta, u)]
     cand = _universal_approximation(gp, p, t, transport)
     found = (
         cand.phi is not None
@@ -667,19 +668,12 @@ class GorensteinSiltingCertificate:
         }
 
 
-def _resolve_theta(t: Module, theta, gp: GpClassification, notes: list) -> Presentation:
-    if isinstance(theta, str) and theta.upper() == "AUTO":
-        notes.append("presentation: automatic maximal padding of the proper relative presentation")
-        blocks = [proper_gp_presentation(t, gp)] + [
-            zero_target_presentation(g, "gorenstein_projective") for g in gp.modules if hom_dim(g, t) == 0
-        ]
-        return direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
-    if not isinstance(theta, Presentation) or theta.kind != "gorenstein_projective":
-        raise ValidationError("relative check needs a gorenstein_projective-kind presentation")
-    if is_isomorphic(theta.cokernel, t) is None:
-        raise ValidationError("supplied presentation does not present the given module")
-    notes.append("presentation: supplied")
-    return theta
+def _maximal_padding(t: Module, gp: GpClassification) -> Presentation:
+    """θ_max, the automatic presentation of :func:`gorenstein_silting_check`."""
+    blocks = [proper_gp_presentation(t, gp)] + [
+        zero_target_presentation(g, "gorenstein_projective") for g in gp.modules if hom_dim(g, t) == 0
+    ]
+    return direct_sum_presentation(blocks, algebra=t.algebra) if len(blocks) > 1 else blocks[0]
 
 
 def gorenstein_silting_check(
@@ -692,10 +686,12 @@ def gorenstein_silting_check(
 
     Runs the self-membership gate, the probe sweep over both memberships, and
     the sufficiency route: for every listed GP indecomposable, the universal
-    map into add(t) must give a left approximation sequence.  Verdict rules
-    mirror the absolute check: a mismatch is decisive unless the sufficiency
-    route simultaneously completes, which is a contradiction and yields
-    ``undecided``.
+    map into add(t) must give a left approximation sequence.  The
+    presentation, the probes (an int ``probe`` bounds their dimension, as
+    ``gp.dim_bound`` does for None), the sweep and the verdict come from the
+    two-term engine of :func:`~.silting.silting_check`, so a mismatch is
+    decisive unless the sufficiency route simultaneously completes, which is
+    a contradiction and yields ``undecided``.
 
     ``theta="AUTO"`` is the maximal padding θ_max: the proper presentation
     of ``t`` plus ``G -> 0`` for every listed GP module G with Hom(G, t) = 0.
@@ -706,60 +702,23 @@ def gorenstein_silting_check(
     if gp is None:
         gp = gp_classification(t.algebra)
     notes: list = [COPRODUCT_NOTE]
-    theta_pres = _resolve_theta(t, theta, gp, notes)
-    if probe is None:
-        if t.algebra.field.kind == "prime":
-            probe_list = enumerate_indecomposables(t.algebra, gp.dim_bound)
-            notes.append(f"probe sweep: all indecomposables of dimension <= {gp.dim_bound}")
-        else:
-            probe_list = []
-            notes.append("probe sweep unavailable over the rationals")
-    else:
-        probe_list = list(probe)
-        notes.append("probe sweep: supplied probe list")
+    auto = ("presentation: automatic maximal padding of the proper relative presentation", lambda m: _maximal_padding(m, gp))
+    theta_pres = resolve_presentation(t, theta, "gorenstein_projective", auto, notes)
+    probe_list = resolve_probes(t.algebra, probe, gp.dim_bound, notes)
 
     in_d = d_theta_contains(theta_pres, t)
     in_class = [d_theta_contains(theta_pres, u) for u in probe_list]
-    probes: list = []
-    mismatch: dict | None = None
-    if in_d:
-        for idx, (u, du) in enumerate(zip(probe_list, in_class)):
-            gu = gen_g_contains(t, u, gp)
-            rec = {
-                "index": idx,
-                "dim": u.dim,
-                "dimension_vector": u.dimension_vector(),
-                "in_d_theta": du,
-                "in_gen_g": gu,
-                "agree": du == gu,
-            }
-            probes.append(rec)
-            if du != gu and mismatch is None:
-                mismatch = {k: rec[k] for k in ("index", "dim", "dimension_vector", "in_d_theta", "in_gen_g")}
-    else:
-        notes.append("probe sweep skipped: module outside its own presentation class")
-        mismatch = {"witness": "presented module", "in_d_theta": False, "in_gen_g": True}
+    sweep = [(u.dim, u.dimension_vector(), du, gen_g_contains(t, u, gp))
+             for u, du in zip(probe_list, in_class)] if in_d else None
+    probes, mismatch = probe_sweep(sweep, ("in_d_theta", "in_gen_g"), notes)
 
     class_probes = [u for u, du in zip(probe_list, in_class) if du]
     approximations = [
         left_approximation_sequence(g, t, theta_pres, gp, class_probes) for g in gp.modules
     ]
-    sufficiency = all(approximations)
-
-    if not in_d:
-        verdict = "not"
-    elif mismatch is not None:
-        if sufficiency:
-            verdict = "undecided"
-            notes.append("probe mismatch conflicts with a complete sufficiency certificate")
-        else:
-            verdict = "not"
-    elif sufficiency:
-        verdict = "gorenstein_silting"
-    else:
-        verdict = "partial_only"
-        missing = [a.gp_module.dimension_vector() for a in approximations if not a.found]
-        notes.append(f"no approximation sequence found for GP modules {missing}")
+    missing = [a.gp_module.dimension_vector() for a in approximations if not a.found]
+    fallback = ("partial_only", f"no approximation sequence found for GP modules {missing}")
+    verdict = verdict_ladder(GS_VERDICTS, in_d, mismatch, not missing, "sufficiency", fallback, notes)
 
     return GorensteinSiltingCertificate(
         module=t,
@@ -770,4 +729,3 @@ def gorenstein_silting_check(
         approximations=approximations,
         notes=tuple(notes),
     )
-

@@ -11,8 +11,11 @@ only sits inside its own class.  This module provides:
   M) onto: corank 0) and :func:`~.modules.evaluation_image` (the images of
   all maps T -> M span M),
 * :func:`silting_check` -- a certificate comparing the classes for a module
-  with a chosen (or automatically minimal) presentation; the verdict itself
-  comes from :func:`_certificate`, the one verdict ladder,
+  with a chosen (or automatically minimal) presentation.  It and
+  :func:`~.gorenstein.gorenstein_silting_check` share one two-term engine:
+  :func:`resolve_presentation` (the automatic presentation or a checked
+  supplied one), :func:`resolve_probes`, the sweep of :func:`probe_sweep`
+  and the verdict ladder :func:`verdict_ladder`,
 * :func:`enumerate_silting` -- exhaustive enumeration over a finite field.
   It gathers the minimal presentation σ_i and the probe sweep once per rigid
   indecomposable T_i and reads each candidate ⊕T_i off them: Hom out of a
@@ -76,30 +79,23 @@ VERDICTS = ("silting", "partial_silting_only", "not_silting", "undecided")
 # ---------------------------------------------------------------------------
 
 
-def _presentation_map(sigma) -> ModuleMap:
-    if isinstance(sigma, Presentation):
-        if sigma.kind != "projective":
-            raise ValidationError(
-                f"membership test needs a projective-kind presentation, got {sigma.kind!r}"
-            )
-        return sigma.map
-    if isinstance(sigma, ModuleMap):
-        if not (is_projective(sigma.source) and is_projective(sigma.target)):
-            raise ValidationError("membership test needs a map between projective modules")
-        return sigma
-    raise ValidationError("expected a Presentation or a ModuleMap between projectives")
-
-
 def d_sigma_contains(sigma, m: Module) -> bool:
     """Membership of ``m`` in the class of the two-term map ``sigma``.
 
     ``sigma`` may be a projective-kind :class:`Presentation` or a
     :class:`ModuleMap` between projective modules.
     """
-    smap = _presentation_map(sigma)
-    if not same_algebra(smap.source.algebra, m.algebra):
+    if isinstance(sigma, Presentation):
+        if sigma.kind != "projective":
+            raise ValidationError(f"membership test needs a projective-kind presentation, got {sigma.kind!r}")
+        sigma = sigma.map
+    elif not isinstance(sigma, ModuleMap):
+        raise ValidationError("expected a Presentation or a ModuleMap between projectives")
+    elif not (is_projective(sigma.source) and is_projective(sigma.target)):
+        raise ValidationError("membership test needs a map between projective modules")
+    if not same_algebra(sigma.source.algebra, m.algebra):
         raise ValidationError("membership test needs a module over the same algebra")
-    return precompose_corank(smap, m) == 0
+    return precompose_corank(sigma, m) == 0
 
 
 def gen_contains(t: Module, m: Module) -> bool:
@@ -268,40 +264,96 @@ class SiltingCertificate:
 
 
 _SUPPLIED_PRESENTATION = "presentation: supplied"
-_SUPPLIED_PROBES = "probe sweep: supplied probe list"
 
 
-def _resolve_presentation(t: Module, sigma, notes: list) -> Presentation:
-    if sigma is None or (isinstance(sigma, str) and sigma.upper() == "AUTO"):
-        notes.append("presentation: automatic minimal")
-        return minimal_projective_presentation(t)
-    pres = sigma if isinstance(sigma, Presentation) else presentation_from_map(_presentation_map(sigma))
-    if pres.kind != "projective":
-        raise ValidationError(
-            f"two-term check needs a projective-kind presentation, got {pres.kind!r}"
-        )
-    if is_isomorphic(pres.cokernel, t) is None:
+# ---------------------------------------------------------------------------
+# The two-term engine of silting_check and gorenstein_silting_check.
+# ---------------------------------------------------------------------------
+
+
+def resolve_presentation(t: Module, sigma, kind: str, auto: tuple, notes: list) -> Presentation:
+    """The presentation a two-term check reads.  For ``sigma`` "AUTO" it is
+    the check's automatic one, ``auto`` = (note, builder applied to ``t``);
+    otherwise ``sigma`` is supplied and must be a :class:`Presentation` of
+    ``kind`` that presents ``t``."""
+    if isinstance(sigma, str) and sigma.upper() == "AUTO":
+        note, build = auto
+        notes.append(note)
+        return build(t)
+    if not isinstance(sigma, Presentation) or sigma.kind != kind:
+        raise ValidationError(f"two-term check needs a {kind}-kind presentation")
+    if is_isomorphic(sigma.cokernel, t) is None:
         raise ValidationError("supplied presentation does not present the given module")
     notes.append(_SUPPLIED_PRESENTATION)
-    return pres
+    return sigma
 
 
-def _resolve_probes(alg: Algebra, probe, dim_bound: int, notes: list) -> list:
+def resolve_probes(alg: Algebra, probe, dim_bound: int, notes: list,
+                   rational_note: str = "probe sweep unavailable over the rationals") -> list:
+    """The probes of a sweep: a supplied list, or every indecomposable of
+    dimension at most ``probe`` (an int) or ``dim_bound`` (``probe`` None).
+    Over the rationals there is no enumeration: an int raises, and None
+    gives no probes and ``rational_note``."""
     if probe is None:
         if alg.field.kind != "prime":
-            notes.append(
-                "probe sweep unavailable over the rationals; verdict rests on the rigidity certificate alone"
-            )
+            notes.append(rational_note)
             return []
-        notes.append(f"probe sweep: all indecomposables of dimension <= {dim_bound}")
-        return enumerate_indecomposables(alg, dim_bound)
+        probe = dim_bound
     if isinstance(probe, int):
         if alg.field.kind != "prime":
             raise DomainError("probe enumeration requires a finite field")
         notes.append(f"probe sweep: all indecomposables of dimension <= {probe}")
         return enumerate_indecomposables(alg, probe)
-    notes.append(_SUPPLIED_PROBES)
+    notes.append("probe sweep: supplied probe list")
     return list(probe)
+
+
+def probe_sweep(sweep, keys: tuple, notes: list) -> tuple[list, dict | None]:
+    """The probe records and the first mismatch of a sweep.  ``sweep`` holds
+    (dim, dimension vector, in the presentation class, generated by t) per
+    probe, or is None when t lies outside its own presentation class, and
+    then the witness is the presented module.  ``keys`` name the two
+    memberships in the records."""
+    in_class, in_gen = keys
+    if sweep is None:
+        notes.append("probe sweep skipped: module outside its own presentation class")
+        return [], {"witness": "presented module", in_class: False, in_gen: True}
+    probes: list = []
+    mismatch: dict | None = None
+    for idx, (dim, dvec, dm, gm) in enumerate(sweep):
+        rec = {"index": idx, "dim": dim, "dimension_vector": dvec, in_class: dm, in_gen: gm, "agree": dm == gm}
+        probes.append(rec)
+        if dm != gm and mismatch is None:
+            mismatch = {k: v for k, v in rec.items() if k != "agree"}
+    return probes, mismatch
+
+
+def verdict_ladder(verdicts: tuple, in_own_class: bool, mismatch: dict | None, certified: bool, certificate: str,
+                   fallback: tuple, notes: list) -> str:
+    """The verdict ladder, the one place a two-term verdict is decided.
+
+    ``verdicts`` names the certified, partial, negative and undecided
+    outcomes (:data:`VERDICTS`, or :data:`~.gorenstein.GS_VERDICTS`).  A
+    module outside its own presentation class is negative.  A probe
+    ``mismatch`` is decisive unless the ``certificate`` evidence completes
+    (``certified``): the two then contradict each other, and the verdict is
+    undecided.  With no mismatch, complete evidence certifies; short of it
+    the side's reading is ``fallback`` = (verdict, note or None).
+    """
+    good, _, bad, undecided = verdicts
+    if not in_own_class:
+        return bad
+    if mismatch is not None:
+        if not certified:
+            return bad
+        notes.append(f"probe mismatch conflicts with a complete {certificate} certificate")
+        return undecided
+    if certified:
+        return good
+    verdict, note = fallback
+    if note:
+        notes.append(note)
+    return verdict
 
 
 def _certificate(
@@ -317,39 +369,21 @@ def _certificate(
     module: Module | None = None,
     presentation: Presentation | None = None,
 ) -> SiltingCertificate:
-    """The verdict ladder: the one place a verdict is decided from evidence.
+    """The absolute certificate: the rigidity evidence, the records of
+    :func:`probe_sweep` and the verdict of :func:`verdict_ladder`.
 
     The module t under test is presented by the block sum of ``blocks``
     over ``alg``; ``module`` and ``presentation``, when given, are t and
-    that presentation, already built.  ``sweep`` holds (dim, dimension
-    vector, in D_sigma, in Gen t) per probe, or is None when ``t`` lies
-    outside its own presentation class.
-    ``hom_to_translate`` is dim Hom(t, tau t); ``mults`` the kernel-top
-    multiplicities of the presentation map; ``hom_vanish`` whether Hom(P_v, t)
-    is zero at every vertex v of positive multiplicity; ``classes_t`` the
-    number of isoclasses of summands of ``t``, None when the decomposition
-    was undecided.  A probe mismatch against an otherwise complete rigidity
-    certificate is a contradiction and yields ``undecided``; a mismatch
-    alone is decisive.
+    that presentation, already built.  ``sweep`` is as in
+    :func:`probe_sweep`.  ``hom_to_translate`` is dim Hom(t, tau t);
+    ``mults`` the kernel-top multiplicities of the presentation map;
+    ``hom_vanish`` whether Hom(P_v, t) is zero at every vertex v of positive
+    multiplicity; ``classes_t`` the number of isoclasses of summands of
+    ``t``, None when the decomposition was undecided.  The rigidity
+    certificate completes when all three hold and the class count fills the
+    vertex count.
     """
-    probes: list = []
-    mismatch: dict | None = None
-    if sweep is None:
-        notes.append("probe sweep skipped: module outside its own presentation class")
-        mismatch = {"witness": "presented module", "in_d_sigma": False, "in_gen": True}
-    else:
-        for idx, (dim, dvec, dm, gm) in enumerate(sweep):
-            rec = {
-                "index": idx,
-                "dim": dim,
-                "dimension_vector": dvec,
-                "in_d_sigma": dm,
-                "in_gen": gm,
-                "agree": dm == gm,
-            }
-            probes.append(rec)
-            if dm != gm and mismatch is None:
-                mismatch = {k: rec[k] for k in ("index", "dim", "dimension_vector", "in_d_sigma", "in_gen")}
+    probes, mismatch = probe_sweep(sweep, ("in_d_sigma", "in_gen"), notes)
     if classes_t is None:
         notes.append("decomposition undecided; class count unavailable")
 
@@ -357,7 +391,6 @@ def _certificate(
     classes_q = sum(1 for lbl, _ in alg.idempotents if mults[lbl] > 0)
     nverts = len(alg.idempotents)
     count_ok = classes_t is not None and classes_t + classes_q == nverts
-    tau_certified = tau_rigid and hom_vanish and count_ok
     support = {
         "complement_multiplicities": mults,
         "complement_classes": classes_q,
@@ -367,26 +400,16 @@ def _certificate(
         "hom_complement_vanishes": hom_vanish,
         "hom_to_translate_dim": hom_to_translate,
     }
-
-    if sweep is None:
-        verdict = "not_silting"
-    elif mismatch is not None:
-        if tau_certified:
-            verdict = "undecided"
-            notes.append("probe mismatch conflicts with a complete rigidity certificate")
-        else:
-            verdict = "not_silting"
-    elif classes_t is None:
-        verdict = "undecided"
-    elif tau_certified:
-        verdict = "silting"
+    if classes_t is None:
+        fallback = ("undecided", None)
     elif tau_rigid:
-        verdict = "partial_silting_only"
+        fallback = ("partial_silting_only", None)
     else:
         # Self-membership passed yet rigidity failed: these are equivalent for
         # a minimal-or-padded two-term map, so the evidence is inconsistent.
-        verdict = "undecided"
-        notes.append("self-membership passed but rigidity failed; evidence inconsistent")
+        fallback = ("undecided", "self-membership passed but rigidity failed; evidence inconsistent")
+    certified = tau_rigid and hom_vanish and count_ok
+    verdict = verdict_ladder(VERDICTS, sweep is not None, mismatch, certified, "rigidity", fallback, notes)
 
     return SiltingCertificate(
         algebra=alg,
@@ -402,6 +425,16 @@ def _certificate(
     )
 
 
+def _projective_presentation(t: Module, sigma, notes: list) -> Presentation:
+    """The presentation of the absolute check: the minimal one for "AUTO"
+    or None, else the supplied one; a map between projectives is wrapped by
+    :func:`presentation_from_map`."""
+    if isinstance(sigma, ModuleMap):
+        sigma = presentation_from_map(sigma)
+    auto = ("presentation: automatic minimal", minimal_projective_presentation)
+    return resolve_presentation(t, "AUTO" if sigma is None else sigma, "projective", auto, notes)
+
+
 def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) -> SiltingCertificate:
     """Compare the generation class of ``t`` with the class of its presentation.
 
@@ -413,14 +446,17 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
     t) at the minimal presentation sigma_t of t, so tau is never built; when
     the presentation is automatic, that corank is also the self-membership
     gate, and otherwise it is read off the summands of t
-    (:func:`_hom_to_translate_dim`).  :func:`_certificate` then decides the
-    verdict; :func:`enumerate_silting` gathers the same evidence from
-    per-summand facts and goes through the same ladder.
+    (:func:`_hom_to_translate_dim`).  An int ``probe`` bounds the dimension
+    of the probes, as ``dim_bound`` does for None.  :func:`_certificate`
+    then decides the verdict; :func:`enumerate_silting` gathers the same
+    evidence from per-summand facts and goes through the same ladder.
     """
     alg = t.algebra
     notes: list = [COPRODUCT_NOTE]
-    pres = _resolve_presentation(t, sigma, notes)
-    probe_list = _resolve_probes(alg, probe, dim_bound, notes)
+    pres = _projective_presentation(t, sigma, notes)
+    probe_list = resolve_probes(
+        alg, probe, dim_bound, notes, "probe sweep unavailable over the rationals; verdict rests on the rigidity certificate alone"
+    )
     if _SUPPLIED_PRESENTATION in notes:
         hom_to_translate = _hom_to_translate_dim(t)
         in_own_class = d_sigma_contains(pres, t)
@@ -430,11 +466,8 @@ def silting_check(t: Module, sigma="AUTO", probe=None, *, dim_bound: int = 3) ->
         # second time for a module that records none.
         hom_to_translate = precompose_corank(pres.map, t)
         in_own_class = hom_to_translate == 0
-    sweep = None
-    if in_own_class:
-        sweep = [
-            (u.dim, u.dimension_vector(), d_sigma_contains(pres, u), gen_contains(t, u)) for u in probe_list
-        ]
+    sweep = [(u.dim, u.dimension_vector(), d_sigma_contains(pres, u), gen_contains(t, u))
+             for u in probe_list] if in_own_class else None
     mults = kernel_top_multiplicities(pres.map)
     hom_vanish = all(hom_dim(p, t) == 0 for p, lbl in indecomposable_projectives(alg) if mults[lbl] > 0)
     return _certificate(
@@ -573,10 +606,11 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
 
     Each candidate goes through the verdict ladder of :func:`silting_check`;
     only ``silting`` verdicts are returned, in deterministic order.  The
-    probes are the pool unless ``probe`` lists others.  A result holds its
-    blocks, sigma_i and then Q_v -> 0, and builds its module and
-    presentation on first read (see :class:`SiltingCertificate`), so a
-    caller that only counts or prints results builds no sum.
+    probes are resolved as in :func:`silting_check`, so by default they are
+    the pool.  A result holds its blocks, sigma_i and then Q_v -> 0, and
+    builds its module and presentation on first read (see
+    :class:`SiltingCertificate`), so a caller that only counts or prints
+    results builds no sum.
     """
     if alg.field.kind != "prime":
         raise DomainError("enumeration requires a finite field")
@@ -586,7 +620,8 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
     pool = enumerate_indecomposables(alg, dim_bound)
     sigmas = [minimal_projective_presentation(m) for m in pool]
     rigid = [i for i, m in enumerate(pool) if precompose_corank(sigmas[i].map, m) == 0]
-    probe_list = list(probe) if probe is not None else pool
+    probe_notes: list = []
+    probe_list = resolve_probes(alg, probe, dim_bound, probe_notes)
     probe_dims = [(u.dim, u.dimension_vector()) for u in probe_list]
 
     summands: list[_Summand] = []
@@ -604,7 +639,7 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
         )
     # onto_at[a][b] says whether Hom(sigma_a, T_b) is onto, that is whether
     # Hom(T_b, tau T_a) = 0; it holds on the diagonal by rigidity.
-    if probe is None:
+    if probe_list is pool:
         onto_at = [[s.onto[j] for j in rigid] for s in summands]
     else:
         onto_at = [[precompose_corank(s.sigma.map, pool[j]) == 0 for j in rigid] for s in summands]
@@ -635,7 +670,7 @@ def enumerate_silting(alg: Algebra, dim_bound: int = 3, probe=None) -> list[Silt
             cert = _certificate(
                 alg,
                 blocks,
-                [COPRODUCT_NOTE, _SUPPLIED_PRESENTATION, _SUPPLIED_PROBES],
+                [COPRODUCT_NOTE, _SUPPLIED_PRESENTATION, *probe_notes],
                 sweep,
                 0,  # Hom(t, tau t): the filter kept only compatible sums
                 mults,
@@ -677,10 +712,8 @@ def tensor_silting(
     module) -- reported as ``hom_to_translate_dim`` -- and the class count
     that the certificate already holds.
     """
-    notes_t: list = []
-    notes_s: list = []
-    spres = _resolve_presentation(t, sigma, notes_t)
-    epres = _resolve_presentation(s, eta, notes_s)
+    spres = _projective_presentation(t, sigma, [])
+    epres = _projective_presentation(s, eta, [])
     a, b = t.algebra, s.algebra
     if tensor_alg is None:
         tensor_alg, _ = derive_algebra(a, "tensor", b=b)
@@ -708,7 +741,7 @@ def tensor_silting(
         certificates={"totalized": True},
     )
 
-    cert = silting_check(ts, pres, probe=_resolve_probes(tensor_alg, probe, dim_bound, []))
+    cert = silting_check(ts, pres, probe, dim_bound=dim_bound)
     existential = _support_tau_tilting(ts, cert.support["hom_to_translate_dim"], cert.support["module_classes"])
     report = {
         "termwise_map_presents_tensor_module": termwise_ok,

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import F2, quiver_a2, quiver_a3_rel, quiver_dual_numbers
+from conftest import F2, QQ, quiver_a2, quiver_a3_rel, quiver_dual_numbers
 
 from silting_forge.algebra import (
     Arrow,
@@ -438,6 +438,25 @@ def test_no_probes_do_not_certify_the_simple_over_the_dual_numbers():
     k = simple_module(alg, "ev")
     assert gorenstein_silting_check(k, "AUTO", gp, probe=[]).verdict == "partial_only"
     assert gorenstein_silting_check(k, "AUTO", gp).verdict == "not"
+
+
+def test_an_int_probe_bounds_the_relative_sweep():
+    # As in silting_check, an int probe is a dimension bound: the sweep runs
+    # over the indecomposables up to it, and over Q, with no enumeration, it
+    # raises.
+    alg = corpus_load("dualnum")
+    gp = gp_classification(alg)
+    k = simple_module(alg, "ev")
+    bounded = gorenstein_silting_check(k, "AUTO", gp, probe=2).to_json()
+    listed = gorenstein_silting_check(k, "AUTO", gp, probe=enumerate_indecomposables(alg, 2)).to_json()
+    assert "probe sweep: all indecomposables of dimension <= 2" in bounded.pop("notes")
+    assert "probe sweep: supplied probe list" in listed.pop("notes")
+    assert bounded == listed and len(bounded["probes"]) == 2
+    a2q = compile_quiver_algebra(quiver_a2(QQ))
+    projectives = [p for p, _ in indecomposable_projectives(a2q)]
+    gp_q = GpClassification(a2q, 2, projectives, True, gorenstein_report(a2q), ())
+    with pytest.raises(DomainError, match="finite field"):
+        gorenstein_silting_check(regular_module(a2q), "AUTO", gp_q, probe=2)
 
 
 def test_check_carries_coproduct_note(gp_dual):

@@ -288,7 +288,8 @@ def test_enumerate_classes_fill_vertex_count(a2):
 def _reference_enumerate(alg, dim_bound, probe=None):
     """The subset scan that enumerate_silting replaced: every candidate gets
     a full silting_check against the minimal presentation of the sum padded
-    by its projective complement."""
+    by its projective complement.  With no ``probe`` given, the probes are
+    the pool, named by its bound."""
     pool = enumerate_indecomposables(alg, dim_bound)
     projs = indecomposable_projectives(alg)
     nverts = len(alg.idempotents)
@@ -305,7 +306,7 @@ def _reference_enumerate(alg, dim_bound, probe=None):
             comp = [p for p, lbl in projs if lbl not in supported]
             if len(combo) + len(comp) != nverts or any(hom_dim(p, t) for p in comp):
                 continue
-            cert = silting_check(t, presentation_with_complement(t, comp), probe=probe_list)
+            cert = silting_check(t, presentation_with_complement(t, comp), probe=dim_bound if probe is None else probe_list)
             if cert.verdict == "silting":
                 results.append(cert)
     return results
@@ -647,6 +648,24 @@ def test_tensor_probe_membership_recorded(tensor_setup):
     for t, swept in [(regular_module(alg), True), (not_tau_rigid, False)]:
         ts, pres, cert, report = tensor_silting(t, "AUTO", t, "AUTO", probe=probes, tensor_alg=tensor_alg)
         assert bool(cert.probes) == swept
+
+
+def test_unsupplied_probes_are_named_by_their_bound():
+    # With no probe given, tensor_silting and enumerate_silting sweep every
+    # indecomposable up to their dimension bound, and their notes say so;
+    # over Q tensor_silting sweeps nothing and says that instead.
+    a2 = corpus_load("a2")
+    _, _, cert, _ = tensor_silting(regular_module(a2), "AUTO", simple_module(a2, "e1"), "AUTO")
+    assert "probe sweep: all indecomposables of dimension <= 2" in cert.notes
+    assert "probe sweep: supplied probe list" not in cert.notes and len(cert.probes) == 8
+    a2q = compile_quiver_algebra(quiver_a2(field=QQ))
+    _, _, cert, _ = tensor_silting(regular_module(a2q), "AUTO", simple_module(a2q, "e1"), "AUTO")
+    assert "probe sweep unavailable over the rationals; verdict rests on the rigidity certificate alone" in cert.notes
+    assert "probe sweep: supplied probe list" not in cert.notes and cert.probes == []
+    certs = enumerate_silting(a2, 3)
+    assert certs and all("probe sweep: all indecomposables of dimension <= 3" in c.notes for c in certs)
+    listed = enumerate_silting(a2, 3, probe=enumerate_indecomposables(a2, 2))
+    assert listed and all("probe sweep: supplied probe list" in c.notes for c in listed)
 
 
 # ---------------------------------------------------------------------------
